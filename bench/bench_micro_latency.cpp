@@ -5,14 +5,19 @@
 // applicable in practice").  This microbenchmark measures one decide() call
 // against the active-set size for the heuristic, the branch-and-bound exact
 // optimiser, and the literal MILP encoding on the in-repo simplex solver.
+// Each benchmark also reports, per decision, the EDF prefilter's verdicts
+// (feasible / infeasible / unknown) and the full EDF simulations it fell
+// back to, as google-benchmark counters.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "core/exact_rm.hpp"
 #include "core/heuristic_rm.hpp"
 #include "core/milp_rm.hpp"
+#include "obs/stage_timer.hpp"
 #include "platform/platform.hpp"
 #include "util/rng.hpp"
 #include "workload/catalog.hpp"
@@ -74,23 +79,45 @@ struct Fixture {
     }
 };
 
+/// Run the benchmark loop under a stage profile and export its prefilter
+/// verdicts and EDF simulations per iteration (one decision, or one
+/// feasibility check) as counters.
+template <typename Body>
+void run_counted(benchmark::State& state, Body&& body) {
+    obs::StageStats stats;
+#ifdef RMWP_OBS
+    const obs::StageStatsScope scope(&stats);
+#endif
+    for (auto _ : state) body();
+    const auto per_iteration = [](std::uint64_t count) {
+        return benchmark::Counter(static_cast<double>(count), benchmark::Counter::kAvgIterations);
+    };
+    state.counters["prefilter_feasible"] = per_iteration(stats.prefilter_feasible);
+    state.counters["prefilter_infeasible"] = per_iteration(stats.prefilter_infeasible);
+    state.counters["prefilter_unknown"] = per_iteration(stats.prefilter_unknown);
+    state.counters["edf_simulate_calls"] =
+        per_iteration(stats.cell(obs::Stage::edf_simulate).calls);
+}
+
+/// One decide() per iteration.
+void run_decide(benchmark::State& state, ResourceManager& rm, const ArrivalContext& context) {
+    run_counted(state, [&] {
+        Decision decision = rm.decide(context);
+        benchmark::DoNotOptimize(decision);
+    });
+}
+
 void BM_HeuristicDecide(benchmark::State& state) {
     Fixture fixture(static_cast<std::size_t>(state.range(0)));
     HeuristicRM rm;
-    for (auto _ : state) {
-        Decision decision = rm.decide(fixture.context);
-        benchmark::DoNotOptimize(decision);
-    }
+    run_decide(state, rm, fixture.context);
 }
 BENCHMARK(BM_HeuristicDecide)->Arg(2)->Arg(4)->Arg(8)->Arg(12)->Arg(16)->Arg(24);
 
 void BM_ExactDecide(benchmark::State& state) {
     Fixture fixture(static_cast<std::size_t>(state.range(0)));
     ExactRM rm;
-    for (auto _ : state) {
-        Decision decision = rm.decide(fixture.context);
-        benchmark::DoNotOptimize(decision);
-    }
+    run_decide(state, rm, fixture.context);
 }
 BENCHMARK(BM_ExactDecide)->Arg(2)->Arg(4)->Arg(8)->Arg(12)->Arg(16);
 
@@ -104,10 +131,7 @@ void BM_ExactDecideTight(benchmark::State& state) {
         task.absolute_deadline = (task.absolute_deadline - 20.0) / 1.8 * 1.05 + 8.0;
     fixture.context.active = tight;
     ExactRM rm;
-    for (auto _ : state) {
-        Decision decision = rm.decide(fixture.context);
-        benchmark::DoNotOptimize(decision);
-    }
+    run_decide(state, rm, fixture.context);
 }
 BENCHMARK(BM_ExactDecideTight)->Arg(8)->Arg(12)->Arg(16);
 
@@ -118,20 +142,14 @@ void BM_HeuristicDecideTight(benchmark::State& state) {
         task.absolute_deadline = (task.absolute_deadline - 20.0) / 1.8 * 1.05 + 8.0;
     fixture.context.active = tight;
     HeuristicRM rm;
-    for (auto _ : state) {
-        Decision decision = rm.decide(fixture.context);
-        benchmark::DoNotOptimize(decision);
-    }
+    run_decide(state, rm, fixture.context);
 }
 BENCHMARK(BM_HeuristicDecideTight)->Arg(8)->Arg(12)->Arg(16);
 
 void BM_MilpDecide(benchmark::State& state) {
     Fixture fixture(static_cast<std::size_t>(state.range(0)));
     MilpRM rm;
-    for (auto _ : state) {
-        Decision decision = rm.decide(fixture.context);
-        benchmark::DoNotOptimize(decision);
-    }
+    run_decide(state, rm, fixture.context);
 }
 BENCHMARK(BM_MilpDecide)->Arg(2)->Arg(3)->Arg(4)->Unit(benchmark::kMillisecond);
 
@@ -142,10 +160,10 @@ void BM_ScheduleFeasibility(benchmark::State& state) {
     for (std::size_t j = 0; j < instance.tasks.size(); ++j)
         items.push_back(instance.item_for(j, instance.tasks[j].executable.front()));
     const Resource& resource = fixture.platform.resource(items.front().resource);
-    for (auto _ : state) {
+    run_counted(state, [&] {
         bool feasible = resource_feasible(resource, 0.0, items);
         benchmark::DoNotOptimize(feasible);
-    }
+    });
 }
 BENCHMARK(BM_ScheduleFeasibility)->Arg(4)->Arg(16);
 

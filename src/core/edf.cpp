@@ -129,13 +129,17 @@ bool simulate_edf(const Resource& resource, Time now, std::span<const ScheduleIt
             continue;
         }
         soa.push(item);
-        if (soa.done.back() != 0) finish(item.uid, item.abs_deadline, std::max(cur, item.release));
     }
 
+    // Zero-duration items complete at their release, but no earlier than
+    // the pinned head's end — wherever the head sits in the input, so the
+    // verdict stays input-order independent.
     const std::size_t count = soa.size();
     std::size_t open = 0;
-    for (std::size_t j = 0; j < count; ++j)
+    for (std::size_t j = 0; j < count; ++j) {
         if (soa.done[j] == 0) ++open;
+        else finish(soa.uid[j], soa.deadline[j], std::max(cur, soa.release[j]));
+    }
 
     while (open > 0) {
         // Highest-priority ready item (reservations first, then EDF).
@@ -226,33 +230,77 @@ EdfPrefilter demand_scan(Time now, const Range& range, Proj&& proj, bool exact) 
     return exact ? EdfPrefilter::feasible : EdfPrefilter::unknown;
 }
 
-/// Dispatch-mirror scan for a non-preemptable resource with nothing
-/// reserved, everything released, and at most one pinned head: the EDF
-/// dispatcher runs the pinned item first and everything else back-to-back
-/// in demand order, so the prefix sums below reproduce the simulation's
-/// completion times — modulo float-accumulation ulps, which the kSafety
-/// band degrades to `unknown`.  Unlike the demand bound this is a full
-/// verdict, not just a necessary condition.
+/// Exact replay of run-to-completion EDF for a non-preemptable resource
+/// with nothing reserved and at most one pinned head (`head`, null when
+/// none).  `range` yields the items in demand order, which is the
+/// simulation's dispatch priority once reservations are absent.  A cursor
+/// walks that order; items not yet released when the cursor passes them
+/// wait in a small pending list (in practice the predicted task), and each
+/// dispatch takes the first released pending item, else the cursor item,
+/// else idles to the smallest pending release.  Every time value is
+/// computed with the same floating-point operations, in the same order, as
+/// simulate_edf, so the verdict is the simulation's — for O(L * (F + 1))
+/// work with F pending items, and a single pass when everything is
+/// released.
 template <typename Range, typename Proj>
-EdfPrefilter dispatch_mirror_scan(Time now, const Range& range, Proj&& proj) {
-    bool exact = true;
-    double work = 0.0;
-    auto step = [&](const ScheduleItem& item) {
-        work += item.duration;
-        const double slack = item.abs_deadline - now;
-        if (work > slack + kEps + kSafety) return false;
-        if (work > slack + kEps - kSafety) exact = false;
+EdfPrefilter run_to_completion_replay(Time now, const ScheduleItem* head, const Range& range,
+                                      Proj&& proj) {
+    Time cur = now;
+    if (head != nullptr) {
+        cur = cur + head->duration;
+        if (cur > head->abs_deadline + kEps) return EdfPrefilter::infeasible;
+    }
+    // Zero-duration items never dispatch: they complete at their release,
+    // but no earlier than the head's end.
+    const Time head_end = cur;
+
+    thread_local std::vector<const ScheduleItem*> pending_buffer;
+    std::vector<const ScheduleItem*>& pending = pending_buffer;
+    pending.clear();
+    // Dispatch the released pending items, earliest in demand order first,
+    // re-scanning after each dispatch moves the clock; false on a miss.
+    auto run_released_pending = [&] {
+        for (std::size_t j = 0; j < pending.size();) {
+            const ScheduleItem& next = *pending[j];
+            if (next.release > cur + kEps) {
+                ++j;
+                continue;
+            }
+            cur = cur + next.duration;
+            if (cur > next.abs_deadline + kEps) return false;
+            pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(j));
+            j = 0; // the clock moved: an earlier pending item may be released now
+        }
         return true;
     };
+
     for (const auto& entry : range) {
         const ScheduleItem& item = proj(entry);
-        if (item.pinned_first && !step(item)) return EdfPrefilter::infeasible;
+        if (item.pinned_first) continue;
+        if (item.duration <= 0.0) {
+            if (std::max(head_end, item.release) > item.abs_deadline + kEps)
+                return EdfPrefilter::infeasible;
+            continue;
+        }
+        // Pending items precede `item` in demand order, so any released one
+        // dispatches first.
+        if (!pending.empty() && !run_released_pending()) return EdfPrefilter::infeasible;
+        if (item.release > cur + kEps) {
+            pending.push_back(&item);
+            continue;
+        }
+        cur = cur + item.duration;
+        if (cur > item.abs_deadline + kEps) return EdfPrefilter::infeasible;
     }
-    for (const auto& entry : range) {
-        const ScheduleItem& item = proj(entry);
-        if (!item.pinned_first && !step(item)) return EdfPrefilter::infeasible;
+    while (!pending.empty()) {
+        if (!run_released_pending()) return EdfPrefilter::infeasible;
+        if (pending.empty()) break;
+        // Nothing released: idle to the next release.
+        Time next = std::numeric_limits<Time>::infinity();
+        for (const ScheduleItem* item : pending) next = std::min(next, item->release);
+        cur = std::max(cur, next);
     }
-    return exact ? EdfPrefilter::feasible : EdfPrefilter::unknown;
+    return EdfPrefilter::feasible;
 }
 
 /// The shared prefilter body behind the sorted and unsorted entry points.
@@ -275,32 +323,33 @@ EdfPrefilter dispatch_mirror_scan(Time now, const Range& range, Proj&& proj) {
 /// the simulation (`unknown`).
 ///
 /// On a non-preemptable resource (the GPU — the majority of admission
-/// probes) the common all-released case routes to dispatch_mirror_scan
-/// above for a full analytic verdict; anything with a future release, a
-/// reservation, or multiple pinned heads keeps the necessary-condition
-/// demand scan and lets the simulation decide.
+/// probes) with no reservation and at most one pinned head, the
+/// run-to-completion replay above is the simulation's verdict, future
+/// releases (the predicted task) included.  A reservation, or two-plus
+/// pinned heads (which run in input order, not demand order), keeps the
+/// necessary-condition demand scan and lets the simulation decide.
 template <typename Range, typename Proj>
 EdfPrefilter prefilter_verdict(const Resource& resource, Time now, const Range& range,
                                Proj&& proj) {
     bool reserved = false;
     std::size_t pinned = 0;
+    const ScheduleItem* head = nullptr;
     thread_local std::vector<Time> releases_buffer;
     std::vector<Time>& future = releases_buffer;
     future.clear();
     for (const auto& entry : range) {
         const ScheduleItem& item = proj(entry);
         if (item.reserved) reserved = true;
-        if (item.pinned_first) ++pinned;
-        else if (item.release > now) future.push_back(item.release);
+        if (item.pinned_first) {
+            ++pinned;
+            head = &item;
+        } else if (item.release > now) {
+            future.push_back(item.release);
+        }
     }
 
     if (!resource.preemptable()) {
-        // Run-to-completion dispatch: with everything released, at most one
-        // pinned head, and no reservation, the mirror scan reproduces the
-        // simulation's completion times exactly (two-plus pinned heads run
-        // in input order, not demand order, so they stay with demand_scan).
-        if (!reserved && pinned <= 1 && future.empty())
-            return dispatch_mirror_scan(now, range, proj);
+        if (!reserved && pinned <= 1) return run_to_completion_replay(now, head, range, proj);
         return demand_scan(now, range, proj, /*exact=*/false);
     }
 

@@ -62,18 +62,23 @@ enum class EdfPrefilter {
 std::size_t insert_demand_ordered(std::vector<ScheduleItem>& items, const ScheduleItem& item);
 
 /// Cheap schedulability screen, exact in its decisive verdicts:
-///   * infeasible — for some deadline d, the total work that must finish by
-///     d exceeds the capacity of [now, d].  Valid for any resource
-///     (preemptable or not), any releases, reservations, and pinning: no
-///     schedule can create capacity.
-///   * feasible — when every item is an already-released (release <= now),
-///     unreserved, unpinned task on a preemptable resource, EDF completes
-///     the k-th item (in deadline order) at exactly now + the prefix work,
-///     so the per-deadline check is the full simulation's verdict.
-/// Verdicts carry a safety margin against floating-point ordering noise;
-/// borderline instances return `unknown` instead of guessing
-/// (tests/test_edf.cpp pins agreement with simulate_edf on random
-/// instances).
+///   * any resource — infeasible when, for some deadline d, the total work
+///     that must finish by d exceeds the capacity of [now, d].  Valid for
+///     any releases, reservations, and pinning: no schedule can create
+///     capacity.
+///   * preemptable, nothing reserved or pinned — full verdict by the
+///     processor-demand criterion: the now-anchored demand scan (with
+///     everything released, EDF completes the k-th item in deadline order
+///     at exactly now + the prefix work), plus one scan per distinct future
+///     release.  These carry a safety margin against floating-point
+///     ordering noise; borderline instances return `unknown`.
+///   * non-preemptable, nothing reserved, at most one pinned head — full
+///     verdict by an exact replay of run-to-completion EDF, future releases
+///     included, in the simulation's own floating-point arithmetic: never
+///     `unknown`, always the simulation's answer.
+/// Everything else (reservations, two-plus pinned heads) gets only the
+/// infeasibility screen and otherwise `unknown` (tests/test_edf.cpp pins
+/// agreement with simulate_edf on random instances).
 [[nodiscard]] EdfPrefilter edf_demand_prefilter(const Resource& resource, Time now,
                                                 std::span<const ScheduleItem> items);
 

@@ -32,7 +32,7 @@ enum class Stage : std::uint8_t {
     solve,          ///< one solver run over an assembled PlanInstance
     batch_assemble, ///< BatchPlanner::assemble (candidate/tail rewrite)
     sorted_refresh, ///< memoised sorted-block recomputation in fill_blocks
-    prefilter,      ///< analytic EDF prefilter (demand / dispatch-mirror scans)
+    prefilter,      ///< analytic EDF prefilter (demand scans / run-to-completion replay)
     edf_simulate,   ///< exact EDF simulation fallback
     shard_solve,    ///< sharded per-bucket sub-solves, incl. cross-shard wait
     shard_merge,    ///< deterministic cross-shard mapping merge

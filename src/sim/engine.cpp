@@ -237,8 +237,11 @@ void SimEngine::dispatch(const Event& event) {
 #endif
         // With execution-time variation the completion was (likely)
         // earlier than the WCET plan assumed: re-plan immediately so
-        // queued tasks reclaim the slack.
-        if (options_.execution_time_factor_min < 1.0) rebuild(event.time);
+        // queued tasks reclaim the slack.  The same holds whenever this
+        // advance retired a task before its planned slice closed: the
+        // slice's tail is stale plan, and the next advance must not walk
+        // it.
+        if (options_.execution_time_factor_min < 1.0 || plan_stale_) rebuild(event.time);
     }
 }
 
@@ -332,6 +335,12 @@ void SimEngine::advance(Time to) {
             if (completed_at >= 0.0) {
                 task->remaining_fraction = 0.0;
                 ++result_.completed;
+                // Retired before its planned work ends (an early completion,
+                // or the tolerance above firing mid-slice): the rest of its
+                // slice stays on the timeline until the next rebuild.
+                if (schedule_.completion_of(task->uid).value_or(executed_until) >
+                    executed_until)
+                    plan_stale_ = true;
                 RMWP_TRACE(options_.sink, completed_at, obs::EventKind::complete, segment.uid,
                            static_cast<std::int64_t>(i));
 #ifdef RMWP_OBS
@@ -915,6 +924,7 @@ void SimEngine::rebuild(Time now) {
     schedule_ = plan_current(now);
 #endif
     if (options_.validate) RMWP_ENSURE(schedule_.feasible);
+    plan_stale_ = false;
 
     events_.cancel_group(generation_);
     ++generation_;

@@ -221,6 +221,10 @@ private:
     EventQueue events_;
     Time clock_ = 0.0;
     std::uint64_t generation_ = 1;
+    /// Set when advance() retires a task before the end of its planned
+    /// slice; the completion handler then re-plans before the clock moves
+    /// past the stale tail.  Cleared by every rebuild.
+    bool plan_stale_ = false;
     TraceResult result_;
     Rng execution_rng_;
     /// Hidden actual work per task (fraction of WCET); the RM never sees

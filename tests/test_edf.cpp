@@ -249,6 +249,51 @@ TEST(EdfPinned, PinnedRunsFirstDespiteLaterDeadline) {
     EXPECT_DOUBLE_EQ(completion.at(2), 7.0);
 }
 
+TEST(EdfPinned, ZeroDurationItemsCompleteAfterThePinnedHeadInAnyInputOrder) {
+    // The zero-duration item completes when the pinned head ends (3), past
+    // its deadline (1), whether it precedes or follows the head in the input.
+    const ScheduleItem instant = item(1, 0.0, 1.0);
+    const ScheduleItem head = item(100, 3.0, 50.0, 0.0, /*pinned=*/true);
+    const std::vector<ScheduleItem> instant_first{instant, head};
+    const std::vector<ScheduleItem> head_first{head, instant};
+    EXPECT_FALSE(schedule_resource(kGpu, 0.0, instant_first).feasible);
+    EXPECT_FALSE(schedule_resource(kGpu, 0.0, head_first).feasible);
+    EXPECT_FALSE(resource_feasible(kGpu, 0.0, instant_first));
+    EXPECT_FALSE(resource_feasible(kGpu, 0.0, head_first));
+    std::unordered_map<TaskUid, Time> completion;
+    std::ignore = schedule_resource(kGpu, 0.0, instant_first, &completion);
+    EXPECT_DOUBLE_EQ(completion.at(1), 3.0);
+}
+
+TEST(EdfPinned, SimulationIsInputOrderIndependent) {
+    // Shuffled permutations of one GPU instance (pinned head, zero
+    // durations, future releases) share the verdict and completion times.
+    Rng rng(424242);
+    for (int round = 0; round < 500; ++round) {
+        const Time now = rng.uniform(0.0, 10.0);
+        std::vector<ScheduleItem> items;
+        const std::size_t count = 1 + rng.index(6);
+        for (std::size_t j = 0; j < count; ++j) {
+            const Time release = rng.bernoulli(0.3) ? now + rng.uniform(0.0, 6.0) : now;
+            const double duration = rng.bernoulli(0.3) ? 0.0 : rng.uniform(0.2, 4.0);
+            items.push_back(item(j + 1, duration, release + rng.uniform(0.1, 12.0), release));
+        }
+        items.push_back(item(100, rng.uniform(0.0, 4.0), now + rng.uniform(0.5, 8.0), now,
+                             /*pinned=*/true));
+
+        std::unordered_map<TaskUid, Time> reference;
+        const bool feasible = schedule_resource(kGpu, now, items, &reference).feasible;
+        for (int shuffle = 0; shuffle < 4; ++shuffle) {
+            rng.shuffle(items);
+            std::unordered_map<TaskUid, Time> completion;
+            EXPECT_EQ(schedule_resource(kGpu, now, items, &completion).feasible, feasible)
+                << "round " << round;
+            EXPECT_EQ(completion, reference) << "round " << round;
+            EXPECT_EQ(resource_feasible(kGpu, now, items), feasible) << "round " << round;
+        }
+    }
+}
+
 TEST(EdfPinned, PinnedOnPreemptableResourceThrows) {
     const std::vector<ScheduleItem> items{item(1, 5.0, 100.0, 0.0, /*pinned=*/true)};
     EXPECT_THROW(std::ignore = schedule_resource(kCpu, 0.0, items), precondition_error);
@@ -452,7 +497,7 @@ TEST(EdfPrefilterTest, ProcessorDemandCriterionDecidesFutureReleases) {
 
 TEST(EdfPrefilterTest, NonPreemptableAllReleasedIsDecisive) {
     // Run-to-completion dispatch with everything released follows demand
-    // order back-to-back, so the prefilter's mirror scan reproduces the
+    // order back-to-back, so the prefilter's replay reproduces the
     // simulation's completion times and yields a full verdict — the GPU
     // admission probe (the bulk of serve-mode feasibility checks) resolves
     // analytically.
@@ -462,7 +507,7 @@ TEST(EdfPrefilterTest, NonPreemptableAllReleasedIsDecisive) {
     const std::vector<ScheduleItem> late{item(1, 4.0, 5.0), item(2, 3.0, 6.0)};
     EXPECT_EQ(edf_demand_prefilter(kGpu, 0.0, late), EdfPrefilter::infeasible);
 
-    // A pinned head outranks demand order; the mirror scan accounts for it.
+    // A pinned head outranks demand order; the replay runs it first.
     const std::vector<ScheduleItem> pinned_ok{
         item(1, 5.0, 100.0, 0.0, /*pinned=*/true), item(2, 2.0, 8.0)};
     EXPECT_EQ(edf_demand_prefilter(kGpu, 0.0, pinned_ok), EdfPrefilter::feasible);
@@ -470,11 +515,11 @@ TEST(EdfPrefilterTest, NonPreemptableAllReleasedIsDecisive) {
         item(1, 5.0, 100.0, 0.0, /*pinned=*/true), item(2, 2.0, 6.0)};
     EXPECT_EQ(edf_demand_prefilter(kGpu, 0.0, pinned_late), EdfPrefilter::infeasible);
 
-    // A future release reintroduces idle/boundary effects: back to the
-    // necessary-condition scan, decisive only for overload.
+    // A future release (the predicted task) is replayed exactly too: the
+    // released item runs while the predicted one waits for its release.
     const std::vector<ScheduleItem> future{item(1, 2.0, 30.0),
                                            item(kPredictedUid, 1.0, 25.0, /*release=*/5.0)};
-    EXPECT_EQ(edf_demand_prefilter(kGpu, 0.0, future), EdfPrefilter::unknown);
+    EXPECT_EQ(edf_demand_prefilter(kGpu, 0.0, future), EdfPrefilter::feasible);
 }
 
 TEST(EdfPrefilterTest, SortedVariantAgreesOnRandomPermutations) {
@@ -624,6 +669,68 @@ TEST(EdfPrefilterTest, DvfsAnchorScreensTheMergedOperatingPointSet) {
     merged.push_back(heavy);
     EXPECT_EQ(edf_demand_prefilter(anchor, 0.0, merged), EdfPrefilter::infeasible);
     EXPECT_FALSE(build_window_schedule(platform, 0.0, merged).feasible);
+}
+
+TEST(EdfPrefilterTest, NonPreemptableReplayEqualsSimulation) {
+    // The run-to-completion replay is the simulation's verdict on every
+    // unreserved non-preemptable instance with at most one pinned head, so
+    // the prefilter never answers `unknown` there.  The instances aim at
+    // the replay's floating-point edges: future releases (some within a
+    // few kEps = 1e-6 of a dispatch boundary on the half-unit grid),
+    // releases within kEps of now, deadline ties, deadlines within a few
+    // kEps of the simulated completion, zero durations, and now up to 1e4.
+    constexpr double kEps = 1e-6;
+    const double jitters[] = {-2 * kEps, -kEps, -kEps / 2, 0.0, kEps / 2, kEps, 2 * kEps};
+    Rng rng(20261017);
+    const auto jitter = [&] { return jitters[rng.index(7)]; };
+    const auto half_units = [&](std::size_t max) {
+        return 0.5 * static_cast<double>(1 + rng.index(max));
+    };
+    int feasible_verdicts = 0;
+    int infeasible_verdicts = 0;
+    for (int round = 0; round < 12000; ++round) {
+        const Time now = rng.bernoulli(0.3) ? rng.uniform(0.0, 1e4) : rng.uniform(0.0, 20.0);
+        const std::size_t count = 1 + rng.index(8);
+        std::vector<ScheduleItem> items;
+        for (std::size_t j = 0; j < count; ++j) {
+            Time release = now;
+            const double kind = rng.uniform01();
+            if (kind < 0.2) release = now + rng.uniform(0.0, 8.0);    // predicted-style
+            else if (kind < 0.45) release = now + half_units(16) + jitter(); // near a boundary
+            else if (kind < 0.55) release = now + jitter() / 2;       // within kEps of now
+            // Half-unit durations and deadlines make ties common.
+            const double duration = rng.bernoulli(0.1) ? 0.0 : half_units(8);
+            const Time deadline =
+                rng.bernoulli(0.5) ? release + half_units(24) : release + rng.uniform(0.1, 14.0);
+            items.push_back(item(j + 1, duration, deadline, release));
+        }
+        if (rng.bernoulli(0.4)) {
+            const double head = rng.bernoulli(0.1)   ? 0.0
+                                : rng.bernoulli(0.5) ? half_units(8)
+                                                     : rng.uniform(0.1, 4.0);
+            items.push_back(item(100, head, now + rng.uniform(0.1, 10.0), now, /*pinned=*/true));
+        }
+        if (rng.bernoulli(0.5)) {
+            // Pull some deadlines onto the simulated completion times.
+            std::unordered_map<TaskUid, Time> completion;
+            std::ignore = schedule_resource(kGpu, now, items, &completion);
+            for (ScheduleItem& it : items)
+                if (rng.bernoulli(0.5)) it.abs_deadline = completion.at(it.uid) + jitter();
+        }
+
+        const bool simulated = schedule_resource(kGpu, now, items).feasible;
+        std::vector<ScheduleItem> sorted = items;
+        std::sort(sorted.begin(), sorted.end(), demand_order);
+        rng.shuffle(items);
+        const EdfPrefilter verdict = edf_demand_prefilter(kGpu, now, items);
+        ASSERT_NE(verdict, EdfPrefilter::unknown) << "round " << round;
+        EXPECT_EQ(verdict == EdfPrefilter::feasible, simulated) << "round " << round;
+        EXPECT_EQ(edf_demand_prefilter_sorted(kGpu, now, sorted), verdict) << "round " << round;
+        EXPECT_EQ(resource_feasible_sorted(kGpu, now, sorted), simulated) << "round " << round;
+        (verdict == EdfPrefilter::feasible ? feasible_verdicts : infeasible_verdicts)++;
+    }
+    EXPECT_GT(feasible_verdicts, 2000);
+    EXPECT_GT(infeasible_verdicts, 2000);
 }
 
 TEST(EdfPrefilterTest, DecisiveVerdictsAgreeWithFullSimulation) {

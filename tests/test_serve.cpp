@@ -203,6 +203,67 @@ TEST(Serve, MatchesBatchSimulatorOnTheSameArrivals) {
         << "serve accepted=" << serve.result.accepted << " batch accepted=" << batch.accepted;
 }
 
+// ---- engine: completion tolerance ----
+
+/// Replays a pre-generated arrival list.
+class VectorSource final : public ArrivalSource {
+public:
+    explicit VectorSource(std::vector<Request> arrivals) : arrivals_(std::move(arrivals)) {}
+
+    [[nodiscard]] std::optional<Request> next() override {
+        if (next_ == arrivals_.size()) return std::nullopt;
+        return arrivals_[next_++];
+    }
+    [[nodiscard]] bool seekable() const noexcept override { return false; }
+    [[nodiscard]] SourceCursor cursor() const noexcept override { return {}; }
+    void seek(const SourceCursor&) override { throw std::runtime_error("not seekable"); }
+
+private:
+    std::vector<Request> arrivals_;
+    std::size_t next_ = 0;
+};
+
+// The engine's completion tolerance may retire a task a little before its
+// planned slice ends (here a GPU task, 2.57e-7 ms early, at another task's
+// completion event).  The plan must be refreshed before the clock moves on:
+// walking the retired task's stale tail used to throw from advance().
+TEST(Serve, TaskRetiredBeforeItsSliceClosesDoesNotStrandThePlan) {
+    PlatformBuilder builder;
+    for (int k = 0; k < 24; ++k) builder.add_cpu("CPU" + std::to_string(k));
+    for (int k = 0; k < 4; ++k) builder.add_gpu("GPU" + std::to_string(k));
+    builder.add_cpu_with_dvfs({1.0, 0.5}, "DVFS");
+    const Platform platform = builder.build();
+    CatalogParams catalog_params;
+    catalog_params.type_count = 32;
+    Rng catalog_rng(42);
+    const Catalog catalog =
+        generate_partitioned_catalog(platform, catalog_params, 4, catalog_rng);
+
+    SyntheticSourceParams params;
+    params.seed = 2011;
+    params.count = 1611;
+    params.interarrival_mean = 1.2;
+    params.interarrival_stddev = 0.4;
+    SyntheticArrivalSource synthetic(catalog, params);
+    std::vector<Request> arrivals;
+    while (std::optional<Request> request = synthetic.next()) arrivals.push_back(*request);
+    // Bursts: every 8 consecutive arrivals share the first one's instant.
+    for (std::size_t i = 0; i < arrivals.size(); ++i)
+        arrivals[i].arrival = arrivals[i - i % 8].arrival;
+    ASSERT_EQ(arrivals.size(), 1611u);
+
+    VectorSource source(arrivals);
+    HeuristicRM rm;
+    NullPredictor predictor;
+    const ServeConfig config = quiet_config();
+    ServeResult serve;
+    ASSERT_NO_THROW(serve = run_serve(platform, catalog, rm, predictor, nullptr, source, config));
+    EXPECT_EQ(serve.exit_code, 0);
+    EXPECT_EQ(serve.arrivals, arrivals.size());
+    EXPECT_EQ(serve.result.deadline_misses, 0u);
+    EXPECT_EQ(serve.result.completed, serve.result.accepted);
+}
+
 // ---- overload protection ----
 
 TEST(Serve, OverloadSheddingIsDeterministicAndBounded) {

@@ -587,6 +587,13 @@ int cmd_serve(Args& args) {
         sink.set_stream(&*stream);
     }
 
+    // --stats-json also reports the admission pipeline's prefilter verdicts
+    // and EDF simulations, from the run's stage profile.
+    obs::StageStats stage_stats;
+#ifdef RMWP_OBS
+    if (stats_json) config.stage_stats_out = &stage_stats;
+#endif
+
     const std::unique_ptr<Predictor> predictor = make_predictor(spec, catalog, Rng(seed));
 
     install_serve_signal_handlers();
@@ -664,8 +671,16 @@ int cmd_serve(Args& args) {
             << "  \"monitor_checks\": " << serve.monitor_checks << ",\n"
             << "  \"checkpoints_written\": " << serve.checkpoints_written << ",\n"
             << "  \"stopped_by_signal\": " << (serve.stopped_by_signal ? "true" : "false")
-            << ",\n"
-            << "  \"exit_code\": " << serve.exit_code << "\n"
+            << ",\n";
+        if (config.stage_stats_out != nullptr) {
+            // Same verdict names as /metrics' stage_prefilter_verdicts_total.
+            out << "  \"prefilter_feasible\": " << stage_stats.prefilter_feasible << ",\n"
+                << "  \"prefilter_infeasible\": " << stage_stats.prefilter_infeasible << ",\n"
+                << "  \"prefilter_unknown\": " << stage_stats.prefilter_unknown << ",\n"
+                << "  \"edf_simulate_calls\": "
+                << stage_stats.cell(obs::Stage::edf_simulate).calls << ",\n";
+        }
+        out << "  \"exit_code\": " << serve.exit_code << "\n"
             << "}\n";
         std::cout << "wrote serve stats to " << *stats_json << '\n';
     }
