@@ -112,7 +112,16 @@ void BM_HeuristicDecide(benchmark::State& state) {
     HeuristicRM rm;
     run_decide(state, rm, fixture.context);
 }
-BENCHMARK(BM_HeuristicDecide)->Arg(2)->Arg(4)->Arg(8)->Arg(12)->Arg(16)->Arg(24);
+BENCHMARK(BM_HeuristicDecide)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(12)
+    ->Arg(16)
+    ->Arg(24)
+    ->Arg(32)
+    ->Arg(48)
+    ->Arg(64);
 
 void BM_ExactDecide(benchmark::State& state) {
     Fixture fixture(static_cast<std::size_t>(state.range(0)));

@@ -44,9 +44,6 @@ std::optional<std::span<const ResourceId>> HeuristicRM::map_tasks(const PlanInst
 
     PlanScratch& s = PlanScratch::local();
     s.reset(instance);
-    // Physical anchors resolved once by reset(); the refresh and placement
-    // loops below read this table millions of times per serve run.
-    auto phys = [&](ResourceId i) { return s.phys[i]; };
 
     // Lines 1-6: capacities and desirabilities.  Capacities live on
     // *physical* cores (operating points of a DVFS core share one
@@ -55,42 +52,67 @@ std::optional<std::span<const ResourceId>> HeuristicRM::map_tasks(const PlanInst
     for (ResourceId i = 0; i < n; ++i)
         s.capacity[i] = instance.window - instance.blocked_time[i];
 
-    // Per-task anchor masks drive the dirty-flag invalidation below; beyond
-    // 64 physical anchors (never hit by the paper's platforms) fall back to
-    // invalidating every task.
-    const bool use_masks = n <= 64;
+    // One option per (task, executable resource), in `executable` order.
+    // The same pass counts, per physical anchor, the tasks with options
+    // there (user_next holds the last task counted on each anchor).
     for (std::size_t j = 0; j < count; ++j) {
         const PlanTask& task = instance.tasks[j];
-        double* row = s.f.data() + j * n;
+        s.option_begin[j] = s.options.size();
         for (const ResourceId i : task.executable) {
-            const double penalty = task.cpm[i] > task.time_left(instance.now) ? kBigM : 0.0;
+            const double cpm = task.cpm[i];
+            const double penalty = cpm > task.time_left(instance.now) ? kBigM : 0.0;
             const double base = options.desirability == Options::Desirability::energy
                                     ? task.epm[i]
-                                    : task.epm[i] / task.cpm[i];
-            row[i] = base + penalty;
-            if (use_masks) s.anchor_mask[j] |= std::uint64_t{1} << phys(i);
+                                    : task.epm[i] / cpm;
+            const ResourceId anchor = s.phys[i];
+            s.options.push_back({base + penalty, cpm, i, anchor, false});
+            if (s.user_next[anchor] != j) {
+                s.user_next[anchor] = j;
+                ++s.user_begin[anchor + 1];
+            }
+        }
+    }
+    s.option_begin[count] = s.options.size();
+
+    // The invalidation index, by counting sort: users[user_begin[a] ..
+    // user_begin[a + 1]) are the tasks with options on anchor a, in task
+    // order, each with the smallest and largest of its cpm there.
+    for (ResourceId a = 0; a < n; ++a) {
+        s.user_begin[a + 1] += s.user_begin[a];
+        s.user_next[a] = s.user_begin[a];
+    }
+    s.users.resize(s.user_begin[n]);
+    for (std::size_t j = 0; j < count; ++j) {
+        for (std::size_t o = s.option_begin[j]; o < s.option_begin[j + 1]; ++o) {
+            const PlanScratch::Option& option = s.options[o];
+            std::size_t& next = s.user_next[option.anchor];
+            if (next > s.user_begin[option.anchor] && s.users[next - 1].task == j) {
+                PlanScratch::AnchorUser& user = s.users[next - 1];
+                user.min_cpm = std::min(user.min_cpm, option.cpm);
+                user.max_cpm = std::max(user.max_cpm, option.cpm);
+            } else {
+                s.users[next++] = {j, option.cpm, option.cpm};
+            }
         }
     }
 
-    // A task's (best, second-best, feasible-count) triple only changes when
-    // the capacity of an anchor it can use shrinks or one of its resources
-    // gets excluded; between those events the cached triple is reused, so
-    // the outer loop's rescan is O(dirty tasks), not O(all tasks).
+    // A task's (best, second-best, feasible-count) triple reads only its
+    // exclusions and the tests cpm > capacity[anchor]; it is recomputed
+    // only when one of those can have changed, so the outer loop's rescan
+    // is O(dirty tasks), not O(all tasks).
     auto refresh = [&](std::size_t j) {
-        const PlanTask& task = instance.tasks[j];
-        const double* row = s.f.data() + j * n;
-        const std::uint8_t* row_excluded = s.excluded.data() + j * n;
         double best = kInfinity;
         double second = kInfinity;
         std::size_t feasible = 0;
-        for (const ResourceId i : task.executable) {
-            if (row_excluded[i] || task.cpm[i] > s.capacity[phys(i)]) continue;
+        for (std::size_t o = s.option_begin[j]; o < s.option_begin[j + 1]; ++o) {
+            const PlanScratch::Option& option = s.options[o];
+            if (option.excluded || option.cpm > s.capacity[option.anchor]) continue;
             ++feasible;
-            if (row[i] < best) {
+            if (option.f < best) {
                 second = best;
-                best = row[i];
-            } else if (row[i] < second) {
-                second = row[i];
+                best = option.f;
+            } else if (option.f < second) {
+                second = option.f;
             }
         }
         s.best_f[j] = best;
@@ -135,45 +157,50 @@ std::optional<std::span<const ResourceId>> HeuristicRM::map_tasks(const PlanInst
 
         // Lines 24-34: map the chosen task to its most desirable resource
         // that passes the schedulability check.
-        const PlanTask& task = instance.tasks[best_task];
-        const double* row = s.f.data() + best_task * n;
-        std::uint8_t* row_excluded = s.excluded.data() + best_task * n;
+        const std::size_t first = s.option_begin[best_task];
+        const std::size_t last = s.option_begin[best_task + 1];
         bool placed = false;
         while (!placed) {
             double best_f = kInfinity;
-            ResourceId target = n;
-            for (const ResourceId i : task.executable) {
-                if (row_excluded[i] || task.cpm[i] > s.capacity[phys(i)]) continue;
-                if (row[i] < best_f) {
-                    best_f = row[i];
-                    target = i;
+            std::size_t chosen = last;
+            for (std::size_t o = first; o < last; ++o) {
+                const PlanScratch::Option& option = s.options[o];
+                if (option.excluded || option.cpm > s.capacity[option.anchor]) continue;
+                if (option.f < best_f) {
+                    best_f = option.f;
+                    chosen = o;
                 }
             }
-            if (target == n) return std::nullopt; // lines 31-32: no more resources
+            if (chosen == last) return std::nullopt; // lines 31-32: no more resources
+            PlanScratch::Option& target = s.options[chosen];
 
             // The per-anchor lists stay demand-ordered across probes
             // (insert / erase-at-index), so the schedulability check scans
             // them in place instead of re-sorting per probe.
-            const ResourceId anchor = phys(target);
-            const std::size_t pos =
-                insert_demand_ordered(s.assigned[anchor], instance.item_for(best_task, target));
+            const ResourceId anchor = target.anchor;
+            const std::size_t pos = insert_demand_ordered(
+                s.assigned[anchor], instance.item_for(best_task, target.resource));
             if (resource_feasible_sorted(platform.resource(anchor), instance.now,
                                          s.assigned[anchor])) {
-                s.mapping[best_task] = target;
+                s.mapping[best_task] = target.resource;
                 s.mapped[best_task] = 1;
-                s.capacity[anchor] -= task.cpm[target];
+                const double before = s.capacity[anchor];
+                s.capacity[anchor] -= target.cpm;
+                const double after = s.capacity[anchor];
                 placed = true;
                 --unmapped;
-                // This anchor's capacity shrank: only tasks that can use it
-                // need their desirability triple recomputed.
-                for (std::size_t j = 0; j < count; ++j) {
-                    if (s.mapped[j]) continue;
-                    if (!use_masks || ((s.anchor_mask[j] >> anchor) & 1u)) s.dirty[j] = 1;
+                // A test cpm > capacity flips only for a cpm in
+                // (after, before]: dirty exactly the unmapped tasks whose
+                // cpm range on this anchor meets that interval.
+                for (std::size_t u = s.user_begin[anchor]; u < s.user_begin[anchor + 1]; ++u) {
+                    const PlanScratch::AnchorUser& user = s.users[u];
+                    if (s.mapped[user.task]) continue;
+                    if (user.max_cpm > after && user.min_cpm <= before) s.dirty[user.task] = 1;
                 }
             } else {
                 s.assigned[anchor].erase(s.assigned[anchor].begin() +
                                          static_cast<std::ptrdiff_t>(pos));
-                row_excluded[target] = 1;
+                target.excluded = true;
                 s.dirty[best_task] = 1;
             }
         }

@@ -83,19 +83,15 @@ void ResourceManager::decide_batch(const BatchArrivalContext& batch, std::vector
 void apply_decision_to_active(const Catalog& catalog, const Decision& decision,
                               const ActiveTask& candidate, std::vector<ActiveTask>& active) {
     RMWP_EXPECT(decision.admitted);
-    for (const TaskAssignment& assignment : decision.assignments) {
+    for (std::size_t k = 0; k < decision.assignments.size(); ++k) {
+        const TaskAssignment& assignment = decision.assignments[k];
         if (assignment.uid == candidate.uid) {
             ActiveTask admitted = candidate;
             admitted.resource = assignment.resource;
             active.push_back(admitted);
             continue;
         }
-        ActiveTask* task = nullptr;
-        for (ActiveTask& entry : active)
-            if (entry.uid == assignment.uid) {
-                task = &entry;
-                break;
-            }
+        ActiveTask* task = find_assigned(std::span(active), k, assignment.uid);
         RMWP_ENSURE(task != nullptr);
         if (assignment.resource == task->resource) continue;
         RMWP_ENSURE(!task->pinned); // non-preemptable tasks never move

@@ -95,7 +95,9 @@ struct Decision {
     RejectReason reason = RejectReason::none;
     /// New mapping for every real task in the window (active tasks always;
     /// the candidate too iff admitted).  Empty on rejection: the previous
-    /// mapping stays in force.
+    /// mapping stays in force.  The solver RMs list them in instance order
+    /// — the active set as given, then the candidate — which lets the
+    /// folds below walk them in lockstep (find_assigned).
     std::vector<TaskAssignment> assignments;
 };
 
@@ -210,6 +212,19 @@ private:
 /// so batch emulation paths stay bit-identical to per-arrival admission.
 void apply_decision_to_active(const Catalog& catalog, const Decision& decision,
                               const ActiveTask& candidate, std::vector<ActiveTask>& active);
+
+/// The entry of `entries` that assignment `k` of a Decision names.  In
+/// instance order that is entries[k], so folding a whole decision is
+/// linear; a uid search covers the case where the positions disagree.
+/// nullptr when no entry carries `uid`.
+template <typename Entry>
+[[nodiscard]] Entry* find_assigned(std::span<Entry> entries, std::size_t k,
+                                   TaskUid uid) noexcept {
+    if (k < entries.size() && entries[k].uid == uid) return &entries[k];
+    for (Entry& entry : entries)
+        if (entry.uid == uid) return &entry;
+    return nullptr;
+}
 
 /// Build the ScheduleItem for a real task under a candidate assignment.
 /// With a health mask, the duration is inflated by the target resource's

@@ -403,17 +403,19 @@ Decision BatchPlanner::admit(std::size_t m, std::span<const ResourceId> mapping)
     // simulator's RM-visible apply() (see apply_decision_to_active), and
     // refresh exactly the base rows whose task moved.
     const Catalog& catalog = *batch_->catalog;
-    for (const TaskAssignment& assignment : decision.assignments) {
+    for (std::size_t k = 0; k < decision.assignments.size(); ++k) {
+        const TaskAssignment& assignment = decision.assignments[k];
         if (assignment.uid == candidate.uid) {
             ActiveTask admitted = candidate;
             admitted.resource = assignment.resource;
             working_.push_back(admitted);
             continue;
         }
-        std::size_t j = 0;
-        while (j < base_count_ && working_[j].uid != assignment.uid) ++j;
-        RMWP_ENSURE(j < base_count_);
-        ActiveTask& task = working_[j];
+        ActiveTask* found =
+            find_assigned(std::span(working_.data(), base_count_), k, assignment.uid);
+        RMWP_ENSURE(found != nullptr);
+        const std::size_t j = static_cast<std::size_t>(found - working_.data());
+        ActiveTask& task = *found;
         if (assignment.resource == task.resource) continue;
         RMWP_ENSURE(!task.pinned); // non-preemptable tasks never move
         if (task.started)
@@ -456,20 +458,24 @@ void PlanScratch::reset(const PlanInstance& instance) {
     RMWP_EXPECT(instance.blocks.size() == n);
     constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
+    std::size_t option_count = 0;
+    for (const PlanTask& task : instance.tasks) option_count += task.executable.size();
+    options.clear();
+    options.reserve(option_count);
+    option_begin.assign(count + 1, 0);
+    user_begin.assign(n + 1, 0);
+    user_next.assign(n, count); // no task counted on any anchor yet
     capacity.assign(n, 0.0);
-    f.assign(count * n, kInfinity);
-    excluded.assign(count * n, 0);
     mapped.assign(count, 0);
     mapping.assign(count, 0);
     best_f.assign(count, kInfinity);
     second_f.assign(count, kInfinity);
     feasible_count.assign(count, 0);
     dirty.assign(count, 1);
-    anchor_mask.assign(count, 0);
 
-    // The physical anchor of each resource is immutable platform data, but
-    // the solver reads it in its innermost loops — resolve the indirection
-    // once per reset.
+    // The physical anchor of each resource is immutable platform data; the
+    // solver's option pass reads it once per option — resolve the
+    // indirection once per reset.
     phys.resize(n);
     for (ResourceId i = 0; i < n; ++i) phys[i] = instance.platform->resource(i).physical();
 
@@ -488,15 +494,18 @@ void PlanScratch::reset(const PlanInstance& instance) {
 }
 
 std::uint64_t PlanScratch::footprint_bytes() const noexcept {
-    std::uint64_t bytes = capacity.capacity() * sizeof(double) +
-                          f.capacity() * sizeof(double) + excluded.capacity() +
-                          mapped.capacity() + mapping.capacity() * sizeof(ResourceId) +
+    std::uint64_t bytes = options.capacity() * sizeof(Option) +
+                          option_begin.capacity() * sizeof(std::size_t) +
+                          capacity.capacity() * sizeof(double) + mapped.capacity() +
+                          mapping.capacity() * sizeof(ResourceId) +
                           phys.capacity() * sizeof(ResourceId) +
                           best_f.capacity() * sizeof(double) +
                           second_f.capacity() * sizeof(double) +
                           feasible_count.capacity() * sizeof(std::size_t) + dirty.capacity() +
-                          anchor_mask.capacity() * sizeof(std::uint64_t) +
-                          assigned.capacity() * sizeof(std::vector<ScheduleItem>);
+                          assigned.capacity() * sizeof(std::vector<ScheduleItem>) +
+                          users.capacity() * sizeof(AnchorUser) +
+                          user_begin.capacity() * sizeof(std::size_t) +
+                          user_next.capacity() * sizeof(std::size_t);
     for (const auto& schedule : assigned) bytes += schedule.capacity() * sizeof(ScheduleItem);
     return bytes;
 }

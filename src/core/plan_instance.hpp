@@ -153,37 +153,65 @@ private:
     std::vector<PlanTask>& spare_;
 };
 
-/// Reusable scratch arena for admission solvers: the desirability matrix,
-/// exclusion bitmap, per-resource schedule buffers, and the cached
-/// best/second-best desirability state of the heuristic's outer loop.
-/// Admission runs thousands of times per trace, and before this arena every
-/// run allocated (and freed) count x n matrices plus one schedule vector
-/// per resource; reset() reuses the buffers, so steady-state admission does
-/// no heap work at all.  Obtain via local(): the arena is thread-local by
+/// Reusable scratch arena for Algorithm 1: the per-task option lists,
+/// per-resource schedule buffers, and the cached best/second-best
+/// desirability state of the heuristic's outer loop.  Admission runs
+/// thousands of times per trace; reset() reuses the buffers, so
+/// steady-state admission does no heap work at all.  The knapsack state is
+/// sized to the plan, not the platform: one Option per (task, executable
+/// resource) pair, which is all the solver ever reads — a task confined to
+/// one island of a 29-resource platform has its island's few options, not
+/// a 29-cell matrix row.  Obtain via local(): the arena is thread-local by
 /// design — the parallel experiment engine shares one RM object across
 /// threads, so solver scratch must never live on the RM itself.
 struct PlanScratch {
-    // Knapsack state (task-major matrices: element (j, i) at [j * n + i]).
-    std::vector<double> capacity;        ///< per physical resource
-    std::vector<double> f;               ///< desirability f_{j,i}
-    std::vector<std::uint8_t> excluded;  ///< tried-and-unschedulable pairs
+    /// One (task, executable resource) pair of the knapsack.
+    struct Option {
+        double f = 0.0;   ///< desirability f_{j,i}
+        double cpm = 0.0; ///< weight cpm_{j,i}
+        ResourceId resource = 0;
+        ResourceId anchor = 0; ///< physical anchor of `resource`
+        bool excluded = false; ///< tried and unschedulable
+    };
+    /// A task that has options on one physical anchor, with the smallest
+    /// and largest of their cpm: the capacity-crossing invalidation index.
+    struct AnchorUser {
+        std::size_t task = 0;
+        double min_cpm = 0.0;
+        double max_cpm = 0.0;
+    };
+
+    // Knapsack state.  Task j's options are options[option_begin[j] ..
+    // option_begin[j + 1]) in `executable` order — the order every
+    // tie-break of the solver scans in.
+    std::vector<Option> options;
+    std::vector<std::size_t> option_begin; ///< count + 1 offsets
+    std::vector<double> capacity;          ///< per physical resource
     std::vector<std::uint8_t> mapped;
     std::vector<ResourceId> mapping;
     std::vector<std::vector<ScheduleItem>> assigned; ///< per physical resource
     std::vector<ResourceId> phys; ///< resource id -> physical anchor id
 
-    // Per-task desirability cache for the dirty-flag incremental
-    // recomputation: a task's best/second-best/feasible-count triple stays
-    // valid until a capacity it can use shrinks or one of its resources is
-    // excluded.
+    // Capacity-crossing invalidation index, grouped by physical anchor:
+    // anchor a's users are users[user_begin[a] .. user_begin[a + 1]).
+    // While the index is built, user_next[a] holds the last task counted
+    // on a, then a's fill cursor.
+    std::vector<AnchorUser> users;
+    std::vector<std::size_t> user_begin; ///< n + 1 offsets
+    std::vector<std::size_t> user_next;
+
+    // Per-task desirability cache: a task's best/second-best/feasible-count
+    // triple reads only its exclusions and the tests cpm > capacity, so it
+    // stays valid until one of its options is excluded or an anchor's
+    // capacity crosses one of its cpm values there.
     std::vector<double> best_f;
     std::vector<double> second_f;
     std::vector<std::size_t> feasible_count;
     std::vector<std::uint8_t> dirty;
-    std::vector<std::uint64_t> anchor_mask; ///< physical anchors usable per task
 
-    /// Size every buffer for the instance and seed the per-resource
-    /// schedule buffers from its reservation blocks.
+    /// Size every per-task buffer for the instance, empty the option lists
+    /// and the invalidation index, and seed the per-resource schedule
+    /// buffers from its reservation blocks.
     void reset(const PlanInstance& instance);
 
     /// Total heap footprint of the arena's buffers (capacities, not

@@ -100,14 +100,10 @@ void ShardedSolver::note_admission(const Decision& decision, const ActiveTask& c
                                    const ShardPartition& partition, const Catalog& catalog,
                                    std::size_t shards) {
     RMWP_EXPECT(decision.admitted);
-    for (const TaskAssignment& assignment : decision.assignments) {
-        Tracked* found = nullptr;
-        for (Tracked& tracked : tracked_) {
-            if (tracked.uid == assignment.uid) {
-                found = &tracked;
-                break;
-            }
-        }
+    for (std::size_t k = 0; k < decision.assignments.size(); ++k) {
+        const TaskAssignment& assignment = decision.assignments[k];
+        // tracked_ mirrors the working set the instance was built over.
+        Tracked* found = find_assigned(std::span(tracked_), k, assignment.uid);
         if (found == nullptr) {
             // First sighting: this is the admitted candidate joining the
             // working set — its bucket gains a task.

@@ -18,7 +18,7 @@ const char* to_string(Stage stage) noexcept {
 
 #ifdef RMWP_OBS
 namespace detail {
-thread_local StageStats* t_stage_stats = nullptr;
+constinit thread_local StageStats* t_stage_stats = nullptr;
 } // namespace detail
 #endif
 

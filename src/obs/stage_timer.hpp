@@ -77,7 +77,9 @@ struct StageStats {
 
 namespace detail {
 /// The installed per-thread sink; nullptr (the default) disables every hook.
-extern thread_local StageStats* t_stage_stats;
+/// constinit: the variable is constant-initialised, so every access reads
+/// the thread-local slot directly instead of through a TLS init wrapper.
+extern constinit thread_local StageStats* t_stage_stats;
 } // namespace detail
 
 [[nodiscard]] inline StageStats* stage_stats() noexcept { return detail::t_stage_stats; }

@@ -781,7 +781,8 @@ void SimEngine::rescue_activation(Time now) {
 
 void SimEngine::apply(const Decision& decision, const ActiveTask& candidate,
                       [[maybe_unused]] Time now) {
-    for (const TaskAssignment& assignment : decision.assignments) {
+    for (std::size_t k = 0; k < decision.assignments.size(); ++k) {
+        const TaskAssignment& assignment = decision.assignments[k];
         if (assignment.uid == candidate.uid) {
             ActiveTask admitted = candidate;
             admitted.resource = assignment.resource;
@@ -800,7 +801,9 @@ void SimEngine::apply(const Decision& decision, const ActiveTask& candidate,
             }
             continue;
         }
-        ActiveTask* task = find_task(assignment.uid);
+        // The RM planned over active_ as it stands, so the assignments
+        // walk it in lockstep.
+        ActiveTask* task = find_assigned(std::span(active_), k, assignment.uid);
         RMWP_ENSURE(task != nullptr);
         if (assignment.resource == task->resource) continue;
         RMWP_ENSURE(!task->pinned); // non-preemptable tasks never move
@@ -926,7 +929,7 @@ void SimEngine::rebuild(Time now) {
     if (options_.validate) RMWP_ENSURE(schedule_.feasible);
     plan_stale_ = false;
 
-    events_.cancel_group(generation_);
+    events_.cancel_groups_through(generation_);
     ++generation_;
     for (const ActiveTask& task : active_) {
         const auto completion = schedule_.completion_of(task.uid);

@@ -8,7 +8,7 @@ namespace rmwp {
 
 void EventQueue::schedule(Time time, std::uint32_t kind, std::uint64_t payload,
                           std::uint64_t group) {
-    RMWP_EXPECT(!cancelled_groups_.contains(group));
+    RMWP_EXPECT(!cancelled(group));
     RMWP_EXPECT(!std::isnan(time));
     // Scheduling into the dispatched past would silently reorder the
     // simulation (the event would fire "now" regardless of its timestamp).
@@ -17,10 +17,14 @@ void EventQueue::schedule(Time time, std::uint32_t kind, std::uint64_t payload,
     ++total_scheduled_;
 }
 
-void EventQueue::cancel_group(std::uint64_t group) { cancelled_groups_.insert(group); }
+void EventQueue::cancel_groups_through(std::uint64_t group) {
+    RMWP_EXPECT(group != 0); // group 0 holds the events that are never cancelled
+    RMWP_EXPECT(group >= cancelled_through_);
+    cancelled_through_ = group;
+}
 
 void EventQueue::drop_cancelled() {
-    while (!queue_.empty() && cancelled_groups_.contains(queue_.top().event.group)) queue_.pop();
+    while (!queue_.empty() && cancelled(queue_.top().event.group)) queue_.pop();
 }
 
 bool EventQueue::empty() {

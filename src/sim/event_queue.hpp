@@ -1,15 +1,16 @@
 // A small discrete-event simulation kernel: a time-ordered event queue with
 // stable FIFO ordering for simultaneous events and O(1) lazy cancellation.
 //
-// Cancellation is by generation counter: cancel_group(g) invalidates every
-// event scheduled under generation g.  The resource-management simulator
-// uses this to drop stale completion events whenever the RM re-plans.
+// Cancellation is by generation watermark: cancel_groups_through(g)
+// invalidates every event scheduled under groups 1..g, while group 0 (the
+// default) is never cancelled.  The resource-management simulator numbers
+// its plans 1, 2, ... and cancels the current one on every re-plan, so the
+// whole cancellation state is one integer however long the run.
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <queue>
-#include <unordered_set>
 
 #include "workload/trace.hpp"
 
@@ -32,9 +33,10 @@ public:
     /// a number and must not lie before the last popped event.
     void schedule(Time time, std::uint32_t kind, std::uint64_t payload, std::uint64_t group = 0);
 
-    /// Invalidate every event scheduled under `group` (lazy: they are
-    /// discarded on pop).
-    void cancel_group(std::uint64_t group);
+    /// Invalidate every event scheduled under groups 1..`group` (lazy:
+    /// they are discarded on pop).  `group` must be positive and must not
+    /// lie below an earlier watermark; group 0 is never cancelled.
+    void cancel_groups_through(std::uint64_t group);
 
     /// True when no valid events remain.
     [[nodiscard]] bool empty();
@@ -64,10 +66,13 @@ private:
         }
     };
 
+    [[nodiscard]] bool cancelled(std::uint64_t group) const noexcept {
+        return group != 0 && group <= cancelled_through_;
+    }
     void drop_cancelled();
 
     std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
-    std::unordered_set<std::uint64_t> cancelled_groups_;
+    std::uint64_t cancelled_through_ = 0; ///< groups 1..cancelled_through_ are dead
     std::uint64_t next_sequence_ = 0;
     std::size_t total_scheduled_ = 0;
     /// Dispatch horizon: no event may be scheduled before it, and pops are

@@ -37,15 +37,37 @@ TEST(EventQueue, SimultaneousEventsAreFifo) {
     for (std::uint64_t i = 0; i < 5; ++i) EXPECT_EQ(queue.pop().payload, i);
 }
 
-TEST(EventQueue, CancellationDropsGroup) {
+TEST(EventQueue, CancelGroupsThroughDropsGroup) {
     EventQueue queue;
     queue.schedule(1.0, 0, 1, /*group=*/5);
     queue.schedule(2.0, 0, 2, /*group=*/6);
     queue.schedule(3.0, 0, 3, /*group=*/5);
-    queue.cancel_group(5);
+    queue.cancel_groups_through(5);
     EXPECT_EQ(queue.pop().payload, 2u);
     EXPECT_TRUE(queue.empty());
     EXPECT_THROW(queue.schedule(4.0, 0, 4, 5), precondition_error); // dead group
+}
+
+TEST(EventQueue, CancellationWatermarkSparesGroupZeroAndLaterGroups) {
+    EventQueue queue;
+    queue.schedule(1.0, 0, 1, /*group=*/1);
+    queue.schedule(2.0, 0, 2, /*group=*/0);
+    queue.schedule(3.0, 0, 3, /*group=*/2);
+    queue.schedule(4.0, 0, 4, /*group=*/3);
+    queue.schedule(5.0, 0, 5, /*group=*/4);
+    queue.cancel_groups_through(1);
+    queue.cancel_groups_through(3); // drops 2 and 3 as well
+    queue.cancel_groups_through(3); // idempotent at the watermark
+    EXPECT_EQ(queue.pop().payload, 2u); // group 0 is never cancelled
+    EXPECT_EQ(queue.pop().payload, 5u);
+    EXPECT_TRUE(queue.empty());
+    EXPECT_THROW(queue.schedule(6.0, 0, 6, 2), precondition_error); // below the watermark
+    queue.schedule(6.0, 0, 6, /*group=*/0);
+    queue.schedule(7.0, 0, 7, /*group=*/4);
+    EXPECT_THROW(queue.cancel_groups_through(2), precondition_error); // not monotone
+    EXPECT_THROW(queue.cancel_groups_through(0), precondition_error); // group 0
+    EXPECT_EQ(queue.pop().payload, 6u);
+    EXPECT_EQ(queue.pop().payload, 7u);
 }
 
 TEST(EventQueue, NextTimePeeks) {
