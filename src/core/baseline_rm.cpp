@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 
 #include "core/edf.hpp"
 #include "util/check.hpp"
@@ -13,10 +14,8 @@ namespace {
 /// stay on their current resources (fill_real_task records them as
 /// pinned_resource), and only the trailing candidate is probed, cheapest
 /// resource first.  Returns the full per-task mapping (frozen homes +
-/// candidate's slot) or nullopt when the candidate fits nowhere.  Shared by
-/// decide() and decide_batch() so the two stay bit-identical by
-/// construction.
-std::optional<std::vector<ResourceId>> place_frozen(const PlanInstance& instance) {
+/// candidate's slot) or nullopt when the candidate fits nowhere.
+std::optional<std::span<const ResourceId>> place_frozen(const PlanInstance& instance) {
     RMWP_EXPECT(instance.platform != nullptr && !instance.has_predicted());
     const Platform& platform = *instance.platform;
     const std::size_t n = instance.resource_count();
@@ -56,7 +55,7 @@ std::optional<std::vector<ResourceId>> place_frozen(const PlanInstance& instance
         if (resource_feasible_sorted(platform.resource(anchor), instance.now,
                                      occupied[anchor])) {
             mapping[candidate_index] = i;
-            return std::vector<ResourceId>(mapping.begin(), mapping.end());
+            return std::span<const ResourceId>(mapping);
         }
         occupied[anchor].erase(occupied[anchor].begin() + static_cast<std::ptrdiff_t>(pos));
     }
@@ -64,22 +63,6 @@ std::optional<std::vector<ResourceId>> place_frozen(const PlanInstance& instance
 }
 
 } // namespace
-
-Decision BaselineRM::decide(const ArrivalContext& context) {
-    RMWP_EXPECT(context.platform != nullptr && context.catalog != nullptr);
-    // Prediction is ignored by design; build the instance without it.
-    const PlanInstance& instance = PlanInstance::build_into(PlanPool::local(), context, 0);
-
-    Decision decision;
-    if (const auto mapping = place_frozen(instance)) {
-        decision.admitted = true;
-        decision.assignments = instance.real_assignments(*mapping);
-        return decision;
-    }
-    decision.reason = RejectReason::baseline_no_fit;
-    RMWP_ENSURE(!decision.admitted && decision.assignments.empty());
-    return decision; // reject
-}
 
 void BaselineRM::decide_batch(const BatchArrivalContext& batch, std::vector<Decision>& out) {
     RMWP_EXPECT(batch.platform != nullptr && batch.catalog != nullptr);

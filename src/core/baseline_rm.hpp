@@ -20,9 +20,8 @@ class BaselineRM final : public ResourceManager {
 public:
     BaselineRM() = default;
 
-    [[nodiscard]] Decision decide(const ArrivalContext& context) override;
-    /// Batched admission over the shared BatchPlanner base: one plan
-    /// rebuild per batch, bit-identical decisions to sequential decide()s.
+    /// Admission over the shared BatchPlanner base: one plan rebuild per
+    /// batch, bit-identical decisions to deciding the items one at a time.
     void decide_batch(const BatchArrivalContext& batch, std::vector<Decision>& out) override;
     [[nodiscard]] std::string name() const override { return "baseline"; }
 };

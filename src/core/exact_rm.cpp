@@ -234,98 +234,42 @@ std::optional<ExactRM::Result> ExactRM::optimize(const PlanInstance& instance,
     return result;
 }
 
-Decision ExactRM::decide(const ArrivalContext& context) {
-    // Track whether every failed ladder step exhausted its search tree: if
-    // so the rejection is a proof of infeasibility, otherwise (node limit
-    // hit with no incumbent) it is only the budget speaking.
-    bool proven = true;
-    const ShardConfig& shard = shard_config();
-    Decision decision =
-        shard.shards > 1
-            ? [&] {
-                  ShardPartition& partition = ShardPartition::local();
-                  partition.rebuild(*context.platform, *context.catalog);
-                  ShardedSolver& solver = ShardedSolver::local();
-                  return run_admission_ladder(context, [&](const PlanInstance& instance) {
-                      ShardedSolver::RunStats stats;
-                      auto mapping = solver.run(instance, partition, shard, &sharded_optimize,
-                                                &options_, /*use_cache=*/false, &stats);
-                      if (!mapping.has_value()) proven = proven && stats.proven;
-                      return mapping;
-                  });
-              }()
-            : run_admission_ladder(
-                  context,
-                  [this, &proven](
-                      const PlanInstance& instance) -> std::optional<std::vector<ResourceId>> {
-                      bool step_proven = true;
-                      if (auto result = optimize(instance, options_, &step_proven))
-                          return std::move(result->mapping);
-                      proven = proven && step_proven;
-                      return std::nullopt;
-                  });
-    if (!decision.admitted)
-        decision.reason = proven ? RejectReason::proved_infeasible : RejectReason::solver_infeasible;
-    RMWP_ENSURE(decision.admitted || decision.reason == RejectReason::proved_infeasible ||
-                decision.reason == RejectReason::solver_infeasible);
-    return decision;
-}
-
 void ExactRM::decide_batch(const BatchArrivalContext& batch, std::vector<Decision>& out) {
     RMWP_EXPECT(batch.platform != nullptr && batch.catalog != nullptr);
-    if (shard_config().shards > 1) {
-        decide_batch_sharded(batch, out);
-        return;
-    }
+    const std::size_t shards = shard_config().shards;
     BatchPlanner planner(batch);
+    ShardedSolver& solver = ShardedSolver::local();
+    if (shards > 1) solver.begin_batch(batch, shards);
+    std::vector<ResourceId> mapping;
     out.clear();
     out.reserve(batch.items.size());
     for (std::size_t m = 0; m < planner.item_count(); ++m) {
+        // Track whether every failed ladder step exhausted its search tree:
+        // if so the rejection is a proof of infeasibility, otherwise (node
+        // limit hit with no incumbent) it is only the budget speaking.
         bool proven = true;
         Decision decision = run_admission_ladder_batch(
             planner, m,
-            [this,
-             &proven](const PlanInstance& instance) -> std::optional<std::vector<ResourceId>> {
+            [&](const PlanInstance& instance) -> std::optional<std::span<const ResourceId>> {
+                if (shards > 1) {
+                    ShardedSolver::RunStats stats;
+                    auto merged = solver.run(instance, &sharded_optimize, &options_, &stats);
+                    if (!merged.has_value()) proven = proven && stats.proven;
+                    return merged;
+                }
                 bool step_proven = true;
-                if (auto result = optimize(instance, options_, &step_proven))
-                    return std::move(result->mapping);
+                if (auto result = optimize(instance, options_, &step_proven)) {
+                    mapping = std::move(result->mapping);
+                    return std::span<const ResourceId>(mapping);
+                }
                 proven = proven && step_proven;
                 return std::nullopt;
             });
         if (!decision.admitted)
             decision.reason =
                 proven ? RejectReason::proved_infeasible : RejectReason::solver_infeasible;
-        out.push_back(std::move(decision));
-    }
-    RMWP_ENSURE(out.size() == batch.items.size());
-}
-
-void ExactRM::decide_batch_sharded(const BatchArrivalContext& batch, std::vector<Decision>& out) {
-    RMWP_EXPECT(shard_config().shards > 1);
-    const ShardConfig& shard = shard_config();
-    BatchPlanner planner(batch);
-    ShardPartition& partition = ShardPartition::local();
-    partition.rebuild(*batch.platform, *batch.catalog);
-    ShardedSolver& solver = ShardedSolver::local();
-    solver.begin_batch(batch, partition, shard.shards);
-    out.clear();
-    out.reserve(batch.items.size());
-    for (std::size_t m = 0; m < planner.item_count(); ++m) {
-        bool proven = true;
-        Decision decision =
-            run_admission_ladder_batch(planner, m, [&](const PlanInstance& instance) {
-                ShardedSolver::RunStats stats;
-                auto mapping = solver.run(instance, partition, shard, &sharded_optimize, &options_,
-                                          /*use_cache=*/true, &stats);
-                if (!mapping.has_value()) proven = proven && stats.proven;
-                return mapping;
-            });
-        if (!decision.admitted)
-            decision.reason =
-                proven ? RejectReason::proved_infeasible : RejectReason::solver_infeasible;
-        if (decision.admitted)
-            solver.note_admission(decision, batch.items[m].candidate, partition, *batch.catalog,
-                                  shard.shards);
+        else if (shards > 1)
+            solver.note_admission(decision, batch.items[m].candidate);
         out.push_back(std::move(decision));
     }
     RMWP_ENSURE(out.size() == batch.items.size());

@@ -43,9 +43,10 @@ public:
     ExactRM() = default;
     explicit ExactRM(Options options) : options_(options) {}
 
-    [[nodiscard]] Decision decide(const ArrivalContext& context) override;
-    /// Batched admission over the shared BatchPlanner base: one plan
-    /// rebuild per batch, bit-identical decisions to sequential decide()s.
+    /// Admission over the shared BatchPlanner base: one plan rebuild per
+    /// batch, bit-identical decisions to deciding the items one at a time.
+    /// With shard_config().shards > 1 the ladder solves per resource group
+    /// on the ShardedSolver (DESIGN.md §15).
     void decide_batch(const BatchArrivalContext& batch, std::vector<Decision>& out) override;
     [[nodiscard]] RescueDecision rescue(const RescueContext& context) override;
     [[nodiscard]] std::string name() const override { return "exact"; }
@@ -70,8 +71,6 @@ public:
     }
 
 private:
-    void decide_batch_sharded(const BatchArrivalContext& batch, std::vector<Decision>& out);
-
     Options options_;
 };
 

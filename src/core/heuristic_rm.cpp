@@ -26,8 +26,8 @@ bool sharded_map_tasks(const PlanInstance& sub, std::vector<ResourceId>& mapping
     const auto* options = static_cast<const HeuristicRM::Options*>(ctx);
     const auto result = HeuristicRM::map_tasks(sub, *options);
     if (!result.has_value()) return false;
-    // The span views the worker thread's scratch — copy out before the next
-    // solve on this thread reuses it.
+    // The span views this thread's scratch — copy out before the next
+    // bucket's solve reuses it.
     mapping.assign(result->begin(), result->end());
     return true;
 }
@@ -209,72 +209,27 @@ std::optional<std::span<const ResourceId>> HeuristicRM::map_tasks(const PlanInst
     return std::span<const ResourceId>(s.mapping);
 }
 
-Decision HeuristicRM::decide(const ArrivalContext& context) {
-    const ShardConfig& shard = shard_config();
-    Decision decision =
-        shard.shards > 1
-            ? [&] {
-                  ShardPartition& partition = ShardPartition::local();
-                  partition.rebuild(*context.platform, *context.catalog);
-                  ShardedSolver& solver = ShardedSolver::local();
-                  return run_admission_ladder(context, [&](const PlanInstance& instance) {
-                      return solver.run(instance, partition, shard, &sharded_map_tasks,
-                                        &options_, /*use_cache=*/false);
-                  });
-              }()
-            : run_admission_ladder(context, [this](const PlanInstance& instance) {
-                  return map_tasks(instance, options_);
-              });
-    // Algorithm 1 is incomplete: a rejection means the regret-driven search
-    // was exhausted, not that no schedulable mapping exists (Sec 5.2).
-    if (!decision.admitted) decision.reason = RejectReason::heuristic_exhausted;
-    RMWP_ENSURE(decision.admitted || decision.reason == RejectReason::heuristic_exhausted);
-    return decision;
-}
-
 void HeuristicRM::decide_batch(const BatchArrivalContext& batch, std::vector<Decision>& out) {
     RMWP_EXPECT(batch.platform != nullptr && batch.catalog != nullptr);
-    const ShardConfig& shard = shard_config();
-    if (shard.shards > 1) {
-        decide_batch_sharded(batch, out);
-        return;
-    }
+    const std::size_t shards = shard_config().shards;
     BatchPlanner planner(batch);
-    out.clear();
-    out.reserve(batch.items.size());
-    for (std::size_t m = 0; m < planner.item_count(); ++m) {
-        Decision decision = run_admission_ladder_batch(planner, m, [this](const PlanInstance& instance) {
-            return map_tasks(instance, options_);
-        });
-        if (!decision.admitted) decision.reason = RejectReason::heuristic_exhausted;
-        out.push_back(std::move(decision));
-    }
-    RMWP_ENSURE(out.size() == batch.items.size());
-}
-
-void HeuristicRM::decide_batch_sharded(const BatchArrivalContext& batch,
-                                       std::vector<Decision>& out) {
-    RMWP_EXPECT(shard_config().shards > 1);
-    const ShardConfig& shard = shard_config();
-    BatchPlanner planner(batch);
-    ShardPartition& partition = ShardPartition::local();
-    partition.rebuild(*batch.platform, *batch.catalog);
     ShardedSolver& solver = ShardedSolver::local();
     // The cross-item cache keys on bucket versions begun here: buckets no
     // admission touches keep their solved verdict across the whole batch.
-    solver.begin_batch(batch, partition, shard.shards);
+    if (shards > 1) solver.begin_batch(batch, shards);
     out.clear();
     out.reserve(batch.items.size());
     for (std::size_t m = 0; m < planner.item_count(); ++m) {
         Decision decision =
             run_admission_ladder_batch(planner, m, [&](const PlanInstance& instance) {
-                return solver.run(instance, partition, shard, &sharded_map_tasks,
-                                  &options_, /*use_cache=*/true);
+                return shards > 1 ? solver.run(instance, &sharded_map_tasks, &options_)
+                                  : map_tasks(instance, options_);
             });
+        // Algorithm 1 is incomplete: a rejection means the regret-driven
+        // search was exhausted, not that no schedulable mapping exists
+        // (Sec 5.2).
         if (!decision.admitted) decision.reason = RejectReason::heuristic_exhausted;
-        if (decision.admitted)
-            solver.note_admission(decision, batch.items[m].candidate, partition, *batch.catalog,
-                                  shard.shards);
+        else if (shards > 1) solver.note_admission(decision, batch.items[m].candidate);
         out.push_back(std::move(decision));
     }
     RMWP_ENSURE(out.size() == batch.items.size());

@@ -41,12 +41,11 @@ public:
     HeuristicRM() = default;
     explicit HeuristicRM(Options options) : options_(options) {}
 
-    [[nodiscard]] Decision decide(const ArrivalContext& context) override;
-    /// Batched admission over the shared BatchPlanner base: one plan
-    /// rebuild per batch, bit-identical decisions to sequential decide()s.
-    /// With shard_config().shards > 1 both entry points solve per resource
-    /// group on the ShardedSolver (DESIGN.md §15) — still bit-identical at
-    /// any shard/probe-job count, pinned by tests/test_shard_admission.cpp.
+    /// Admission over the shared BatchPlanner base: one plan rebuild per
+    /// batch, bit-identical decisions to deciding the items one at a time.
+    /// With shard_config().shards > 1 the ladder solves per resource group
+    /// on the ShardedSolver (DESIGN.md §15) — still bit-identical at any
+    /// shard count, pinned by tests/test_shard_admission.cpp.
     void decide_batch(const BatchArrivalContext& batch, std::vector<Decision>& out) override;
     [[nodiscard]] RescueDecision rescue(const RescueContext& context) override;
     [[nodiscard]] std::string name() const override { return "heuristic"; }
@@ -65,8 +64,6 @@ public:
     }
 
 private:
-    void decide_batch_sharded(const BatchArrivalContext& batch, std::vector<Decision>& out);
-
     Options options_;
 };
 

@@ -53,56 +53,28 @@ ScheduleItem make_predicted_item(const PredictedTask& predicted, const TaskType&
     return item;
 }
 
-void ResourceManager::decide_batch(const BatchArrivalContext& batch, std::vector<Decision>& out) {
-    RMWP_EXPECT(batch.platform != nullptr);
-    RMWP_EXPECT(batch.catalog != nullptr);
-    out.clear();
-    out.reserve(batch.items.size());
-
-    // Sequential emulation: decide each item against the state the previous
-    // admissions left behind, exactly as per-arrival admission would.
-    std::vector<ActiveTask> working(batch.active.begin(), batch.active.end());
-    for (const BatchItem& item : batch.items) {
-        ArrivalContext context;
-        context.now = batch.now;
-        context.platform = batch.platform;
-        context.catalog = batch.catalog;
-        context.active = working;
-        context.candidate = item.candidate;
-        context.predicted = item.predicted;
-        context.reservations = batch.reservations;
-        context.health = batch.health;
-        Decision decision = decide(context);
-        if (decision.admitted)
-            apply_decision_to_active(*batch.catalog, decision, item.candidate, working);
-        out.push_back(std::move(decision));
-    }
-    RMWP_ENSURE(out.size() == batch.items.size());
-}
-
-void apply_decision_to_active(const Catalog& catalog, const Decision& decision,
-                              const ActiveTask& candidate, std::vector<ActiveTask>& active) {
-    RMWP_EXPECT(decision.admitted);
-    for (std::size_t k = 0; k < decision.assignments.size(); ++k) {
-        const TaskAssignment& assignment = decision.assignments[k];
-        if (assignment.uid == candidate.uid) {
-            ActiveTask admitted = candidate;
-            admitted.resource = assignment.resource;
-            active.push_back(admitted);
-            continue;
-        }
-        ActiveTask* task = find_assigned(std::span(active), k, assignment.uid);
-        RMWP_ENSURE(task != nullptr);
-        if (assignment.resource == task->resource) continue;
-        RMWP_ENSURE(!task->pinned); // non-preemptable tasks never move
-        // Relocation replaces any unpaid migration time with the new pair's
-        // cost — exactly what occupied_time() plans with (the simulator
-        // additionally charges migration energy; that is not RM-visible).
-        if (task->started)
-            task->pending_overhead =
-                catalog.type(task->type).migration_time(task->resource, assignment.resource);
-        task->resource = assignment.resource;
-    }
+Decision ResourceManager::decide(const ArrivalContext& context) {
+    RMWP_EXPECT(context.platform != nullptr);
+    RMWP_EXPECT(context.catalog != nullptr);
+    // Thread-local item and output buffers keep their capacity across
+    // calls, so the wrapper adds no steady-state allocation: the Decision's
+    // assignments vector stays the one allocation per decision
+    // (tests/test_alloc_count.cpp).
+    static thread_local BatchItem item;
+    static thread_local std::vector<Decision> out;
+    item.candidate = context.candidate;
+    item.predicted.assign(context.predicted.begin(), context.predicted.end());
+    BatchArrivalContext batch;
+    batch.now = context.now;
+    batch.platform = context.platform;
+    batch.catalog = context.catalog;
+    batch.active = context.active;
+    batch.items = std::span<const BatchItem>(&item, 1);
+    batch.reservations = context.reservations;
+    batch.health = context.health;
+    decide_batch(batch, out);
+    RMWP_ENSURE(out.size() == 1);
+    return std::move(out.front());
 }
 
 RescueDecision ResourceManager::rescue(const RescueContext& context) {

@@ -158,33 +158,32 @@ struct BatchArrivalContext {
     }
 };
 
-/// Sharded concurrent admission configuration (DESIGN.md §15).  The plan is
+/// Sharded admission configuration (DESIGN.md §15).  The plan is
 /// partitioned by resource group (connected components of the "some type can
 /// execute on both resources" relation) and folded into at most `shards`
-/// solve buckets; up to `probe_jobs` buckets are probed concurrently per
-/// decision on the persistent exec::TaskPool.  Decisions are bit-identical
-/// to the sequential path at any shard and job count — sharding trades
-/// nothing but latency.  `shards <= 1` selects the unsharded code path
-/// exactly.  BaselineRM and MilpRM ignore the config (their solvers do not
-/// decompose provably bit-identically; see DESIGN.md §15).
+/// solve buckets, solved one after another on the calling thread.
+/// Decisions are bit-identical to the unsharded solve at any shard count —
+/// sharding trades nothing but latency.  `shards <= 1` selects the
+/// unsharded solve exactly.  BaselineRM and MilpRM ignore the config (their
+/// solvers do not decompose provably bit-identically; see DESIGN.md §15).
 struct ShardConfig {
-    std::size_t shards = 1;     ///< max solve buckets (1 = sequential solve)
-    std::size_t probe_jobs = 1; ///< concurrent bucket probes per decision
+    std::size_t shards = 1; ///< max solve buckets (1 = one whole-plan solve)
 };
 
 /// Abstract resource manager.
 class ResourceManager {
 public:
     virtual ~ResourceManager() = default;
-    [[nodiscard]] virtual Decision decide(const ArrivalContext& context) = 0;
     /// Decide a batch of same-instant arrivals, appending one Decision per
-    /// item (in item order) to `out`.  Contract: `decide_batch({t})` is
-    /// bit-identical to `decide(t)`, and a multi-item batch is bit-identical
-    /// to deciding the items sequentially at the same instant (the engine's
-    /// differential tests pin both).  The default implementation is exactly
-    /// that sequential emulation over a working copy of the active set;
-    /// solver RMs override it to amortise per-activation setup.
-    virtual void decide_batch(const BatchArrivalContext& batch, std::vector<Decision>& out);
+    /// item (in item order) to `out`.  Contract: a multi-item batch is
+    /// bit-identical to deciding the items one at a time at the same
+    /// instant, each against the active set the previous admissions left
+    /// (the engine's differential tests pin it).  This is the one admission
+    /// body every RM implements; the engine decides only through it.
+    virtual void decide_batch(const BatchArrivalContext& batch, std::vector<Decision>& out) = 0;
+    /// One arrival, decided as a batch of one.  Virtual only so a timing
+    /// decorator can wrap it; RMs implement decide_batch instead.
+    [[nodiscard]] virtual Decision decide(const ArrivalContext& context);
     /// Fault-rescue re-planning.  The default implementation is the
     /// non-replanning fallback (used by BaselineRM): tasks stay on their
     /// current resource; anything displaced, or no longer schedulable in
@@ -195,7 +194,7 @@ public:
 
     /// Sharded-admission configuration.  Set once, at construction/setup
     /// time, before the RM is shared across engine threads: the config is
-    /// read unsynchronised on every decide.  RMs whose solvers do not
+    /// read unsynchronised on every decision.  RMs whose solvers do not
     /// decompose bit-identically (baseline, milp) ignore it.
     void set_shard_config(const ShardConfig& config) noexcept { shard_config_ = config; }
     [[nodiscard]] const ShardConfig& shard_config() const noexcept { return shard_config_; }
@@ -203,15 +202,6 @@ public:
 private:
     ShardConfig shard_config_;
 };
-
-/// Apply the RM-visible effects of an admitted decision to a working active
-/// set: push the candidate on its assigned resource, and for every moved
-/// task update `resource` (plus `pending_overhead` when it already started,
-/// mirroring the simulator's migration accounting).  This is the exact
-/// state a sequential decision sequence would expose to the next decision,
-/// so batch emulation paths stay bit-identical to per-arrival admission.
-void apply_decision_to_active(const Catalog& catalog, const Decision& decision,
-                              const ActiveTask& candidate, std::vector<ActiveTask>& active);
 
 /// The entry of `entries` that assignment `k` of a Decision names.  In
 /// instance order that is entries[k], so folding a whole decision is

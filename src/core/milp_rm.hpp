@@ -35,7 +35,9 @@ public:
     MilpRM() = default;
     explicit MilpRM(milp::MilpOptions options) : options_(std::move(options)) {}
 
-    [[nodiscard]] Decision decide(const ArrivalContext& context) override;
+    /// Admission over the shared BatchPlanner base.  Each item carries at
+    /// most one predicted request (the formulation's single q_i).
+    void decide_batch(const BatchArrivalContext& batch, std::vector<Decision>& out) override;
     [[nodiscard]] RescueDecision rescue(const RescueContext& context) override;
     [[nodiscard]] std::string name() const override { return "milp"; }
 

@@ -229,24 +229,17 @@ void set_task_count(std::vector<PlanTask>& tasks, std::vector<PlanTask>& spare,
 using plan_detail::set_task_count;
 
 PlanInstance PlanInstance::build(const ArrivalContext& context, std::size_t predicted_count) {
-    PlanPool pool;
-    (void)build_into(pool, context, predicted_count);
-    return std::move(pool.instance);
-}
-
-const PlanInstance& PlanInstance::build_into(PlanPool& pool, const ArrivalContext& context,
-                                             std::size_t predicted_count) {
     RMWP_EXPECT(context.platform != nullptr);
     RMWP_EXPECT(context.catalog != nullptr);
 
-    PlanInstance& instance = pool.instance;
+    PlanInstance instance;
     instance.platform = context.platform;
     instance.now = context.now;
     instance.predicted_count = std::min(predicted_count, context.predicted.size());
     instance.window = planning_window(context, instance.predicted_count);
 
     const std::size_t count = context.active.size() + 1 + instance.predicted_count;
-    set_task_count(instance.tasks, pool.spare, count);
+    instance.tasks.resize(count);
     std::size_t j = 0;
     for (const ActiveTask& task : context.active)
         fill_real_task(instance.tasks[j++], *context.platform, context.type_of(task), context.now,
@@ -286,11 +279,6 @@ PlanInstance PlanInstance::build_rescue(const RescueContext& context,
     return instance;
 }
 
-PlanPool& PlanPool::local() {
-    static thread_local PlanPool pool;
-    return pool;
-}
-
 namespace {
 
 /// Thread-local backing store for BatchPlanner (see the class comment):
@@ -318,7 +306,11 @@ BatchPlanner::BatchPlanner(const BatchArrivalContext& batch)
     base_count_ = working_.size();
     instance_.platform = batch.platform;
     instance_.now = batch.now;
-    set_task_count(instance_.tasks, spare_, base_count_);
+    // Grow only: every row past the base is rewritten by assemble() before
+    // use, and shrinking here would cycle shells through `spare_` on every
+    // batch.
+    if (instance_.tasks.size() < base_count_)
+        set_task_count(instance_.tasks, spare_, base_count_);
     for (std::size_t j = 0; j < base_count_; ++j)
         fill_real_task(instance_.tasks[j], *batch.platform, batch.type_of(working_[j]), batch.now,
                        working_[j], /*is_candidate=*/false, batch.health);
@@ -400,7 +392,7 @@ Decision BatchPlanner::admit(std::size_t m, std::span<const ResourceId> mapping)
     decision.assignments = instance_.real_assignments(mapping);
 
     // Fold the admission into the shared working set, mirroring the
-    // simulator's RM-visible apply() (see apply_decision_to_active), and
+    // simulator's RM-visible apply() (SimEngine::apply), and
     // refresh exactly the base rows whose task moved.
     const Catalog& catalog = *batch_->catalog;
     for (std::size_t k = 0; k < decision.assignments.size(); ++k) {

@@ -34,8 +34,6 @@ struct PlanTask {
     [[nodiscard]] Time time_left(Time now) const noexcept { return abs_deadline - now; }
 };
 
-struct PlanPool;
-
 /// The full instance for one activation.
 struct PlanInstance {
     const Platform* platform = nullptr;
@@ -54,18 +52,10 @@ struct PlanInstance {
     /// many of the context's predicted tasks (nearest first) join the
     /// instance as planning constraints — the Sec 4.1 fallback re-plans
     /// with 0; bool converts naturally (true = 1 predicted, false = none).
+    /// The from-scratch reference: admission runs on BatchPlanner, and an
+    /// RMWP_AUDIT build checks every assembled instance against this.
     [[nodiscard]] static PlanInstance build(const ArrivalContext& context,
                                             std::size_t predicted_count);
-
-    /// build() into a caller-owned arena: fills `pool.instance` in place,
-    /// reusing every per-task vector capacity, and returns a reference to
-    /// it.  Field-identical to build() on the same context (an RMWP_AUDIT
-    /// drift check in the batch planner compares the two), but free of
-    /// steady-state heap allocations — this is what the admission ladder
-    /// runs on.  The reference is valid until the next build_into on the
-    /// same pool.
-    static const PlanInstance& build_into(PlanPool& pool, const ArrivalContext& context,
-                                          std::size_t predicted_count);
 
     /// Build a fault-rescue instance over `tasks` (a subset of the rescue
     /// context's survivors): no candidate, no predicted task, resource
@@ -86,24 +76,11 @@ struct PlanInstance {
         std::span<const ResourceId> mapping) const;
 };
 
-/// Arena for pooled PlanInstance construction (build_into).  `spare` parks
-/// surplus PlanTask shells — shrinking the task list must not destroy their
-/// heap buffers, or the next deeper ladder rung would reallocate them.
-/// Obtain via local(): thread-local for the same reason as PlanScratch (one
-/// RM object is shared across the parallel experiment engine's threads).
-struct PlanPool {
-    PlanInstance instance;
-    std::vector<PlanTask> spare;
-
-    /// The calling thread's pool.
-    [[nodiscard]] static PlanPool& local();
-};
-
 namespace plan_detail {
 /// Resize a pooled task list without destroying PlanTask heap buffers:
 /// surplus shells park in `spare` and return on the next growth, so
 /// rung-to-rung (and per-shard sub-instance) resizes do no steady-state
-/// allocation.  Shared by the ladder, BatchPlanner, and ShardedSolver.
+/// allocation.  Shared by BatchPlanner and ShardedSolver.
 void set_task_count(std::vector<PlanTask>& tasks, std::vector<PlanTask>& spare,
                     std::size_t count);
 } // namespace plan_detail
@@ -222,30 +199,13 @@ struct PlanScratch {
     [[nodiscard]] static PlanScratch& local();
 };
 
-/// The Sec 4.1 admission ladder, generalised to multi-step lookahead:
-/// try planning with all predicted tasks, trimming the furthest prediction
-/// on failure (nearest predictions are the most reliable), down to the
-/// prediction-free plan; reject only when even that fails.  `solve` maps a
-/// PlanInstance to an optional per-task mapping.
-template <typename Solver>
-[[nodiscard]] Decision run_admission_ladder(const ArrivalContext& context, Solver&& solve) {
-    Decision decision;
-    PlanPool& pool = PlanPool::local();
-    for (std::size_t k = context.predicted.size() + 1; k-- > 0;) {
-        const PlanInstance& instance = PlanInstance::build_into(pool, context, k);
-        if (const auto mapping = solve(instance)) {
-            decision.admitted = true;
-            decision.used_prediction = k > 0;
-            decision.assignments = instance.real_assignments(*mapping);
-            return decision;
-        }
-    }
-    return decision; // reject; the previous mapping stays in force
-}
-
-/// The admission ladder over a BatchPlanner-assembled instance: identical
-/// rung order and semantics to run_admission_ladder, but the instance comes
-/// from the batch's shared base and an admission folds back into it.
+/// The Sec 4.1 admission ladder, generalised to multi-step lookahead, over
+/// a BatchPlanner-assembled instance: try planning item `m` with all its
+/// predicted tasks, trimming the furthest prediction on failure (nearest
+/// predictions are the most reliable), down to the prediction-free plan;
+/// reject only when even that fails.  `solve` maps a PlanInstance to an
+/// optional per-task mapping; an admission folds back into the batch's
+/// shared base.
 template <typename Solver>
 [[nodiscard]] Decision run_admission_ladder_batch(BatchPlanner& planner, std::size_t m,
                                                   Solver&& solve) {
@@ -266,7 +226,7 @@ template <typename Solver>
 /// remaining slack) and retry.  Tasks with no feasible resource at all are
 /// shed first.  Terminates because every retry plans one task fewer, and
 /// the empty set is trivially feasible.  `solve` maps a PlanInstance to an
-/// optional per-task mapping, exactly as in run_admission_ladder.
+/// optional per-task mapping, exactly as in run_admission_ladder_batch.
 template <typename Solver>
 [[nodiscard]] RescueDecision run_rescue_ladder(const RescueContext& context, Solver&& solve) {
     RescueDecision decision;

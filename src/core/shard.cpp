@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "exec/task_pool.hpp"
 #include "obs/stage_timer.hpp"
 #include "util/check.hpp"
 #include "workload/catalog.hpp"
@@ -58,30 +57,18 @@ void ShardPartition::rebuild(const Platform& platform, const Catalog& catalog) {
     RMWP_ENSURE(group_count_ >= 1 && group_count_ <= n);
 }
 
-ShardPartition& ShardPartition::local() {
-    static thread_local ShardPartition partition;
-    return partition;
-}
-
-ShardedSolver::ShardedSolver() {
-    // Persistent dispatch thunk: capturing only `this` keeps it inside
-    // std::function's small-buffer storage, so a parallel fork-join
-    // allocates nothing per decision.  The solve/ctx members are written
-    // before for_each and published to the workers by the pool's mutex
-    // handshake.
-    pool_fn_ = [this](std::size_t p) { solve_pending(p, active_solve_, active_ctx_); };
-}
-
 void ShardedSolver::ensure_buckets(std::size_t count) {
     // Never shrink: bucket slots own pooled sub-instances whose capacity
     // must survive alternating platform sizes on one thread.
     if (buckets_.size() < count) buckets_.resize(count);
 }
 
-void ShardedSolver::begin_batch(const BatchArrivalContext& batch, const ShardPartition& partition,
-                                std::size_t shards) {
-    RMWP_EXPECT(batch.catalog != nullptr);
-    const std::size_t count = partition.bucket_count(shards);
+void ShardedSolver::begin_batch(const BatchArrivalContext& batch, std::size_t shards) {
+    RMWP_EXPECT(batch.platform != nullptr && batch.catalog != nullptr);
+    partition_.rebuild(*batch.platform, *batch.catalog);
+    catalog_ = batch.catalog;
+    shards_ = shards;
+    const std::size_t count = partition_.bucket_count(shards);
     ensure_buckets(count);
     for (std::size_t b = 0; b < count; ++b) {
         Bucket& bucket = buckets_[b];
@@ -91,15 +78,14 @@ void ShardedSolver::begin_batch(const BatchArrivalContext& batch, const ShardPar
     }
     tracked_.clear();
     for (const ActiveTask& task : batch.active)
-        tracked_.push_back({task.uid, task.resource,
-                            partition.bucket_of(batch.catalog->type(task.type), shards)});
+        tracked_.push_back(
+            {task.uid, task.resource, partition_.bucket_of(catalog_->type(task.type), shards)});
     RMWP_ENSURE(tracked_.size() == batch.active.size());
 }
 
-void ShardedSolver::note_admission(const Decision& decision, const ActiveTask& candidate,
-                                   const ShardPartition& partition, const Catalog& catalog,
-                                   std::size_t shards) {
+void ShardedSolver::note_admission(const Decision& decision, const ActiveTask& candidate) {
     RMWP_EXPECT(decision.admitted);
+    RMWP_EXPECT(catalog_ != nullptr);
     for (std::size_t k = 0; k < decision.assignments.size(); ++k) {
         const TaskAssignment& assignment = decision.assignments[k];
         // tracked_ mirrors the working set the instance was built over.
@@ -108,7 +94,7 @@ void ShardedSolver::note_admission(const Decision& decision, const ActiveTask& c
             // First sighting: this is the admitted candidate joining the
             // working set — its bucket gains a task.
             RMWP_ENSURE(assignment.uid == candidate.uid);
-            const std::size_t b = partition.bucket_of(catalog.type(candidate.type), shards);
+            const std::size_t b = partition_.bucket_of(catalog_->type(candidate.type), shards_);
             tracked_.push_back({assignment.uid, assignment.resource, b});
             if (b < buckets_.size()) ++buckets_[b].version;
         } else if (found->resource != assignment.resource) {
@@ -143,22 +129,13 @@ void ShardedSolver::build_sub(Bucket& bucket, const PlanInstance& instance) {
     RMWP_ENSURE(sub.tasks.size() == bucket.task_index.size());
 }
 
-void ShardedSolver::solve_pending(std::size_t p, SolveFn solve, void* ctx) {
-    Bucket& bucket = buckets_[pending_[p]];
-    bucket.proven = true;
-    bucket.ok = solve(bucket.sub, bucket.mapping, bucket.proven, ctx);
-}
-
 std::optional<std::span<const ResourceId>> ShardedSolver::run(const PlanInstance& instance,
-                                                              const ShardPartition& partition,
-                                                              const ShardConfig& config,
                                                               SolveFn solve, void* ctx,
-                                                              bool use_cache, RunStats* stats) {
+                                                              RunStats* stats) {
     RMWP_EXPECT(instance.platform != nullptr);
     RMWP_EXPECT(!instance.tasks.empty());
     RMWP_EXPECT(instance.tasks.size() >= 1 + instance.predicted_count);
-    const std::size_t shards = config.shards;
-    const std::size_t bucket_count = partition.bucket_count(shards);
+    const std::size_t bucket_count = partition_.bucket_count(shards_);
     ensure_buckets(bucket_count);
 
     // 1. Partition the instance's tasks into buckets, marking those holding
@@ -171,7 +148,7 @@ std::optional<std::span<const ResourceId>> ShardedSolver::run(const PlanInstance
         buckets_[b].item_local = false;
     }
     for (std::size_t i = 0; i < count; ++i) {
-        const std::size_t b = partition.bucket_of(instance.tasks[i], shards);
+        const std::size_t b = partition_.bucket_of(instance.tasks[i], shards_);
         RMWP_EXPECT(b < bucket_count);
         buckets_[b].task_index.push_back(i);
         if (i >= item_local_from) buckets_[b].item_local = true;
@@ -189,7 +166,7 @@ std::optional<std::span<const ResourceId>> ShardedSolver::run(const PlanInstance
             continue;
         }
         ++populated;
-        if (use_cache && !bucket.item_local) {
+        if (!bucket.item_local) {
             bool hit = false;
             for (CacheEntry& entry : bucket.cache) {
                 if (entry.valid && entry.version == bucket.version &&
@@ -206,25 +183,20 @@ std::optional<std::span<const ResourceId>> ShardedSolver::run(const PlanInstance
         pending_.push_back(b);
     }
 
-    // 3. Build the pending sub-instances (caller thread, pooled), then
-    // fork-join the solves.  Each worker touches only its own bucket slot;
-    // the pool's completion handshake publishes the writes back here, and
-    // the caller participates, so jobs == 1 never leaves this thread.
+    // 3. Build the pending sub-instances (pooled) and solve them in bucket
+    // order.
     for (const std::size_t b : pending_) build_sub(buckets_[b], instance);
     {
         RMWP_STAGE_SCOPE(obs::Stage::shard_solve);
-        const std::size_t jobs = std::min(config.probe_jobs, pending_.size());
-        if (jobs <= 1) {
-            for (std::size_t p = 0; p < pending_.size(); ++p) solve_pending(p, solve, ctx);
-        } else {
-            active_solve_ = solve;
-            active_ctx_ = ctx;
-            probe_pool(jobs - 1).for_each(pending_.size(), pool_fn_);
+        for (const std::size_t b : pending_) {
+            Bucket& bucket = buckets_[b];
+            bucket.proven = true;
+            bucket.ok = solve(bucket.sub, bucket.mapping, bucket.proven, ctx);
         }
     }
     for (const std::size_t b : pending_) {
         Bucket& bucket = buckets_[b];
-        if (!use_cache || bucket.item_local) continue;
+        if (bucket.item_local) continue;
         CacheEntry& entry = bucket.cache[bucket.cache_cursor];
         bucket.cache_cursor = (bucket.cache_cursor + 1) % kCacheWays;
         entry.valid = true;

@@ -1,4 +1,4 @@
-// Sharded concurrent admission (DESIGN.md §15).
+// Sharded admission (DESIGN.md §15).
 //
 // The platform's resources fall into *resource groups*: connected
 // components of the relation "some catalog task type can execute on both".
@@ -8,21 +8,19 @@
 // ShardPartition computes that decomposition (union-find over the catalog's
 // executability sets, group ids assigned in smallest-resource-id order so
 // the partition is a pure function of platform + catalog), and
-// ShardedSolver solves the per-group sub-instances — optionally in parallel
-// on the persistent exec::probe_pool — then merges the per-bucket mappings
-// back into instance order.
+// ShardedSolver solves the per-group sub-instances one after another on the
+// calling thread, then merges the per-bucket mappings back into instance
+// order.  What pays is the decomposition itself: smaller sub-solves, and a
+// cross-item cache that lets buckets no admission touched keep their
+// verdict for the rest of a batch.
 //
 // Determinism contract (DESIGN.md §9): the merged decision is bit-identical
-// to the sequential solve at any shard count and any probe-job count.
-// Parallel workers write only their own bucket's slot (mapping + verdict);
-// the merge reads the slots in bucket order on the calling thread, so the
-// schedule of the workers can never reorder results.  An RMWP_AUDIT build
-// re-solves every instance sequentially and asserts bit-equality.
+// to the whole-plan solve at any shard count.  An RMWP_AUDIT build re-solves
+// every instance whole and asserts bit-equality.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -75,9 +73,6 @@ public:
         return resources.empty() ? 0 : bucket_of_resource(resources.front(), shards);
     }
 
-    /// The calling thread's pooled partition.
-    [[nodiscard]] static ShardPartition& local();
-
 private:
     [[nodiscard]] std::size_t find(std::size_t i);
     void join(std::size_t a, std::size_t b);
@@ -87,19 +82,17 @@ private:
     std::size_t group_count_ = 0;
 };
 
-/// Generic sharded solve driver, layered over BatchPlanner / the admission
-/// ladder: both the heuristic and the exact RM plug their solver in as a
-/// stateless callback over a sub-instance.  Holds all per-bucket state
-/// (pooled sub-instances, result slots, the cross-item solve cache) in
-/// thread-local storage — one RM object stays shareable across the
-/// experiment engine's threads.
+/// Generic sharded solve driver, used from inside the admission ladder's
+/// solve callback: both the heuristic and the exact RM plug their solver in
+/// as a stateless callback over a sub-instance.  Holds all per-batch state
+/// (the partition, pooled sub-instances, result slots, the cross-item solve
+/// cache) in thread-local storage — one RM object stays shareable across
+/// the experiment engine's threads.
 class ShardedSolver {
 public:
     /// Solve `sub` into `mapping` (one resource per sub task, sub order).
     /// Returns feasibility; on failure `proven` reports whether the
     /// failure is a proof of infeasibility (exact) or a heuristic give-up.
-    /// Runs on pool workers: must only touch its own arguments and
-    /// thread-local scratch.
     using SolveFn = bool (*)(const PlanInstance& sub, std::vector<ResourceId>& mapping,
                              bool& proven, void* ctx);
 
@@ -109,32 +102,25 @@ public:
         std::size_t solved = 0;  ///< buckets solved fresh (not cache hits)
     };
 
-    ShardedSolver();
-
-    /// Start a coalesced batch: resets bucket versions and the solve cache,
-    /// and snapshots the working set's uid -> (resource, bucket) map so
-    /// note_admission can tell which buckets an admission touched.
-    void begin_batch(const BatchArrivalContext& batch, const ShardPartition& partition,
-                     std::size_t shards);
+    /// Start a coalesced batch under a `shards` cap: rebuilds the resource
+    /// partition, resets bucket versions and the solve cache, and snapshots
+    /// the working set's uid -> (resource, bucket) map so note_admission
+    /// can tell which buckets an admission touched.
+    void begin_batch(const BatchArrivalContext& batch, std::size_t shards);
 
     /// Record an admitted decision: the candidate's bucket and the bucket
     /// of every moved task get a new version, invalidating their cached
     /// solves; untouched buckets keep serving cache hits.
-    void note_admission(const Decision& decision, const ActiveTask& candidate,
-                        const ShardPartition& partition, const Catalog& catalog,
-                        std::size_t shards);
+    void note_admission(const Decision& decision, const ActiveTask& candidate);
 
-    /// Solve `instance` as independent per-bucket sub-solves and merge.
-    /// With `use_cache` (batch loop only, between begin_batch and the next
-    /// begin_batch), buckets not containing the item's candidate/predicted
-    /// tail reuse their cached verdict when (version, window) match.
-    /// Returns the merged mapping (valid until the next run on this
-    /// thread's solver), or nullopt when any bucket is infeasible.
-    std::optional<std::span<const ResourceId>> run(const PlanInstance& instance,
-                                                   const ShardPartition& partition,
-                                                   const ShardConfig& config, SolveFn solve,
-                                                   void* ctx, bool use_cache,
-                                                   RunStats* stats = nullptr);
+    /// Solve `instance` (assembled within the current batch) as
+    /// independent per-bucket sub-solves and merge.  Buckets not containing
+    /// the item's candidate/predicted tail reuse their cached verdict when
+    /// (version, window) match.  Returns the merged mapping (valid until
+    /// the next run on this thread's solver), or nullopt when any bucket is
+    /// infeasible.
+    std::optional<std::span<const ResourceId>> run(const PlanInstance& instance, SolveFn solve,
+                                                   void* ctx, RunStats* stats = nullptr);
 
     /// The calling thread's pooled solver.
     [[nodiscard]] static ShardedSolver& local();
@@ -172,15 +158,14 @@ private:
 
     void ensure_buckets(std::size_t count);
     void build_sub(Bucket& bucket, const PlanInstance& instance);
-    void solve_pending(std::size_t p, SolveFn solve, void* ctx);
 
+    ShardPartition partition_;
+    const Catalog* catalog_ = nullptr; ///< the current batch's catalog
+    std::size_t shards_ = 1;           ///< the current batch's cap
     std::vector<Bucket> buckets_; ///< never shrinks; first bucket_count used
     std::vector<Tracked> tracked_;
     std::vector<std::size_t> pending_; ///< bucket ids needing a fresh solve
     std::vector<ResourceId> merged_;
-    std::function<void(std::size_t)> pool_fn_; ///< persistent, SBO-sized capture
-    SolveFn active_solve_ = nullptr;
-    void* active_ctx_ = nullptr;
 };
 
 } // namespace rmwp

@@ -1,7 +1,6 @@
 #include "exec/task_pool.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "util/check.hpp"
 #include "util/env.hpp"
@@ -108,13 +107,6 @@ void parallel_for(std::size_t jobs, std::size_t count,
     // so `jobs` total execution streams means jobs - 1 pool threads.
     TaskPool pool(std::min(jobs - 1, count - 1));
     pool.for_each(count, fn);
-}
-
-TaskPool& probe_pool(std::size_t workers) {
-    static thread_local std::unique_ptr<TaskPool> pool;
-    workers = std::max<std::size_t>(workers, 1);
-    if (pool == nullptr || pool->size() < workers) pool = std::make_unique<TaskPool>(workers);
-    return *pool;
 }
 
 std::size_t default_jobs() {

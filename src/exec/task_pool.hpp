@@ -75,14 +75,4 @@ void parallel_for(std::size_t jobs, std::size_t count,
 /// otherwise the hardware concurrency (>= 1).
 [[nodiscard]] std::size_t default_jobs();
 
-/// Persistent thread-local pool for intra-decision parallelism (the sharded
-/// admission probes of DESIGN.md §15).  Unlike parallel_for, which spawns a
-/// one-shot pool per call, this pool is created on first use and reused for
-/// every subsequent decision on the calling thread — the steady-state hot
-/// path never spawns threads.  Grows (never shrinks) to at least `workers`
-/// pool threads; the caller participates in for_each, so `workers` should
-/// be the desired total concurrency minus one.  Thread-local so RM objects
-/// shared across the experiment engine's threads never contend on it.
-[[nodiscard]] TaskPool& probe_pool(std::size_t workers);
-
 } // namespace rmwp

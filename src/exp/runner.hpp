@@ -14,7 +14,7 @@
 // index-addressed slots, so the per-trace results and the aggregate are
 // bit-identical for every jobs value (only the host wall-clock fields of
 // TraceResult differ; tests/test_parallel.cpp pins this).  The RM passed to
-// run_with is shared across threads: its decide()/rescue() must be
+// run_with is shared across threads: its decide_batch()/rescue() must be
 // re-entrant, which holds for every RM in this repository (they are
 // stateless beyond construction-time options).
 #pragma once

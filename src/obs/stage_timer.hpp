@@ -132,7 +132,7 @@ private:
 };
 
 /// Credit externally measured time to a stage (the engine already brackets
-/// decide() with a steady_clock pair for the overhead model; that
+/// decide_batch() with a steady_clock pair for the overhead model; that
 /// measurement is reused rather than re-clocked).
 inline void stage_add_timed_ns(Stage stage, std::uint64_t ns) noexcept {
     StageStats* stats = stage_stats();

@@ -363,9 +363,6 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
             // stage costs are rmwp_stage_shard_solve / _merge above.
             gauge("rmwp_serve_shards", "sharded-admission solve buckets cap (--shards)",
                   rm.shard_config().shards);
-            gauge("rmwp_serve_probe_jobs",
-                  "concurrent per-decision shard probes (--probe-jobs)",
-                  rm.shard_config().probe_jobs);
 
             // Service latency as a summary straight off the board's live HDR.
             text.family("rmwp_serve_latency_us",

@@ -91,8 +91,10 @@ Time SimEngine::stream_arrival(const Request& request, TaskUid uid, Time wake) {
 
     const Time decision_time = wake_up(wake);
     ++result_.activations;
-    predictor_.observe_arrival(request);
-    decide_on(request, uid, 0, decision_time);
+    batch_entries_.assign(1, BatchEntry{});
+    batch_entries_.front().request = request;
+    batch_entries_.front().uid = uid;
+    decide_batch_on(decision_time);
     rebuild(decision_time);
     return decision_time;
 }
@@ -399,8 +401,11 @@ Time SimEngine::wake_up(Time wake) {
 }
 
 void SimEngine::process_request(std::size_t index, Time decision_time) {
-    predictor_.observe(*trace_, index);
-    decide_on(trace_->request(index), static_cast<TaskUid>(index), index, decision_time);
+    batch_entries_.assign(1, BatchEntry{});
+    batch_entries_.front().request = trace_->request(index);
+    batch_entries_.front().uid = static_cast<TaskUid>(index);
+    batch_entries_.front().trace_index = index;
+    decide_batch_on(decision_time);
 }
 
 void SimEngine::reject_doomed([[maybe_unused]] TaskUid uid, [[maybe_unused]] Time decision_time) {
@@ -413,62 +418,9 @@ void SimEngine::reject_doomed([[maybe_unused]] TaskUid uid, [[maybe_unused]] Tim
 #endif
 }
 
-void SimEngine::decide_on(const Request& request, TaskUid uid, std::size_t index,
-                          Time decision_time) {
-    ActiveTask candidate;
-    candidate.uid = uid;
-    candidate.type = request.type;
-    candidate.arrival = request.arrival;
-    candidate.absolute_deadline = request.absolute_deadline();
-
-    // A request whose deadline already passed while waiting for the
-    // activation boundary cannot be served.
-    if (candidate.absolute_deadline <= decision_time + kTimeEps) {
-        reject_doomed(candidate.uid, decision_time);
-        return;
-    }
-
-    ArrivalContext context;
-    context.now = decision_time;
-    context.platform = &platform_;
-    context.catalog = &catalog_;
-    context.active = active_;
-    context.candidate = candidate;
-    context.predicted =
-        streaming_ ? predictor_.predict_upcoming(decision_time, options_.lookahead)
-                   : predictor_.predict_horizon(*trace_, index, decision_time,
-                                                options_.lookahead);
-    context.reservations = reservations_;
-    context.health = &health_;
-
-    // The timestamps bracket the *whole* decide call: under sharded
-    // admission (DESIGN.md §15) that includes the per-bucket fork-join and
-    // the cross-shard merge, so the recorded decision latency is the
-    // end-to-end figure — never a single bucket's solve time.
-    // RMWP_LINT_ALLOW(R1): measures RM overhead on the host (paper Fig 5); host-time
-    const auto started = std::chrono::steady_clock::now();
-    const Decision decision = rm_.decide(context);
-    // RMWP_LINT_ALLOW(R1): measures RM overhead on the host (paper Fig 5); host-time
-    const auto finished = std::chrono::steady_clock::now();
-    result_.decision_seconds += std::chrono::duration<double>(finished - started).count();
-
-#ifdef RMWP_OBS
-    obs::stage_add_timed_ns(
-        obs::Stage::decide,
-        std::chrono::duration_cast<std::chrono::nanoseconds>(finished - started).count());
-    if (options_.sink != nullptr) {
-        // host scope: measures this machine, excluded from determinism.
-        ins_.admission_latency_us->record(
-            std::chrono::duration<double, std::micro>(finished - started).count());
-    }
-#endif
-
-    commit_decision(context, decision, decision_time);
-}
-
 /// Everything downstream of the RM verdict — the audit, the observability
-/// record, the admit/reject accounting, and the state mutation — shared
-/// verbatim by the sequential and batched paths so they cannot drift.
+/// record, the admit/reject accounting, and the state mutation — for one
+/// decided entry.
 void SimEngine::commit_decision(const ArrivalContext& context, const Decision& decision,
                                 Time decision_time) {
     const ActiveTask& candidate = context.candidate;
@@ -522,7 +474,8 @@ void SimEngine::commit_decision(const ArrivalContext& context, const Decision& d
     }
 }
 
-/// Decide every entry of batch_entries_ with one rm_.decide_batch call.
+/// Decide every entry of batch_entries_ with one rm_.decide_batch call —
+/// the engine's only decision path: a single arrival is a one-entry batch.
 /// The per-entry protocol is the sequential one, re-ordered but not
 /// re-defined: predictor observations and lookaheads interleave per entry
 /// exactly as sequential same-instant activations would issue them, doomed
@@ -542,6 +495,8 @@ void SimEngine::decide_batch_on(Time decision_time) {
         entry.candidate.arrival = entry.request.arrival;
         entry.candidate.absolute_deadline = entry.request.absolute_deadline();
 
+        // A request whose deadline already passed while waiting for the
+        // activation boundary cannot be served.
         if (entry.candidate.absolute_deadline <= decision_time + kTimeEps) {
             entry.item = kNotAdmissible;
             continue;
@@ -556,36 +511,42 @@ void SimEngine::decide_batch_on(Time decision_time) {
         batch_items_.push_back(std::move(item));
     }
 
-    BatchArrivalContext batch;
-    batch.now = decision_time;
-    batch.platform = &platform_;
-    batch.catalog = &catalog_;
-    batch.active = active_;
-    batch.items = batch_items_;
-    batch.reservations = reservations_;
-    batch.health = &health_;
+    // The RM runs — and its latency is recorded — only when some entry is
+    // admissible: an all-doomed group takes no decision and no sample.
+    if (!batch_items_.empty()) {
+        BatchArrivalContext batch;
+        batch.now = decision_time;
+        batch.platform = &platform_;
+        batch.catalog = &catalog_;
+        batch.active = active_;
+        batch.items = batch_items_;
+        batch.reservations = reservations_;
+        batch.health = &health_;
 
-    // As on the sequential path: the bracket spans the whole decide_batch,
-    // so sharded runs record latency after the cross-shard merge.
-    // RMWP_LINT_ALLOW(R1): measures RM overhead on the host (paper Fig 5); host-time
-    const auto started = std::chrono::steady_clock::now();
-    if (!batch_items_.empty()) rm_.decide_batch(batch, batch_decisions_);
-    // RMWP_LINT_ALLOW(R1): measures RM overhead on the host (paper Fig 5); host-time
-    const auto finished = std::chrono::steady_clock::now();
-    result_.decision_seconds += std::chrono::duration<double>(finished - started).count();
-    RMWP_ENSURE(batch_items_.empty() || batch_decisions_.size() == batch_items_.size());
+        // The timestamps bracket the *whole* decide_batch call: under
+        // sharded admission (DESIGN.md §15) that includes every bucket's
+        // solve and the cross-shard merge, so the recorded decision latency
+        // is the end-to-end figure — never a single bucket's solve time.
+        // RMWP_LINT_ALLOW(R1): measures RM overhead on the host (paper Fig 5); host-time
+        const auto started = std::chrono::steady_clock::now();
+        rm_.decide_batch(batch, batch_decisions_);
+        // RMWP_LINT_ALLOW(R1): measures RM overhead on the host (paper Fig 5); host-time
+        const auto finished = std::chrono::steady_clock::now();
+        result_.decision_seconds += std::chrono::duration<double>(finished - started).count();
+        RMWP_ENSURE(batch_decisions_.size() == batch_items_.size());
 
 #ifdef RMWP_OBS
-    obs::stage_add_timed_ns(
-        obs::Stage::decide,
-        std::chrono::duration_cast<std::chrono::nanoseconds>(finished - started).count());
-    if (options_.sink != nullptr) {
-        // host scope: one record per batch — the amortised cost is the
-        // quantity of interest on the batched path.
-        ins_.admission_latency_us->record(
-            std::chrono::duration<double, std::micro>(finished - started).count());
-    }
+        obs::stage_add_timed_ns(
+            obs::Stage::decide,
+            std::chrono::duration_cast<std::chrono::nanoseconds>(finished - started).count());
+        if (options_.sink != nullptr) {
+            // host scope: one record per decide_batch call — on a coalesced
+            // group the amortised cost is the quantity of interest.
+            ins_.admission_latency_us->record(
+                std::chrono::duration<double, std::micro>(finished - started).count());
+        }
 #endif
+    }
 
     for (const BatchEntry& entry : batch_entries_) {
         if (entry.item == kNotAdmissible) {
@@ -601,7 +562,8 @@ void SimEngine::decide_batch_on(Time decision_time) {
         context.catalog = &catalog_;
         context.active = active_;
         context.candidate = entry.candidate;
-        context.predicted = batch_items_[entry.item].predicted;
+        // The RM is done with the item: hand its predictions over.
+        context.predicted = std::move(batch_items_[entry.item].predicted);
         context.reservations = reservations_;
         context.health = &health_;
         commit_decision(context, batch_decisions_[entry.item], decision_time);

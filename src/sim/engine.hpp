@@ -174,7 +174,6 @@ private:
     [[nodiscard]] Time wake_up(Time wake);
     void dispatch(const Event& event);
     void process_request(std::size_t index, Time decision_time);
-    void decide_on(const Request& request, TaskUid uid, std::size_t index, Time decision_time);
     void reject_doomed(TaskUid uid, Time decision_time);
     void commit_decision(const ArrivalContext& context, const Decision& decision,
                          Time decision_time);

@@ -1,6 +1,6 @@
 // Heap-allocation budget for the admission hot path (DESIGN.md §13).
 //
-// The solver arenas (PlanScratch, PlanPool, the EDF buffers) make
+// The solver arenas (PlanScratch, the BatchPlanner arena, the EDF buffers) make
 // steady-state admission allocation-free except for the Decision's
 // assignments vector — the one output that must outlive the call.  This
 // test pins that budget with counting global operator new/delete
@@ -96,8 +96,9 @@ TEST(AllocCount, SteadyStateDecideAllocatesOnlyTheDecisionOutput) {
     context.predicted = {PredictedTask{3, 9.0, 40.0}};
 
     HeuristicRM rm;
-    // Warm the thread-local arenas (PlanScratch, PlanPool, EDF buffers):
-    // the first decision may size every buffer.
+    // Warm the thread-local arenas (PlanScratch, the BatchPlanner arena,
+    // the batch-of-one buffers of decide(), EDF buffers): the first
+    // decision may size every buffer.
     (void)rm.decide(context);
 
     constexpr int kRounds = 200;
@@ -208,35 +209,31 @@ TEST(AllocCount, ShardedSteadyStateKeepsTheOneAllocationBudget) {
     context.candidate = task_of(100, 3, 5.0, 80.0);
     context.predicted = {PredictedTask{4, 9.0, 60.0}};
 
-    for (const std::size_t jobs : {std::size_t{1}, std::size_t{2}}) {
-        HeuristicRM rm;
-        rm.set_shard_config({4, jobs});
-        // Warm-up sizes the partition, the per-bucket sub-instances, every
-        // worker thread's solver arenas, and (jobs > 1) the probe pool's
-        // threads — all persistent thread-local state.
-        (void)rm.decide(context);
+    HeuristicRM rm;
+    rm.set_shard_config({4});
+    // Warm-up sizes the partition, the per-bucket sub-instances and the
+    // solver arenas — all persistent thread-local state.
+    (void)rm.decide(context);
 
-        constexpr int kRounds = 200;
-        AllocationCount count;
-        count.start();
-        std::size_t admitted = 0;
-        for (int round = 0; round < kRounds; ++round) {
-            const Decision decision = rm.decide(context);
-            if (decision.admitted) ++admitted;
-        }
-        const std::uint64_t allocations = count.stop();
-        EXPECT_EQ(admitted, static_cast<std::size_t>(kRounds)) << "jobs " << jobs;
-
-        // Same budget as the sequential path: one allocation per decision —
-        // the Decision's assignments vector.  Partition rebuilds, bucket
-        // sub-instances, worker mappings, and the fork-join dispatch all
-        // reuse pooled capacity (the std::function thunk capturing `this`
-        // stays in its small-buffer storage).
-        EXPECT_LE(allocations, static_cast<std::uint64_t>(kRounds))
-            << "sharded decide() with probe_jobs=" << jobs << " regressed to " << allocations
-            << " allocations over " << kRounds << " rounds";
-        EXPECT_GT(allocations, 0u);
+    constexpr int kRounds = 200;
+    AllocationCount count;
+    count.start();
+    std::size_t admitted = 0;
+    for (int round = 0; round < kRounds; ++round) {
+        const Decision decision = rm.decide(context);
+        if (decision.admitted) ++admitted;
     }
+    const std::uint64_t allocations = count.stop();
+    EXPECT_EQ(admitted, static_cast<std::size_t>(kRounds));
+
+    // Same budget as the unsharded path: one allocation per decision — the
+    // Decision's assignments vector.  Partition rebuilds, bucket
+    // sub-instances, bucket mappings and the solve cache all reuse pooled
+    // capacity.
+    EXPECT_LE(allocations, static_cast<std::uint64_t>(kRounds))
+        << "sharded decide() regressed to " << allocations << " allocations over " << kRounds
+        << " rounds";
+    EXPECT_GT(allocations, 0u);
 }
 
 TEST(AllocCount, ShardedBatchOfEightAcrossFourShardsStaysPinned) {
@@ -268,7 +265,7 @@ TEST(AllocCount, ShardedBatchOfEightAcrossFourShardsStaysPinned) {
     batch.items = items;
 
     HeuristicRM rm;
-    rm.set_shard_config({4, 2});
+    rm.set_shard_config({4});
     std::vector<Decision> out;
     rm.decide_batch(batch, out); // warm-up
     ASSERT_EQ(out.size(), items.size());

@@ -1,13 +1,16 @@
 // Differential tests for batched admission (DESIGN.md §13): the
 // decide_batch contract at every layer of the stack.
 //
-//   * RM level — a batch of one is bit-identical to decide(), and a
-//     multi-item batch is bit-identical to the base class's sequential
-//     emulation, for every manager that overrides the batch entry point
-//     (and for MilpRM, which inherits it);
+//   * RM level — decide_batch is every manager's one admission body, so
+//     it is checked against references that share none of its code: a
+//     batch of one against a test-local Sec 4.1 ladder over from-scratch
+//     PlanInstance::build and each RM's public static solver, and a
+//     multi-item batch against a sequential emulation of that reference
+//     over a working copy of the active set;
 //   * engine level — stream_arrival_batch over coalesced same-instant
 //     groups leaves the same simulation state as feeding the members
-//     through stream_arrival one by one at the same wake;
+//     through stream_arrival one by one at the same wake, and a group
+//     whose members are all past their deadline never reaches the RM;
 //   * serve level — run_serve with batch_window = 0 (coalesce identical
 //     wakes) matches the unbatched loop on a bursty synthetic stream with
 //     injected faults, execution-time variation, and the online predictor.
@@ -17,15 +20,19 @@
 // activations (and the audit counters, which also scale per activation).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/baseline_rm.hpp"
+#include "core/edf.hpp"
 #include "core/exact_rm.hpp"
 #include "core/heuristic_rm.hpp"
 #include "core/milp_rm.hpp"
+#include "obs/trace_sink.hpp"
 #include "predict/online.hpp"
 #include "serve/serve.hpp"
 #include "sim/engine.hpp"
@@ -143,6 +150,147 @@ void expect_equivalent_modulo_activations(const TraceResult& a, const TraceResul
 
 // ---- RM level ----
 
+/// The Sec 4.1 ladder over from-scratch instances: all predicted tasks
+/// first, trimming the furthest on failure, down to the prediction-free
+/// plan.  Shares no code with BatchPlanner or run_admission_ladder_batch.
+template <typename Solver>
+Decision reference_ladder(const ArrivalContext& context, std::size_t max_predicted,
+                          Solver&& solve) {
+    Decision decision;
+    for (std::size_t k = std::min(max_predicted, context.predicted.size()) + 1; k-- > 0;) {
+        const PlanInstance instance = PlanInstance::build(context, k);
+        if (const auto mapping = solve(instance)) {
+            decision.admitted = true;
+            decision.used_prediction = k > 0;
+            decision.assignments = instance.real_assignments(*mapping);
+            return decision;
+        }
+    }
+    return decision;
+}
+
+/// BaselineRM's documented policy, restated: active tasks stay on their
+/// resources, and the candidate takes the cheapest resource where its
+/// physical core still passes the EDF check.
+std::optional<std::vector<ResourceId>> reference_place_frozen(const PlanInstance& instance) {
+    const Platform& platform = *instance.platform;
+    const std::size_t candidate = instance.tasks.size() - 1;
+    std::vector<ResourceId> mapping(instance.tasks.size(), 0);
+    for (std::size_t j = 0; j < candidate; ++j) mapping[j] = instance.tasks[j].pinned_resource;
+
+    const PlanTask& task = instance.tasks[candidate];
+    std::vector<ResourceId> order(task.executable.begin(), task.executable.end());
+    std::sort(order.begin(), order.end(),
+              [&](ResourceId a, ResourceId b) { return task.epm[a] < task.epm[b]; });
+    for (const ResourceId i : order) {
+        const ResourceId anchor = platform.resource(i).physical();
+        std::vector<ScheduleItem> items = instance.blocks[anchor];
+        for (std::size_t j = 0; j < candidate; ++j)
+            if (platform.resource(mapping[j]).physical() == anchor)
+                items.push_back(instance.item_for(j, mapping[j]));
+        items.push_back(instance.item_for(candidate, i));
+        if (resource_feasible(platform.resource(anchor), instance.now, items)) {
+            mapping[candidate] = i;
+            return mapping;
+        }
+    }
+    return std::nullopt;
+}
+
+/// The MILP's branch-and-bound budget on both sides of the comparison.
+/// Under the default budget a few of these worlds take seconds per solve;
+/// a tight one keeps the search deterministic and the suite fast.
+milp::MilpOptions milp_budget() {
+    milp::MilpOptions options;
+    options.node_limit = 100;
+    return options;
+}
+
+/// One arrival decided the way each RM documents it, through the public
+/// static solvers only.
+Decision reference_decide(const std::string& rm, const ArrivalContext& context) {
+    Decision decision;
+    if (rm == "heuristic") {
+        decision = reference_ladder(context, context.predicted.size(), [](const PlanInstance& p) {
+            return HeuristicRM::map_tasks(p);
+        });
+        if (!decision.admitted) decision.reason = RejectReason::heuristic_exhausted;
+    } else if (rm == "exact") {
+        bool proven = true;
+        decision = reference_ladder(
+            context, context.predicted.size(),
+            [&](const PlanInstance& p) -> std::optional<std::vector<ResourceId>> {
+                bool step_proven = true;
+                if (auto result = ExactRM::optimize(p, ExactRM::Options{}, &step_proven))
+                    return result->mapping;
+                proven = proven && step_proven;
+                return std::nullopt;
+            });
+        if (!decision.admitted)
+            decision.reason =
+                proven ? RejectReason::proved_infeasible : RejectReason::solver_infeasible;
+    } else if (rm == "milp") {
+        decision = reference_ladder(
+            context, context.predicted.size(),
+            [](const PlanInstance& p) -> std::optional<std::vector<ResourceId>> {
+                if (auto result = MilpRM::optimize(p, milp_budget())) return result->mapping;
+                return std::nullopt;
+            });
+        if (!decision.admitted) decision.reason = RejectReason::solver_infeasible;
+    } else {
+        // The baseline never plans with a prediction.
+        decision = reference_ladder(context, 0, reference_place_frozen);
+        if (!decision.admitted) decision.reason = RejectReason::baseline_no_fit;
+    }
+    return decision;
+}
+
+/// The RM-visible effect of an admission on a working active set, as the
+/// engine's apply() leaves it: the candidate joins on its resource, and a
+/// moved task that already started owes the new pair's migration time.
+void apply_to_active(const Catalog& catalog, const Decision& decision,
+                     const ActiveTask& candidate, std::vector<ActiveTask>& active) {
+    for (const TaskAssignment& assignment : decision.assignments) {
+        if (assignment.uid == candidate.uid) {
+            ActiveTask admitted = candidate;
+            admitted.resource = assignment.resource;
+            active.push_back(admitted);
+            continue;
+        }
+        auto task = std::find_if(active.begin(), active.end(),
+                                 [&](const ActiveTask& t) { return t.uid == assignment.uid; });
+        ASSERT_NE(task, active.end());
+        if (assignment.resource == task->resource) continue;
+        if (task->started)
+            task->pending_overhead =
+                catalog.type(task->type).migration_time(task->resource, assignment.resource);
+        task->resource = assignment.resource;
+    }
+}
+
+/// The batch contract's sequential semantics: each item decided by the
+/// reference against the state the previous admissions left behind.
+std::vector<Decision> reference_batch(const std::string& rm, const BatchArrivalContext& batch) {
+    std::vector<Decision> out;
+    std::vector<ActiveTask> working(batch.active.begin(), batch.active.end());
+    for (const BatchItem& item : batch.items) {
+        ArrivalContext context;
+        context.now = batch.now;
+        context.platform = batch.platform;
+        context.catalog = batch.catalog;
+        context.active = working;
+        context.candidate = item.candidate;
+        context.predicted = item.predicted;
+        context.reservations = batch.reservations;
+        context.health = batch.health;
+        Decision decision = reference_decide(rm, context);
+        if (decision.admitted)
+            apply_to_active(*batch.catalog, decision, item.candidate, working);
+        out.push_back(std::move(decision));
+    }
+    return out;
+}
+
 class BatchContract : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(BatchContract, BatchOfOneIsBitIdenticalToDecide) {
@@ -161,14 +309,17 @@ TEST_P(BatchContract, BatchOfOneIsBitIdenticalToDecide) {
     HeuristicRM heuristic;
     ExactRM exact;
     BaselineRM baseline;
-    MilpRM milp;
+    MilpRM milp(milp_budget());
     ResourceManager* const rms[] = {&heuristic, &exact, &baseline, &milp};
     for (ResourceManager* rm : rms) {
+        const Decision reference = reference_decide(rm->name(), world.context);
         const Decision single = rm->decide(world.context);
+        expect_same_decision(reference, single, (rm->name() + " decide").c_str(), GetParam());
         std::vector<Decision> batched;
         rm->decide_batch(batch, batched);
         ASSERT_EQ(batched.size(), 1u) << rm->name();
-        expect_same_decision(single, batched[0], rm->name().c_str(), GetParam());
+        expect_same_decision(reference, batched[0], (rm->name() + " batch").c_str(),
+                             GetParam());
     }
 }
 
@@ -192,14 +343,12 @@ TEST_P(BatchContract, MultiItemBatchMatchesSequentialEmulation) {
     HeuristicRM heuristic;
     ExactRM exact;
     BaselineRM baseline;
-    ResourceManager* const rms[] = {&heuristic, &exact, &baseline};
+    MilpRM milp(milp_budget());
+    ResourceManager* const rms[] = {&heuristic, &exact, &baseline, &milp};
     for (ResourceManager* rm : rms) {
         std::vector<Decision> fast;
         rm->decide_batch(batch, fast);
-        // The documented semantics: sequential decides over a working copy
-        // of the active set — exactly what the base class implements.
-        std::vector<Decision> reference;
-        rm->ResourceManager::decide_batch(batch, reference);
+        const std::vector<Decision> reference = reference_batch(rm->name(), batch);
         ASSERT_EQ(fast.size(), items.size()) << rm->name();
         ASSERT_EQ(reference.size(), items.size()) << rm->name();
         for (std::size_t m = 0; m < items.size(); ++m)
@@ -285,6 +434,35 @@ TEST(EngineBatch, CoalescedGroupsMatchSequentialArrivalsAtTheSameWake) {
     EXPECT_EQ(a.activations, a.requests);
     EXPECT_EQ(b.activations, groups.size());
 }
+
+#ifdef RMWP_OBS
+/// A group whose every member missed its deadline before the wake is
+/// rejected without calling the RM, so it must leave no decision-latency
+/// sample behind: no admission_latency_us record, no decision_seconds.
+TEST(EngineBatch, AllDoomedGroupRecordsNoDecisionLatency) {
+    StreamWorld world;
+    obs::TraceSink sink(64);
+    SimOptions options;
+    options.sink = &sink;
+    HeuristicRM rm;
+    OnlinePredictor predictor(world.catalog);
+    SimEngine engine(world.platform, world.catalog, rm, predictor, nullptr, options);
+    engine.begin_stream();
+
+    const StreamArrival doomed[] = {{Request{0.0, 0, 5.0}, 0}, {Request{0.0, 1, 5.0}, 1}};
+    engine.stream_arrival_batch(doomed, 10.0);
+    EXPECT_EQ(engine.result().rejected, 2u);
+    EXPECT_EQ(engine.result().accepted, 0u);
+    EXPECT_EQ(engine.result().decision_seconds, 0.0);
+
+    const obs::MetricsSnapshot metrics = sink.metrics().snapshot();
+    const obs::MetricsSnapshot::HistogramValue* latency =
+        metrics.find_histogram("admission_latency_us");
+    ASSERT_NE(latency, nullptr);
+    EXPECT_EQ(latency->count, 0u);
+    EXPECT_EQ(metrics.counter_value("reject.deadline_passed"), 2u);
+}
+#endif
 
 // ---- serve level ----
 

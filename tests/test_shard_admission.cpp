@@ -1,11 +1,11 @@
-// Differential fuzz-and-property suite for sharded concurrent admission
-// (DESIGN.md §15): the sharded solve must be *bit-identical* to the
-// sequential path at any shard count and any probe-job count.
+// Differential fuzz-and-property suite for sharded admission (DESIGN.md
+// §15): the sharded solve must be *bit-identical* to the unsharded solve at
+// any shard count.
 //
 //   * fuzzer — 200 random worlds on an islands platform (the partition the
 //     sharding exists for), each decided by {heuristic, exact, baseline}
-//     across {shards 1, 2, 4, 8} x {probe_jobs 1, 8}, with injected faults
-//     and 0-2 predicted requests, on both decide() and decide_batch();
+//     across shards {1, 2, 4, 8}, with injected faults and 0-2 predicted
+//     requests, on both decide() and decide_batch();
 //     MilpRM (which documents ignoring the config) rides on a subsample;
 //   * directed cases — a cross-shard tie-break world of byte-identical twin
 //     islands, and the degenerate single-group partition where shards = 8
@@ -17,8 +17,8 @@
 //     incremental state equals a full re-sort (the foundation the
 //     per-bucket EDF probes stand on);
 //   * serve level — a faulty, predicted, 400-arrival serve run under
-//     --shards 4 --probe-jobs 4 ends in the same simulated state as the
-//     sequential service, records decision latency after the cross-shard
+//     --shards 4 ends in the same simulated state as the unsharded
+//     service, records decision latency after the cross-shard
 //     merge (monotone HDR quantiles), and attributes shard_solve /
 //     shard_merge stage samples to the engine thread.
 //
@@ -31,6 +31,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/baseline_rm.hpp"
@@ -191,7 +192,6 @@ std::unique_ptr<ResourceManager> make_rm(Kind kind) {
 }
 
 constexpr std::size_t kShardGrid[] = {1, 2, 4, 8};
-constexpr std::size_t kJobGrid[] = {1, 8};
 
 // ---- the differential fuzzer ----
 
@@ -216,25 +216,17 @@ TEST_P(ShardDifferential, DecideAndBatchBitIdenticalAcrossTheConfigGrid) {
         ASSERT_EQ(batched.size(), items.size()) << reference->name();
 
         for (const std::size_t shards : kShardGrid) {
-            for (const std::size_t jobs : kJobGrid) {
-                const std::unique_ptr<ResourceManager> sharded = make_rm(kind);
-                sharded->set_shard_config({shards, jobs});
-                const Decision sharded_single = sharded->decide(world.context);
-                expect_same_decision(single, sharded_single,
-                                     (sharded->name() + " decide s" + std::to_string(shards) +
-                                      "j" + std::to_string(jobs))
-                                         .c_str(),
-                                     seed);
-                std::vector<Decision> sharded_batch;
-                sharded->decide_batch(batch, sharded_batch);
-                ASSERT_EQ(sharded_batch.size(), items.size()) << sharded->name();
-                for (std::size_t m = 0; m < items.size(); ++m)
-                    expect_same_decision(batched[m], sharded_batch[m],
-                                         (sharded->name() + " batch s" +
-                                          std::to_string(shards) + "j" + std::to_string(jobs))
-                                             .c_str(),
-                                         seed, m);
-            }
+            const std::unique_ptr<ResourceManager> sharded = make_rm(kind);
+            sharded->set_shard_config({shards});
+            const std::string label = sharded->name() + " s" + std::to_string(shards);
+            const Decision sharded_single = sharded->decide(world.context);
+            expect_same_decision(single, sharded_single, (label + " decide").c_str(), seed);
+            std::vector<Decision> sharded_batch;
+            sharded->decide_batch(batch, sharded_batch);
+            ASSERT_EQ(sharded_batch.size(), items.size()) << sharded->name();
+            for (std::size_t m = 0; m < items.size(); ++m)
+                expect_same_decision(batched[m], sharded_batch[m], (label + " batch").c_str(),
+                                     seed, m);
         }
     }
 
@@ -257,7 +249,7 @@ TEST_P(ShardDifferential, DecideAndBatchBitIdenticalAcrossTheConfigGrid) {
 
         MilpRM reference;
         MilpRM sharded;
-        sharded.set_shard_config({4, 8});
+        sharded.set_shard_config({4});
         expect_same_decision(reference.decide(milp_world.context),
                              sharded.decide(milp_world.context), "milp decide", seed);
         std::vector<Decision> a;
@@ -315,7 +307,7 @@ TEST(ShardDirected, CrossShardTieBreaksMatchSequential) {
     for (const Kind kind : {Kind::heuristic, Kind::exact}) {
         const std::unique_ptr<ResourceManager> reference = make_rm(kind);
         const std::unique_ptr<ResourceManager> sharded = make_rm(kind);
-        sharded->set_shard_config({2, 2});
+        sharded->set_shard_config({2});
         const Decision a = reference->decide(context);
         const Decision b = sharded->decide(context);
         expect_same_decision(a, b, sharded->name().c_str(), 0);
@@ -324,9 +316,15 @@ TEST(ShardDirected, CrossShardTieBreaksMatchSequential) {
         ASSERT_TRUE(b.admitted) << sharded->name();
         ASSERT_EQ(b.assignments.size(), 3u) << sharded->name();
         for (const TaskAssignment& assignment : b.assignments) {
-            if (assignment.uid == 0) EXPECT_EQ(assignment.resource, 0u);
-            if (assignment.uid == 1) EXPECT_EQ(assignment.resource, 1u);
-            if (assignment.uid == 100) EXPECT_EQ(assignment.resource, 0u);
+            if (assignment.uid == 0) {
+                EXPECT_EQ(assignment.resource, 0u);
+            }
+            if (assignment.uid == 1) {
+                EXPECT_EQ(assignment.resource, 1u);
+            }
+            if (assignment.uid == 100) {
+                EXPECT_EQ(assignment.resource, 0u);
+            }
         }
     }
 }
@@ -369,7 +367,7 @@ TEST(ShardDirected, SingleGroupPartitionFoldsToOneBucket) {
         for (const Kind kind : {Kind::heuristic, Kind::exact}) {
             const std::unique_ptr<ResourceManager> reference = make_rm(kind);
             const std::unique_ptr<ResourceManager> sharded = make_rm(kind);
-            sharded->set_shard_config({8, 8});
+            sharded->set_shard_config({8});
             expect_same_decision(reference->decide(context), sharded->decide(context),
                                  sharded->name().c_str(), seed);
         }
@@ -573,8 +571,8 @@ TEST(ShardServe, ShardedServiceIsBitIdenticalAndRecordsMergedLatency) {
     };
 
     obs::StageStats stats;
-    const ServeResult sequential = run_once({1, 1}, nullptr);
-    const ServeResult sharded = run_once({4, 4}, &stats);
+    const ServeResult sequential = run_once({1}, nullptr);
+    const ServeResult sharded = run_once({4}, &stats);
 
     EXPECT_EQ(sequential.exit_code, 0);
     EXPECT_EQ(sharded.exit_code, 0);
@@ -598,8 +596,8 @@ TEST(ShardServe, ShardedServiceIsBitIdenticalAndRecordsMergedLatency) {
     }
 
 #ifdef RMWP_OBS
-    // Shard stage attribution lands on the engine thread (the caller of the
-    // fork-join), where serve's StageStatsScope is installed.
+    // Shard stage attribution lands on the engine thread, where serve's
+    // StageStatsScope is installed.
     EXPECT_GT(stats.cell(obs::Stage::shard_solve).calls, 0u);
     EXPECT_GT(stats.cell(obs::Stage::shard_merge).calls, 0u);
     EXPECT_GE(stats.cell(obs::Stage::shard_solve).calls,

@@ -14,7 +14,7 @@ const std::map<std::string, std::set<std::string>>& direct_deps() {
         {"milp", {"util"}},
         {"workload", {"platform", "util"}},
         {"fault", {"platform", "workload", "util"}},
-        {"core", {"exec", "milp", "obs", "platform", "workload", "util"}},
+        {"core", {"milp", "obs", "platform", "workload", "util"}},
         {"predict", {"core", "workload", "util"}},
         {"audit", {"core"}},
         {"metrics", {"obs", "workload", "util"}},

@@ -68,10 +68,6 @@
 //                                                   up to N solve buckets —
 //                                                   bit-identical decisions
 //                                                   at any N; default 1)
-//                             [--probe-jobs J]     (solve up to J buckets
-//                                                   concurrently on a
-//                                                   persistent pool;
-//                                                   default 1)
 //                             [--window T]         (one stats line per T
 //                                                   sim-ms window, to stderr)
 //                             [--checkpoint path] [--checkpoint-every N]
@@ -466,17 +462,14 @@ int cmd_serve(Args& args) {
     else if (rm_name == "baseline") rm = std::make_unique<BaselineRM>();
     else throw std::runtime_error("--rm must be heuristic, exact, milp, or baseline");
 
-    // Sharded concurrent admission (DESIGN.md §15).  Configured once, here,
-    // before the RM is handed to the engine — never mid-serve.  Decisions
-    // are bit-identical at any shard/probe-job count; baseline and milp
-    // accept but ignore the flags.
+    // Sharded admission (DESIGN.md §15).  Configured once, here, before the
+    // RM is handed to the engine — never mid-serve.  Decisions are
+    // bit-identical at any shard count; baseline and milp accept but ignore
+    // the flag.
     const std::int64_t shards_arg = args.integer("shards", 1);
-    const std::int64_t probe_jobs_arg = args.integer("probe-jobs", 1);
-    if (shards_arg < 1 || probe_jobs_arg < 1)
-        throw std::runtime_error("--shards and --probe-jobs must be >= 1");
+    if (shards_arg < 1) throw std::runtime_error("--shards must be >= 1");
     ShardConfig shard;
     shard.shards = static_cast<std::size_t>(shards_arg);
-    shard.probe_jobs = static_cast<std::size_t>(probe_jobs_arg);
     rm->set_shard_config(shard);
 
     PredictorSpec spec;
