@@ -20,7 +20,7 @@ int main() {
     using namespace rmwp;
     using bench::scaled_config;
 
-    bench::JsonReport report("ablations");
+    bench::Report report("ablations");
 
     const ExperimentConfig config = scaled_config(DeadlineGroup::very_tight, 50, 500);
     bench::print_header("E8", "ablations: Algorithm 1 design choices + predictor realism",

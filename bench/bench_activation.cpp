@@ -21,7 +21,7 @@ int main() {
 
     const ExperimentConfig config = scaled_config(DeadlineGroup::very_tight, 25, 400);
     bench::print_header("E15", "loss % vs RM activation period (ours)", config);
-    bench::JsonReport report("activation");
+    bench::Report report("activation");
     report.add_config("VT", config);
     ExperimentRunner runner(config);
     const double mean_interarrival = config.trace.interarrival_mean;

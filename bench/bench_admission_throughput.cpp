@@ -115,7 +115,7 @@ int main() {
               << ", 5 CPUs + 1 GPU, " << catalog.size()
               << " task types, heuristic RM + online predictor\n\n";
 
-    bench::Json results = bench::Json::array();
+    obs::JsonValue results = obs::JsonValue::array();
     double sequential_dps = 0.0;
     double best_dps = 0.0;
     Table table({"configuration", "decisions/sec", "mean group", "accepted %", "p99 us",
@@ -168,7 +168,7 @@ int main() {
             .cell(serve.wall_seconds * 1000.0, 0)
             .cell(speedup, 2);
 
-        bench::Json j = bench::Json::object();
+        obs::JsonValue j = obs::JsonValue::object();
         j.set("label", cell.label);
         j.set("burst", static_cast<std::uint64_t>(cell.burst));
         j.set("batch_window", cell.batch_window);
@@ -186,7 +186,7 @@ int main() {
     }
     table.print(std::cout);
 
-    bench::Json root = bench::Json::object();
+    obs::JsonValue root = obs::JsonValue::object();
     root.set("bench", "admission");
     root.set("arrivals_per_cell", arrivals);
     root.set("seed", seed);
@@ -195,8 +195,7 @@ int main() {
     root.set("best_speedup_vs_sequential", sequential_dps > 0.0 ? best_dps / sequential_dps : 0.0);
     root.set("cells", std::move(results));
     std::ofstream out("BENCH_admission.json");
-    root.write(out, 0);
-    out << '\n';
+    out << root.dump(2) << '\n';
     if (out) std::cout << "wrote BENCH_admission.json\n";
 
     std::cout << "\nfinding: coalescing simultaneous arrivals into one decide_batch\n"
@@ -241,7 +240,7 @@ int main() {
               << ", 24 CPUs + 4 GPUs + 1 DVFS core in 4 islands, " << islands_catalog.size()
               << " island-confined task types, heuristic RM + online predictor\n\n";
 
-    bench::Json shard_results = bench::Json::array();
+    obs::JsonValue shard_results = obs::JsonValue::array();
     double batched_dps = 0.0;
     double best_sharded_dps = 0.0;
     std::uint64_t reference_accepted = 0;
@@ -307,7 +306,7 @@ int main() {
             .cell(serve.wall_seconds * 1000.0, 0)
             .cell(speedup, 2);
 
-        bench::Json j = bench::Json::object();
+        obs::JsonValue j = obs::JsonValue::object();
         j.set("label", cell.label);
         j.set("shards", static_cast<std::uint64_t>(cell.shards));
         j.set("arrivals", serve.arrivals);
@@ -322,7 +321,7 @@ int main() {
     }
     shard_table.print(std::cout);
 
-    bench::Json shard_root = bench::Json::object();
+    obs::JsonValue shard_root = obs::JsonValue::object();
     shard_root.set("bench", "shard");
     shard_root.set("arrivals_per_cell", arrivals);
     shard_root.set("seed", seed);
@@ -332,8 +331,7 @@ int main() {
                    batched_dps > 0.0 ? best_sharded_dps / batched_dps : 0.0);
     shard_root.set("cells", std::move(shard_results));
     std::ofstream shard_out("BENCH_shard.json");
-    shard_root.write(shard_out, 0);
-    shard_out << '\n';
+    shard_out << shard_root.dump(2) << '\n';
     if (shard_out) std::cout << "wrote BENCH_shard.json\n";
 
     std::cout << "\nfinding: partitioning the admission solve by resource group turns one\n"

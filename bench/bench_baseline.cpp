@@ -17,7 +17,7 @@ int main() {
     using namespace rmwp;
     using bench::scaled_config;
 
-    bench::JsonReport report("baseline");
+    bench::Report report("baseline");
 
     for (const DeadlineGroup group : {DeadlineGroup::less_tight, DeadlineGroup::very_tight}) {
         const ExperimentConfig config = scaled_config(group, 40, 400);

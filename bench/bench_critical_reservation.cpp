@@ -24,7 +24,7 @@ int main() {
     const ExperimentConfig config = scaled_config(DeadlineGroup::very_tight, 30, 400);
     bench::print_header("E10", "adaptive rejection vs reserved GPU share (ours)", config);
 
-    bench::JsonReport report("critical_reservation");
+    bench::Report report("critical_reservation");
     report.add_config("VT", config);
     ExperimentRunner runner(config);
     const Platform& platform = runner.platform();

@@ -41,7 +41,7 @@ int main() {
               << "setup: " << traces << " traces x " << requests << " requests, seed " << seed
               << ", jobs " << default_jobs() << "\n\n";
 
-    JsonReport report("dvfs");
+    Report report("dvfs");
     const std::size_t jobs = default_jobs();
 
     const Platform plain = make_platform(false);

@@ -37,7 +37,7 @@ int main() {
         {"outages + throttling + permanent", mixed},
     };
 
-    bench::JsonReport report("fault_tolerance");
+    bench::Report report("fault_tolerance");
 
     bool first = true;
     for (const Scenario& scenario : scenarios) {

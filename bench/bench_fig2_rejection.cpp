@@ -21,7 +21,7 @@ int main() {
     using namespace rmwp;
     using bench::scaled_config;
 
-    bench::JsonReport report("fig2_rejection");
+    bench::Report report("fig2_rejection");
 
     for (const DeadlineGroup group : {DeadlineGroup::less_tight, DeadlineGroup::very_tight}) {
         const ExperimentConfig config = scaled_config(group, 50, 500);

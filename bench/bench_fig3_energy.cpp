@@ -15,7 +15,7 @@ int main() {
     using namespace rmwp;
     using bench::scaled_config;
 
-    bench::JsonReport report("fig3_energy");
+    bench::Report report("fig3_energy");
 
     for (const DeadlineGroup group : {DeadlineGroup::less_tight, DeadlineGroup::very_tight}) {
         const ExperimentConfig config = scaled_config(group, 50, 500);

@@ -19,7 +19,7 @@ int main() {
     using namespace rmwp;
     using bench::scaled_config;
 
-    bench::JsonReport report("fig4_accuracy");
+    bench::Report report("fig4_accuracy");
 
     const ExperimentConfig config = scaled_config(DeadlineGroup::very_tight, 50, 500);
     bench::print_header("E5/E6", "Fig 4 — rejection % vs prediction accuracy (VT group)",

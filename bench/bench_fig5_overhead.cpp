@@ -18,7 +18,7 @@ int main() {
     using namespace rmwp;
     using bench::scaled_config;
 
-    bench::JsonReport report("fig5_overhead");
+    bench::Report report("fig5_overhead");
 
     const ExperimentConfig config = scaled_config(DeadlineGroup::very_tight, 50, 500);
     bench::print_header("E7", "Fig 5 — rejection % vs prediction overhead (VT group)", config);

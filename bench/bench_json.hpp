@@ -4,153 +4,26 @@
 // time, and — where the bench opts in via record_speedup — a serial vs
 // parallel timing comparison whose results are verified bit-identical
 // before the speedup is reported.  CI uploads these files as artefacts so
-// perf regressions are visible without re-running the suite.
-//
-// The Json value type is deliberately tiny: ordered objects, arrays, and
-// scalars, with round-trip double formatting (%.17g).  No parsing, no
-// external dependency.
+// perf regressions are visible without re-running the suite.  Documents are
+// obs::JsonValue trees written indented (src/obs/json.hpp).
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <span>
 #include <string>
 #include <utility>
-#include <variant>
-#include <vector>
 
 #include "bench_common.hpp"
-#include "obs/metrics.hpp"
+#include "obs/json.hpp"
+#include "obs/telemetry_server.hpp"
 #include "util/check.hpp"
 
 namespace rmwp::bench {
 
-/// Minimal ordered JSON value (null / bool / integer / double / string /
-/// array / object).  Objects preserve insertion order so the artefacts diff
-/// cleanly between runs.
-class Json {
-public:
-    Json() = default;
-    Json(bool b) : value_(b) {}
-    Json(double d) : value_(d) {}
-    Json(std::uint64_t u) : value_(u) {}
-    Json(int i) : value_(static_cast<std::int64_t>(i)) {}
-    Json(const char* s) : value_(std::string(s)) {}
-    Json(std::string s) : value_(std::move(s)) {}
-
-    [[nodiscard]] static Json array() {
-        Json j;
-        j.value_ = Array{};
-        return j;
-    }
-    [[nodiscard]] static Json object() {
-        Json j;
-        j.value_ = Object{};
-        return j;
-    }
-
-    Json& push(Json v) {
-        std::get<Array>(value_).push_back(std::move(v));
-        return *this;
-    }
-    Json& set(std::string key, Json v) {
-        std::get<Object>(value_).emplace_back(std::move(key), std::move(v));
-        return *this;
-    }
-    [[nodiscard]] bool is_null() const noexcept {
-        return std::holds_alternative<std::nullptr_t>(value_);
-    }
-
-    void write(std::ostream& out, int indent = 0) const {
-        const std::string pad(static_cast<std::size_t>(indent) * 2, ' ');
-        const std::string inner(static_cast<std::size_t>(indent + 1) * 2, ' ');
-        if (const auto* b = std::get_if<bool>(&value_)) {
-            out << (*b ? "true" : "false");
-        } else if (const auto* u = std::get_if<std::uint64_t>(&value_)) {
-            out << *u;
-        } else if (const auto* i = std::get_if<std::int64_t>(&value_)) {
-            out << *i;
-        } else if (const auto* d = std::get_if<double>(&value_)) {
-            write_double(out, *d);
-        } else if (const auto* s = std::get_if<std::string>(&value_)) {
-            write_string(out, *s);
-        } else if (const auto* array = std::get_if<Array>(&value_)) {
-            if (array->empty()) {
-                out << "[]";
-                return;
-            }
-            out << "[\n";
-            for (std::size_t k = 0; k < array->size(); ++k) {
-                out << inner;
-                (*array)[k].write(out, indent + 1);
-                out << (k + 1 < array->size() ? ",\n" : "\n");
-            }
-            out << pad << ']';
-        } else if (const auto* object = std::get_if<Object>(&value_)) {
-            if (object->empty()) {
-                out << "{}";
-                return;
-            }
-            out << "{\n";
-            for (std::size_t k = 0; k < object->size(); ++k) {
-                out << inner;
-                write_string(out, (*object)[k].first);
-                out << ": ";
-                (*object)[k].second.write(out, indent + 1);
-                out << (k + 1 < object->size() ? ",\n" : "\n");
-            }
-            out << pad << '}';
-        } else {
-            out << "null";
-        }
-    }
-
-private:
-    using Array = std::vector<Json>;
-    using Object = std::vector<std::pair<std::string, Json>>;
-
-    static void write_double(std::ostream& out, double d) {
-        if (d != d || d == std::numeric_limits<double>::infinity() ||
-            d == -std::numeric_limits<double>::infinity()) {
-            out << "null"; // JSON has no NaN/Inf
-            return;
-        }
-        char buffer[32];
-        std::snprintf(buffer, sizeof buffer, "%.17g", d);
-        out << buffer;
-    }
-
-    static void write_string(std::ostream& out, const std::string& s) {
-        out << '"';
-        for (const char c : s) {
-            switch (c) {
-            case '"': out << "\\\""; break;
-            case '\\': out << "\\\\"; break;
-            case '\n': out << "\\n"; break;
-            case '\t': out << "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buffer[8];
-                    std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                                  static_cast<unsigned>(static_cast<unsigned char>(c)));
-                    out << buffer;
-                } else {
-                    out << c;
-                }
-                break;
-            }
-        }
-        out << '"';
-    }
-
-    std::variant<std::nullptr_t, bool, std::uint64_t, std::int64_t, double, std::string, Array,
-                 Object>
-        value_{nullptr};
-};
+using obs::JsonValue;
 
 class WallTimer {
 public:
@@ -163,18 +36,18 @@ private:
     std::chrono::steady_clock::time_point start_ = std::chrono::steady_clock::now();
 };
 
-inline Json samples_json(const Samples& samples) {
-    Json j = Json::object();
+inline JsonValue samples_json(const Samples& samples) {
+    JsonValue j = JsonValue::object();
     j.set("count", static_cast<std::uint64_t>(samples.count()));
-    j.set("mean", samples.empty() ? Json() : Json(samples.mean()));
-    j.set("ci95", samples.count() > 1 ? Json(samples.ci_halfwidth()) : Json());
-    j.set("min", samples.empty() ? Json() : Json(samples.min()));
-    j.set("max", samples.empty() ? Json() : Json(samples.max()));
+    j.set("mean", samples.empty() ? JsonValue() : JsonValue(samples.mean()));
+    j.set("ci95", samples.count() > 1 ? JsonValue(samples.ci_halfwidth()) : JsonValue());
+    j.set("min", samples.empty() ? JsonValue() : JsonValue(samples.min()));
+    j.set("max", samples.empty() ? JsonValue() : JsonValue(samples.max()));
     return j;
 }
 
-inline Json config_json(const ExperimentConfig& config) {
-    Json j = Json::object();
+inline JsonValue config_json(const ExperimentConfig& config) {
+    JsonValue j = JsonValue::object();
     j.set("seed", static_cast<std::uint64_t>(config.seed));
     j.set("cpu_count", static_cast<std::uint64_t>(config.cpu_count));
     j.set("gpu_count", static_cast<std::uint64_t>(config.gpu_count));
@@ -186,33 +59,7 @@ inline Json config_json(const ExperimentConfig& config) {
     return j;
 }
 
-/// Serialise a metrics snapshot (DESIGN.md §10).  Host-scoped entries are
-/// included — BENCH files already carry wall-clock figures — but the sim-
-/// scoped ones are the comparable part across machines.
-inline Json obs_metrics_json(const obs::MetricsSnapshot& snapshot) {
-    Json counters = Json::object();
-    for (const auto& counter : snapshot.counters)
-        counters.set(counter.name, counter.value);
-    Json gauges = Json::object();
-    for (const auto& gauge : snapshot.gauges) gauges.set(gauge.name, gauge.value);
-    Json histograms = Json::object();
-    for (const auto& histogram : snapshot.histograms) {
-        Json h = Json::object();
-        h.set("count", histogram.count);
-        h.set("sum", histogram.sum);
-        Json buckets = Json::array();
-        for (const std::uint64_t bucket : histogram.buckets) buckets.push(bucket);
-        h.set("buckets", std::move(buckets));
-        histograms.set(histogram.name, std::move(h));
-    }
-    Json j = Json::object();
-    j.set("counters", std::move(counters));
-    j.set("gauges", std::move(gauges));
-    j.set("histograms", std::move(histograms));
-    return j;
-}
-
-inline Json outcome_json(const RunOutcome& outcome) {
+inline JsonValue outcome_json(const RunOutcome& outcome) {
     std::uint64_t requests = 0;
     std::uint64_t accepted = 0;
     std::uint64_t rejected = 0;
@@ -225,7 +72,7 @@ inline Json outcome_json(const RunOutcome& outcome) {
         completed += trace.completed;
         fault_aborted += trace.fault_aborted;
     }
-    Json j = Json::object();
+    JsonValue j = JsonValue::object();
     j.set("requests", requests);
     j.set("accepted", accepted);
     j.set("rejected", rejected);
@@ -239,26 +86,26 @@ inline Json outcome_json(const RunOutcome& outcome) {
     j.set("loss_percent", samples_json(outcome.aggregate.loss_percent));
     obs::MetricsSnapshot merged;
     for (const TraceResult& trace : outcome.per_trace) merged.merge(trace.obs_metrics);
-    if (!merged.empty()) j.set("obs", obs_metrics_json(merged));
+    if (!merged.empty()) j.set("obs", obs::metrics_json(merged));
     return j;
 }
 
 /// One bench's JSON artefact.  Construct at the top of main; cells append
 /// as the bench runs; the file is written by flush() (also invoked by the
 /// destructor, so early returns still leave an artefact behind).
-class JsonReport {
+class Report {
 public:
-    explicit JsonReport(std::string id) : id_(std::move(id)) {}
+    explicit Report(std::string id) : id_(std::move(id)) {}
 
-    JsonReport(const JsonReport&) = delete;
-    JsonReport& operator=(const JsonReport&) = delete;
+    Report(const Report&) = delete;
+    Report& operator=(const Report&) = delete;
 
-    ~JsonReport() { flush(); }
+    ~Report() { flush(); }
 
     /// Record the configuration of one experiment group (benches sweeping
     /// deadline groups call this once per group).
     void add_config(const std::string& label, const ExperimentConfig& config) {
-        Json j = Json::object();
+        JsonValue j = JsonValue::object();
         j.set("label", label);
         j.set("config", config_json(config));
         configs_.push(std::move(j));
@@ -294,7 +141,7 @@ public:
 
     void add_cell(const std::string& label, const RunOutcome& outcome, double wall_ms,
                   std::size_t jobs) {
-        Json j = Json::object();
+        JsonValue j = JsonValue::object();
         j.set("label", label);
         j.set("jobs", static_cast<std::uint64_t>(jobs));
         j.set("wall_ms", wall_ms);
@@ -303,7 +150,7 @@ public:
     }
 
     /// Attach a bench-specific top-level field.
-    void set(const std::string& key, Json value) { extra_.set(key, std::move(value)); }
+    void set(const std::string& key, JsonValue value) { extra_.set(key, std::move(value)); }
 
     /// Time `spec` at the runner's configured job count against a fresh
     /// serial runner on the same configuration, verify the two outcomes are
@@ -325,7 +172,7 @@ public:
             RMWP_ENSURE(
                 equivalent_ignoring_host_time(serial.per_trace[t], parallel.per_trace[t]));
 
-        Json j = Json::object();
+        JsonValue j = JsonValue::object();
         j.set("spec", spec.label());
         j.set("jobs", static_cast<std::uint64_t>(runner.jobs()));
         j.set("serial_ms", serial_ms);
@@ -338,7 +185,7 @@ public:
     void flush() {
         if (flushed_) return;
         flushed_ = true;
-        Json root = Json::object();
+        JsonValue root = JsonValue::object();
         root.set("bench", id_);
         root.set("default_jobs", static_cast<std::uint64_t>(default_jobs()));
         root.set("configs", std::move(configs_));
@@ -347,17 +194,16 @@ public:
         root.set("extra", std::move(extra_));
         const std::string path = "BENCH_" + id_ + ".json";
         std::ofstream out(path);
-        root.write(out, 0);
-        out << '\n';
+        out << root.dump(2) << '\n';
         if (out) std::cout << "wrote " << path << '\n';
     }
 
 private:
     std::string id_;
-    Json configs_ = Json::array();
-    Json cells_ = Json::array();
-    Json speedup_;
-    Json extra_ = Json::object();
+    JsonValue configs_ = JsonValue::array();
+    JsonValue cells_ = JsonValue::array();
+    JsonValue speedup_;
+    JsonValue extra_ = JsonValue::object();
     bool flushed_ = false;
 };
 

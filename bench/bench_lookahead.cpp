@@ -16,7 +16,7 @@ int main() {
     using namespace rmwp;
     using bench::scaled_config;
 
-    bench::JsonReport report("lookahead");
+    bench::Report report("lookahead");
 
     struct Load {
         const char* name;

@@ -20,7 +20,7 @@ int main() {
     using namespace rmwp;
     using bench::scaled_config;
 
-    bench::JsonReport report("sec52_exact_vs_heuristic");
+    bench::Report report("sec52_exact_vs_heuristic");
     report.set("note", "wall_ms is the shared wall-clock of the group's 2-spec batch");
 
     std::vector<TraceResult> exact_all;

@@ -59,7 +59,7 @@ int main() {
               << "setup: " << arrivals << " synthetic arrivals per cell, seed " << seed
               << ", 5 CPUs + 1 GPU, " << catalog.size() << " task types\n\n";
 
-    bench::Json results = bench::Json::array();
+    obs::JsonValue results = obs::JsonValue::array();
     Table table({"configuration", "decisions/sec", "p50 us", "p99 us", "accepted %", "shed",
                  "wall ms"});
     for (const Cell& cell : cells) {
@@ -114,7 +114,7 @@ int main() {
             .cell(serve.shed)
             .cell(serve.wall_seconds * 1000.0, 0);
 
-        bench::Json j = bench::Json::object();
+        obs::JsonValue j = obs::JsonValue::object();
         j.set("label", cell.label);
         j.set("arrivals", serve.arrivals);
         j.set("accepted", static_cast<std::uint64_t>(serve.result.accepted));
@@ -131,14 +131,13 @@ int main() {
     }
     table.print(std::cout);
 
-    bench::Json root = bench::Json::object();
+    obs::JsonValue root = obs::JsonValue::object();
     root.set("bench", "serve");
     root.set("arrivals_per_cell", arrivals);
     root.set("seed", seed);
     root.set("cells", std::move(results));
     std::ofstream out("BENCH_serve.json");
-    root.write(out, 0);
-    out << '\n';
+    out << root.dump(2) << '\n';
     if (out) std::cout << "wrote BENCH_serve.json\n";
 
     std::cout << "\nfinding: the streaming engine sustains the batch path's admission\n"

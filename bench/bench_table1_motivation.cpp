@@ -58,7 +58,7 @@ int main() {
 
     std::cout << "E1: Table 1 / Fig 1 motivational scenarios (paper Sec 3)\n\n";
 
-    bench::JsonReport report("table1_motivation");
+    bench::Report report("table1_motivation");
 
     for (const char* rm_name : {"heuristic", "exact"}) {
         Table table({"scenario", "accepted/total", "energy (J)", "paper"});

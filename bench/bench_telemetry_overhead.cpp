@@ -59,7 +59,7 @@ int main() {
     };
     Outcome outcomes[3];
 
-    bench::Json results = bench::Json::array();
+    obs::JsonValue results = obs::JsonValue::array();
     Table table({"configuration", "decisions/sec", "p99 us", "stage ns/decision", "wall ms",
                  "vs bare"});
     for (std::size_t index = 0; index < 3; ++index) {
@@ -122,7 +122,7 @@ int main() {
             .cell(best.wall_ms, 0)
             .cell(versus_bare, 3);
 
-        bench::Json j = bench::Json::object();
+        obs::JsonValue j = obs::JsonValue::object();
         j.set("label", cell.label);
         j.set("decisions_per_second", best.decisions_per_second);
         j.set("latency_p50_us", best.serve.latency_p50_us);
@@ -145,7 +145,7 @@ int main() {
     // scheduler noise; a real > 3 % cost means a hot-path regression.
     RMWP_ENSURE(regression < 0.03);
 
-    bench::Json root = bench::Json::object();
+    obs::JsonValue root = obs::JsonValue::object();
     root.set("bench", "telemetry");
     root.set("arrivals_per_cell", arrivals);
     root.set("reps", reps);
@@ -153,8 +153,7 @@ int main() {
     root.set("regression_vs_bare", regression);
     root.set("cells", std::move(results));
     std::ofstream out("BENCH_telemetry.json");
-    root.write(out, 0);
-    out << '\n';
+    out << root.dump(2) << '\n';
     if (out) std::cout << "wrote BENCH_telemetry.json\n";
 
     std::cout << "\nfinding: the full observability stack — live /metrics endpoint, sampled\n"

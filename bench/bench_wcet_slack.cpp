@@ -22,7 +22,7 @@ int main() {
 
     const ExperimentConfig config = scaled_config(DeadlineGroup::very_tight, 25, 400);
     bench::print_header("E13", "rejection/energy vs WCET pessimism (ours)", config);
-    bench::JsonReport report("wcet_slack");
+    bench::Report report("wcet_slack");
     report.add_config("VT", config);
     ExperimentRunner runner(config);
     const std::size_t jobs = default_jobs();

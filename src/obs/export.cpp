@@ -1,7 +1,6 @@
 #include "obs/export.hpp"
 
-#include <cmath>
-#include <cstdio>
+#include <algorithm>
 #include <istream>
 #include <ostream>
 
@@ -10,40 +9,6 @@
 
 namespace rmwp::obs {
 namespace {
-
-/// Round-trip double formatting (same convention as the bench artefacts).
-void write_double(std::ostream& out, double d) {
-    if (!std::isfinite(d)) {
-        out << "null";
-        return;
-    }
-    char buffer[32];
-    std::snprintf(buffer, sizeof buffer, "%.17g", d);
-    out << buffer;
-}
-
-void write_json_string(std::ostream& out, std::string_view s) {
-    out << '"';
-    for (const char c : s) {
-        switch (c) {
-        case '"': out << "\\\""; break;
-        case '\\': out << "\\\\"; break;
-        case '\n': out << "\\n"; break;
-        case '\t': out << "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buffer[8];
-                std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                              static_cast<unsigned>(static_cast<unsigned char>(c)));
-                out << buffer;
-            } else {
-                out << c;
-            }
-            break;
-        }
-    }
-    out << '"';
-}
 
 std::string lane_name(const ExportOptions& options, std::int64_t resource) {
     const auto index = static_cast<std::size_t>(resource);
@@ -72,20 +37,11 @@ constexpr double kMsToUs = 1000.0; // simulated ms -> trace microseconds
 } // namespace
 
 void append_event_jsonl(std::string& out, const TraceEvent& event, bool include_host_time) {
-    char buffer[64];
-    const auto append_double = [&](double d) {
-        if (!std::isfinite(d)) {
-            out += "null";
-            return;
-        }
-        std::snprintf(buffer, sizeof buffer, "%.17g", d);
-        out += buffer;
-    };
     out += "{\"t_sim\":";
-    append_double(event.t_sim);
+    append_json_number(out, event.t_sim);
     if (include_host_time) {
         out += ",\"t_host\":";
-        append_double(event.t_host);
+        append_json_number(out, event.t_host);
     }
     // Event kind names are [a-z_] by construction — no string escaping.
     out += ",\"kind\":\"";
@@ -97,7 +53,7 @@ void append_event_jsonl(std::string& out, const TraceEvent& event, bool include_
     if (event.resource < 0) out += "null";
     else out += std::to_string(event.resource);
     out += ",\"detail\":";
-    append_double(event.detail);
+    append_json_number(out, event.detail);
     out += ",\"aux\":";
     out += std::to_string(event.aux);
     out += "}\n";
@@ -152,28 +108,28 @@ std::vector<TraceEvent> read_events_jsonl(std::istream& in) {
         if (task == nullptr) fail("missing field \"task\"");
         if (task->is_null()) {
             event.task = kNoTask;
-        } else if (task->is_number() && task->as_number() >= 0.0) {
-            event.task = static_cast<std::uint64_t>(task->as_number());
+        } else if (task->is_uint64()) {
+            event.task = task->as_uint64();
         } else {
-            fail("field \"task\" must be null or a non-negative number");
+            fail("field \"task\" must be null or a non-negative integer");
         }
 
         const JsonValue* resource = value.find("resource");
         if (resource == nullptr) fail("missing field \"resource\"");
         if (resource->is_null()) {
             event.resource = kNoResource;
-        } else if (resource->is_number() && resource->as_number() >= 0.0) {
-            event.resource = static_cast<std::int64_t>(resource->as_number());
+        } else if (resource->is_uint64()) {
+            event.resource = static_cast<std::int64_t>(resource->as_uint64());
         } else {
-            fail("field \"resource\" must be null or a non-negative number");
+            fail("field \"resource\" must be null or a non-negative integer");
         }
 
         event.detail = number_field("detail");
 
-        const double aux = number_field("aux");
-        if (aux < 0.0 || aux > 4294967295.0 || aux != std::floor(aux))
+        const JsonValue* aux = value.find("aux");
+        if (aux == nullptr || !aux->is_uint64() || aux->as_uint64() > 0xFFFFFFFFu)
             fail("field \"aux\" must be an unsigned 32-bit integer");
-        event.aux = static_cast<std::uint32_t>(aux);
+        event.aux = static_cast<std::uint32_t>(aux->as_uint64());
 
         if (const JsonValue* host = value.find("t_host")) {
             if (!host->is_number()) fail("field \"t_host\" must be a number");
@@ -187,6 +143,7 @@ std::vector<TraceEvent> read_events_jsonl(std::istream& in) {
 namespace {
 
 /// Emitter for one trace_event record; tracks the need for separators.
+/// Each record is formatted into a reused buffer and streamed out whole.
 class ChromeWriter {
 public:
     explicit ChromeWriter(std::ostream& out) : out_(out) { out_ << "{\"traceEvents\": [\n"; }
@@ -194,40 +151,50 @@ public:
     void finish() { out_ << "\n]}\n"; }
 
     void metadata(std::int64_t tid, const std::string& name) {
-        begin();
-        out_ << R"({"ph": "M", "pid": 0, "tid": )" << tid
-             << R"(, "name": "thread_name", "args": {"name": )";
-        write_json_string(out_, name);
-        out_ << "}}";
+        begin(tid, "M", "thread_name");
+        record_ += R"(, "args": {"name": )";
+        append_json_string(record_, name);
+        record_ += '}';
+        end();
     }
 
     void complete(std::int64_t tid, const std::string& name, double ts_us, double dur_us) {
-        begin();
-        out_ << R"({"ph": "X", "pid": 0, "tid": )" << tid << ", \"name\": ";
-        write_json_string(out_, name);
-        out_ << ", \"ts\": ";
-        write_double(out_, ts_us);
-        out_ << ", \"dur\": ";
-        write_double(out_, dur_us);
-        out_ << "}";
+        begin(tid, "X", name);
+        record_ += ", \"ts\": ";
+        append_json_number(record_, ts_us);
+        record_ += ", \"dur\": ";
+        append_json_number(record_, dur_us);
+        end();
     }
 
     void instant(std::int64_t tid, const std::string& name, double ts_us) {
-        begin();
-        out_ << R"({"ph": "i", "pid": 0, "tid": )" << tid << ", \"name\": ";
-        write_json_string(out_, name);
-        out_ << ", \"ts\": ";
-        write_double(out_, ts_us);
-        out_ << R"(, "s": "t"})";
+        begin(tid, "i", name);
+        record_ += ", \"ts\": ";
+        append_json_number(record_, ts_us);
+        record_ += R"(, "s": "t")";
+        end();
     }
 
 private:
-    void begin() {
-        if (!first_) out_ << ",\n";
+    void begin(std::int64_t tid, const char* phase, std::string_view name) {
+        record_.clear();
+        if (!first_) record_ += ",\n";
         first_ = false;
+        record_ += R"({"ph": ")";
+        record_ += phase;
+        record_ += R"(", "pid": 0, "tid": )";
+        record_ += std::to_string(tid);
+        record_ += ", \"name\": ";
+        append_json_string(record_, name);
+    }
+
+    void end() {
+        record_ += '}';
+        out_ << record_;
     }
 
     std::ostream& out_;
+    std::string record_;
     bool first_ = true;
 };
 

@@ -1,11 +1,108 @@
 #include "obs/json.hpp"
 
-#include <cerrno>
+#include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 namespace rmwp::obs {
+
+void append_json_string(std::string& out, std::string_view s) {
+    out += '"';
+    for (const char c : s) {
+        switch (c) {
+        case '"': out += "\\\""; break;
+        case '\\': out += "\\\\"; break;
+        case '\n': out += "\\n"; break;
+        case '\t': out += "\\t"; break;
+        default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buffer[8];
+                std::snprintf(buffer, sizeof buffer, "\\u%04x",
+                              static_cast<unsigned>(static_cast<unsigned char>(c)));
+                out += buffer;
+            } else {
+                out += c;
+            }
+            break;
+        }
+    }
+    out += '"';
+}
+
+void append_json_number(std::string& out, double d) {
+    if (!std::isfinite(d)) {
+        out += "null";
+        return;
+    }
+    char buffer[32];
+    std::snprintf(buffer, sizeof buffer, "%.17g", d);
+    out += buffer;
+}
+
+double JsonValue::as_number() const {
+    if (const auto* u = std::get_if<std::uint64_t>(&value_)) return static_cast<double>(*u);
+    if (const auto* i = std::get_if<std::int64_t>(&value_)) return static_cast<double>(*i);
+    return std::get<double>(value_);
+}
+
+JsonValue& JsonValue::set(std::string key, JsonValue value) & {
+    std::get<Object>(value_).emplace_back(std::move(key), std::move(value));
+    return *this;
+}
+
+JsonValue& JsonValue::push(JsonValue value) {
+    std::get<Array>(value_).push_back(std::move(value));
+    return *this;
+}
+
+std::string JsonValue::dump(int indent) const {
+    std::string out;
+    dump_to(out, indent, 0);
+    return out;
+}
+
+void JsonValue::dump_to(std::string& out, int indent, int depth) const {
+    const auto newline = [&](int level) {
+        if (indent < 0) return;
+        out += '\n';
+        out.append(static_cast<std::size_t>(indent) * static_cast<std::size_t>(level), ' ');
+    };
+    if (const auto* b = std::get_if<bool>(&value_)) {
+        out += *b ? "true" : "false";
+    } else if (const auto* d = std::get_if<double>(&value_)) {
+        append_json_number(out, *d);
+    } else if (const auto* u = std::get_if<std::uint64_t>(&value_)) {
+        out += std::to_string(*u);
+    } else if (const auto* i = std::get_if<std::int64_t>(&value_)) {
+        out += std::to_string(*i);
+    } else if (const auto* s = std::get_if<std::string>(&value_)) {
+        append_json_string(out, *s);
+    } else if (const auto* array = std::get_if<Array>(&value_)) {
+        out += '[';
+        for (std::size_t k = 0; k < array->size(); ++k) {
+            if (k > 0) out += ',';
+            newline(depth + 1);
+            (*array)[k].dump_to(out, indent, depth + 1);
+        }
+        if (!array->empty()) newline(depth);
+        out += ']';
+    } else if (const auto* object = std::get_if<Object>(&value_)) {
+        out += '{';
+        for (std::size_t k = 0; k < object->size(); ++k) {
+            if (k > 0) out += ',';
+            newline(depth + 1);
+            append_json_string(out, (*object)[k].first);
+            out += indent < 0 ? ":" : ": ";
+            (*object)[k].second.dump_to(out, indent, depth + 1);
+        }
+        if (!object->empty()) newline(depth);
+        out += '}';
+    } else {
+        out += "null";
+    }
+}
+
 namespace {
 
 /// Recursive-descent parser with explicit depth limiting (fuzzed inputs
@@ -82,32 +179,58 @@ private:
         return value;
     }
 
+    [[nodiscard]] bool at_digit() const noexcept {
+        return !at_end() && text_[pos_] >= '0' && text_[pos_] <= '9';
+    }
+
+    /// RFC 8259 number: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
     JsonValue parse_number() {
         const std::size_t start = pos_;
-        if (!at_end() && text_[pos_] == '-') (void)take();
-        bool any_digit = false;
+        const bool negative = !at_end() && text_[pos_] == '-';
+        if (negative) (void)take();
         const auto digits = [&] {
-            while (!at_end() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-                (void)take();
-                any_digit = true;
-            }
+            std::size_t count = 0;
+            for (; at_digit(); ++count) (void)take();
+            return count;
         };
-        digits();
+        if (!at_digit()) fail("invalid number");
+        if (take() == '0' && at_digit()) fail("invalid number: leading zero");
+        (void)digits();
+        bool integral = true;
         if (!at_end() && text_[pos_] == '.') {
             (void)take();
-            digits();
+            integral = false;
+            if (digits() == 0) fail("invalid number: no digit after '.'");
         }
         if (!at_end() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
             (void)take();
+            integral = false;
             if (!at_end() && (text_[pos_] == '+' || text_[pos_] == '-')) (void)take();
-            digits();
+            if (digits() == 0) fail("invalid number: no digit in exponent");
         }
-        if (!any_digit) fail("invalid number");
         const std::string token(text_.substr(start, pos_ - start));
-        errno = 0;
+        const char* const first = token.data();
+        const char* const last = first + token.size();
+        // Integers stay exact; "-0" and out-of-range ones fall through to
+        // double (the former keeps its sign).
+        if (integral && token != "-0") {
+            if (negative) {
+                std::int64_t value = 0;
+                if (const auto [end, ec] = std::from_chars(first, last, value);
+                    ec == std::errc() && end == last)
+                    return JsonValue(value);
+            } else {
+                std::uint64_t value = 0;
+                if (const auto [end, ec] = std::from_chars(first, last, value);
+                    ec == std::errc() && end == last)
+                    return JsonValue(value);
+            }
+        }
+        // Underflow rounds to the nearest subnormal (or zero), as every
+        // written subnormal must read back; only overflow is unrepresentable.
         char* end = nullptr;
-        const double value = std::strtod(token.c_str(), &end);
-        if (end != token.c_str() + token.size() || errno == ERANGE || !std::isfinite(value))
+        const double value = std::strtod(first, &end);
+        if (end != last || !std::isfinite(value))
             fail("unrepresentable number '" + token + "'");
         return JsonValue(value);
     }

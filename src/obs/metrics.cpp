@@ -1,42 +1,8 @@
 #include "obs/metrics.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
-#include "util/check.hpp"
-
 namespace rmwp::obs {
-
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
-    if (bounds_.empty())
-        throw std::invalid_argument("obs: Histogram needs at least one bucket bound");
-    for (std::size_t i = 0; i < bounds_.size(); ++i) {
-        if (!std::isfinite(bounds_[i]))
-            throw std::invalid_argument("obs: Histogram bound " + std::to_string(i) +
-                                        " is not finite");
-        if (i > 0 && bounds_[i] <= bounds_[i - 1])
-            throw std::invalid_argument(
-                "obs: Histogram bounds must be strictly increasing (bound " +
-                std::to_string(i) + " = " + std::to_string(bounds_[i]) +
-                " does not exceed its predecessor " + std::to_string(bounds_[i - 1]) + ")");
-    }
-    counts_.assign(bounds_.size() + 1, 0);
-}
-
-void Histogram::record(double v) noexcept {
-    // Right-closed buckets: v lands in the first bucket whose upper bound
-    // is >= v; strictly above the last bound is overflow.
-    std::size_t bucket = bounds_.size();
-    for (std::size_t i = 0; i < bounds_.size(); ++i) {
-        if (v <= bounds_[i]) {
-            bucket = i;
-            break;
-        }
-    }
-    ++counts_[bucket];
-    ++count_;
-    sum_ += v;
-}
 
 namespace {
 
@@ -58,7 +24,6 @@ void MetricsRegistry::reject_cross_kind(std::string_view name, std::string_view 
     };
     if (kind != "counter" && find_by_name(counters_, name) != nullptr) held_as("counter");
     if (kind != "gauge" && find_by_name(gauges_, name) != nullptr) held_as("gauge");
-    if (kind != "histogram" && find_by_name(histograms_, name) != nullptr) held_as("histogram");
     if (kind != "hdr histogram" && find_by_name(hdrs_, name) != nullptr)
         held_as("hdr histogram");
 }
@@ -77,20 +42,6 @@ Gauge& MetricsRegistry::gauge(std::string_view name, MetricScope scope) {
     return *gauges_.back().instrument;
 }
 
-Histogram& MetricsRegistry::histogram(std::string_view name, std::vector<double> bounds,
-                                      MetricScope scope) {
-    if (auto* entry = find_by_name(histograms_, name)) {
-        if (entry->instrument->bounds() != bounds)
-            throw std::invalid_argument("obs: histogram '" + std::string(name) +
-                                        "' re-registered with different bucket bounds");
-        return *entry->instrument;
-    }
-    reject_cross_kind(name, "histogram");
-    histograms_.push_back(
-        {std::string(name), scope, std::make_unique<Histogram>(std::move(bounds))});
-    return *histograms_.back().instrument;
-}
-
 HdrHistogram& MetricsRegistry::hdr(std::string_view name, MetricScope scope) {
     if (auto* entry = find_by_name(hdrs_, name)) return *entry->instrument;
     reject_cross_kind(name, "hdr histogram");
@@ -106,11 +57,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     snap.gauges.reserve(gauges_.size());
     for (const auto& entry : gauges_)
         snap.gauges.push_back({entry.name, entry.scope, entry.instrument->value()});
-    snap.histograms.reserve(histograms_.size());
-    for (const auto& entry : histograms_)
-        snap.histograms.push_back({entry.name, entry.scope, entry.instrument->bounds(),
-                                   entry.instrument->buckets(), entry.instrument->count(),
-                                   entry.instrument->sum()});
     snap.hdrs.reserve(hdrs_.size());
     for (const auto& entry : hdrs_)
         snap.hdrs.push_back({entry.name, entry.scope, entry.instrument->cells(),
@@ -119,10 +65,10 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     return snap;
 }
 
-std::uint64_t MetricsSnapshot::HdrValue::quantile(double q) const {
-    HdrHistogram dense;
-    dense.load(cells, sum, min, max);
-    return dense.quantile(q);
+HdrHistogram MetricsSnapshot::HdrValue::dense() const {
+    HdrHistogram out;
+    out.load(cells, sum, min, max);
+    return out;
 }
 
 void MetricsSnapshot::merge(const MetricsSnapshot& other) {
@@ -134,18 +80,6 @@ void MetricsSnapshot::merge(const MetricsSnapshot& other) {
         if (auto* mine = find_by_name(gauges, theirs.name)) mine->value += theirs.value;
         else gauges.push_back(theirs);
     }
-    for (const HistogramValue& theirs : other.histograms) {
-        auto* mine = find_by_name(histograms, theirs.name);
-        if (mine == nullptr) {
-            histograms.push_back(theirs);
-            continue;
-        }
-        RMWP_EXPECT(mine->bounds == theirs.bounds);
-        for (std::size_t i = 0; i < mine->buckets.size(); ++i)
-            mine->buckets[i] += theirs.buckets[i];
-        mine->count += theirs.count;
-        mine->sum += theirs.sum;
-    }
     for (const HdrValue& theirs : other.hdrs) {
         auto* mine = find_by_name(hdrs, theirs.name);
         if (mine == nullptr) {
@@ -154,11 +88,8 @@ void MetricsSnapshot::merge(const MetricsSnapshot& other) {
         }
         // The shared fixed geometry makes the merge a sparse bucket-wise
         // sum; route it through the dense form to keep cells ordered.
-        HdrHistogram merged;
-        merged.load(mine->cells, mine->sum, mine->min, mine->max);
-        HdrHistogram addend;
-        addend.load(theirs.cells, theirs.sum, theirs.min, theirs.max);
-        merged.merge(addend);
+        HdrHistogram merged = mine->dense();
+        merged.merge(theirs.dense());
         mine->cells = merged.cells();
         mine->count = merged.count();
         mine->sum = merged.sum();
@@ -175,11 +106,6 @@ const MetricsSnapshot::CounterValue* MetricsSnapshot::find_counter(
 const MetricsSnapshot::GaugeValue* MetricsSnapshot::find_gauge(
     std::string_view name) const noexcept {
     return find_by_name(gauges, name);
-}
-
-const MetricsSnapshot::HistogramValue* MetricsSnapshot::find_histogram(
-    std::string_view name) const noexcept {
-    return find_by_name(histograms, name);
 }
 
 const MetricsSnapshot::HdrValue* MetricsSnapshot::find_hdr(
@@ -213,22 +139,6 @@ bool deterministic_equal(const MetricsSnapshot& a, const MetricsSnapshot& b) {
     if (ga.size() != gb.size()) return false;
     for (std::size_t i = 0; i < ga.size(); ++i)
         if (ga[i]->name != gb[i]->name || ga[i]->value != gb[i]->value) return false;
-
-    const auto sim_histograms = [](const MetricsSnapshot& s) {
-        std::vector<const MetricsSnapshot::HistogramValue*> out;
-        for (const auto& h : s.histograms)
-            if (h.scope == MetricScope::sim) out.push_back(&h);
-        return out;
-    };
-    const auto ha = sim_histograms(a);
-    const auto hb = sim_histograms(b);
-    if (ha.size() != hb.size()) return false;
-    for (std::size_t i = 0; i < ha.size(); ++i) {
-        if (ha[i]->name != hb[i]->name || ha[i]->bounds != hb[i]->bounds ||
-            ha[i]->buckets != hb[i]->buckets || ha[i]->count != hb[i]->count ||
-            ha[i]->sum != hb[i]->sum)
-            return false;
-    }
 
     const auto sim_hdrs = [](const MetricsSnapshot& s) {
         std::vector<const MetricsSnapshot::HdrValue*> out;

@@ -1,5 +1,5 @@
-// Metrics registry (DESIGN.md §10): named counters, gauges, and
-// fixed-bucket histograms owned by one TraceSink (and therefore by one
+// Metrics registry (DESIGN.md §10): named counters, gauges, and HDR
+// histograms owned by one TraceSink (and therefore by one
 // simulation run — single-threaded by construction, no locks anywhere).
 //
 // Metrics come in two scopes.  `sim` metrics derive exclusively from
@@ -46,31 +46,6 @@ private:
     double value_ = 0.0;
 };
 
-/// Fixed-bucket histogram.  Bucket i counts values v with
-/// bounds[i-1] < v <= bounds[i] (right-closed); one implicit overflow
-/// bucket counts v > bounds.back().  Bounds are fixed at registration so
-/// snapshots from different traces merge bucket-by-bucket.
-class Histogram {
-public:
-    /// Throws std::invalid_argument unless bounds are non-empty, finite,
-    /// and strictly increasing (equal or NaN bounds would make bucket
-    /// assignment ambiguous and snapshots unmergeable).
-    explicit Histogram(std::vector<double> bounds);
-
-    void record(double v) noexcept;
-    [[nodiscard]] const std::vector<double>& bounds() const noexcept { return bounds_; }
-    /// bounds().size() + 1 entries; the last is the overflow bucket.
-    [[nodiscard]] const std::vector<std::uint64_t>& buckets() const noexcept { return counts_; }
-    [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
-    [[nodiscard]] double sum() const noexcept { return sum_; }
-
-private:
-    std::vector<double> bounds_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-};
-
 /// Immutable copy of a registry's state, safe to move across threads and
 /// embed in TraceResult.  Entries keep registration order so artefacts
 /// diff cleanly between runs.
@@ -85,14 +60,6 @@ struct MetricsSnapshot {
         MetricScope scope = MetricScope::sim;
         double value = 0.0;
     };
-    struct HistogramValue {
-        std::string name;
-        MetricScope scope = MetricScope::sim;
-        std::vector<double> bounds;
-        std::vector<std::uint64_t> buckets;
-        std::uint64_t count = 0;
-        double sum = 0.0;
-    };
     /// Sparse HDR histogram state (bucket geometry is global, so cells +
     /// exact extrema reconstruct the full histogram; see obs/hdr.hpp).
     struct HdrValue {
@@ -104,27 +71,25 @@ struct MetricsSnapshot {
         std::uint64_t min = 0;
         std::uint64_t max = 0;
 
-        [[nodiscard]] std::uint64_t quantile(double q) const;
+        /// Dense form, for quantiles and rendering.
+        [[nodiscard]] HdrHistogram dense() const;
     };
 
     std::vector<CounterValue> counters;
     std::vector<GaugeValue> gauges;
-    std::vector<HistogramValue> histograms;
     std::vector<HdrValue> hdrs;
 
     [[nodiscard]] bool empty() const noexcept {
-        return counters.empty() && gauges.empty() && histograms.empty() && hdrs.empty();
+        return counters.empty() && gauges.empty() && hdrs.empty();
     }
 
     /// Sum `other` into this snapshot, matching entries by name (counters
-    /// and gauges add; histograms require identical bounds and add
-    /// bucket-wise).  Entries missing on either side are kept/appended, so
+    /// and gauges add; HDR histograms add bucket-wise).  Entries missing on either side are kept/appended, so
     /// merging per-trace snapshots yields the whole-experiment totals.
     void merge(const MetricsSnapshot& other);
 
     [[nodiscard]] const CounterValue* find_counter(std::string_view name) const noexcept;
     [[nodiscard]] const GaugeValue* find_gauge(std::string_view name) const noexcept;
-    [[nodiscard]] const HistogramValue* find_histogram(std::string_view name) const noexcept;
     [[nodiscard]] const HdrValue* find_hdr(std::string_view name) const noexcept;
 
     [[nodiscard]] std::uint64_t counter_value(std::string_view name) const noexcept {
@@ -148,15 +113,12 @@ public:
     MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
     /// Find-or-create.  Re-registering an existing name with the same kind
-    /// (and, for histograms, the same bounds) returns the original
-    /// instrument.  Registering a name already held by a *different* kind
-    /// — or a histogram with different bounds — throws
-    /// std::invalid_argument: two instruments sharing one name would
-    /// silently shadow each other in snapshots and `/metrics` output.
+    /// returns the original instrument.  Registering a name already held by
+    /// a *different* kind throws std::invalid_argument: two instruments
+    /// sharing one name would silently shadow each other in snapshots and
+    /// `/metrics` output.  `hdr` is the registry's only histogram.
     [[nodiscard]] Counter& counter(std::string_view name, MetricScope scope = MetricScope::sim);
     [[nodiscard]] Gauge& gauge(std::string_view name, MetricScope scope = MetricScope::sim);
-    [[nodiscard]] Histogram& histogram(std::string_view name, std::vector<double> bounds,
-                                       MetricScope scope = MetricScope::sim);
     [[nodiscard]] HdrHistogram& hdr(std::string_view name,
                                     MetricScope scope = MetricScope::sim);
 
@@ -176,7 +138,6 @@ private:
 
     std::vector<Entry<Counter>> counters_;
     std::vector<Entry<Gauge>> gauges_;
-    std::vector<Entry<Histogram>> histograms_;
     std::vector<Entry<HdrHistogram>> hdrs_;
 };
 

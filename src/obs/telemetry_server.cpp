@@ -7,7 +7,7 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
@@ -30,15 +30,25 @@ std::string prometheus_name(std::string_view raw) {
 
 namespace {
 
+/// Prometheus spells the non-finite values NaN, +Inf and -Inf.
 void append_double(std::string& out, double d) {
-    if (d != d) {
-        out += "NaN";
-        return;
-    }
-    char buffer[40];
-    std::snprintf(buffer, sizeof buffer, "%.17g", d);
-    out += buffer;
+    if (std::isnan(d)) out += "NaN";
+    else if (std::isinf(d)) out += d > 0.0 ? "+Inf" : "-Inf";
+    else append_json_number(out, d);
 }
+
+/// The quantiles every HDR summary reports, in /metrics and in JSON.
+struct SummaryQuantile {
+    double q;
+    const char* label;
+    const char* key;
+};
+constexpr SummaryQuantile kSummaryQuantiles[] = {
+    {0.5, "quantile=\"0.5\"", "p50"},
+    {0.9, "quantile=\"0.9\"", "p90"},
+    {0.99, "quantile=\"0.99\"", "p99"},
+    {0.999, "quantile=\"0.999\"", "p999"},
+};
 
 } // namespace
 
@@ -83,6 +93,19 @@ void PrometheusText::sample(std::string_view name, std::string_view labels,
     text_ += '\n';
 }
 
+void PrometheusText::summary(std::string_view name, std::string_view help,
+                             const HdrHistogram& hdr, double ticks_per_unit) {
+    family(name, help, "summary");
+    const auto ticks = [&](std::string_view labels, std::uint64_t value,
+                           std::string_view suffix) {
+        if (ticks_per_unit == 1.0) sample(name, labels, value, suffix);
+        else sample(name, labels, static_cast<double>(value) / ticks_per_unit, suffix);
+    };
+    for (const SummaryQuantile& q : kSummaryQuantiles) ticks(q.label, hdr.quantile(q.q), "");
+    ticks("", hdr.sum(), "_sum");
+    sample(name, "", hdr.count(), "_count");
+}
+
 void render_metrics(PrometheusText& out, const MetricsSnapshot& snapshot,
                     std::string_view prefix) {
     const auto full = [&](std::string_view raw) {
@@ -98,32 +121,28 @@ void render_metrics(PrometheusText& out, const MetricsSnapshot& snapshot,
         out.family(name, "engine gauge " + gauge.name, "gauge");
         out.sample(name, "", gauge.value);
     }
-    for (const auto& histogram : snapshot.histograms) {
-        const std::string name = full(histogram.name);
-        out.family(name, "engine histogram " + histogram.name, "histogram");
-        std::uint64_t cumulative = 0;
-        for (std::size_t i = 0; i < histogram.bounds.size(); ++i) {
-            cumulative += histogram.buckets[i];
-            std::string label = "le=\"";
-            append_double(label, histogram.bounds[i]);
-            label += '"';
-            out.sample(name, label, cumulative, "_bucket");
-        }
-        out.sample(name, "le=\"+Inf\"", histogram.count, "_bucket");
-        out.sample(name, "", histogram.sum, "_sum");
-        out.sample(name, "", histogram.count, "_count");
-    }
+    for (const auto& hdr : snapshot.hdrs)
+        out.summary(full(hdr.name), "HDR histogram " + hdr.name, hdr.dense());
+}
+
+JsonValue metrics_json(const MetricsSnapshot& snapshot) {
+    JsonValue counters = JsonValue::object();
+    for (const auto& counter : snapshot.counters) counters.set(counter.name, counter.value);
+    JsonValue gauges = JsonValue::object();
+    for (const auto& gauge : snapshot.gauges) gauges.set(gauge.name, gauge.value);
+    JsonValue histograms = JsonValue::object();
     for (const auto& hdr : snapshot.hdrs) {
-        const std::string name = full(hdr.name);
-        out.family(name, "HDR histogram " + hdr.name, "summary");
-        for (const double q : {0.5, 0.9, 0.99, 0.999}) {
-            char label[32];
-            std::snprintf(label, sizeof label, "quantile=\"%g\"", q);
-            out.sample(name, label, hdr.quantile(q));
-        }
-        out.sample(name, "", hdr.sum, "_sum");
-        out.sample(name, "", hdr.count, "_count");
+        const HdrHistogram dense = hdr.dense();
+        JsonValue h = JsonValue::object();
+        h.set("count", dense.count()).set("sum", dense.sum());
+        h.set("min", dense.min()).set("max", dense.max());
+        for (const SummaryQuantile& q : kSummaryQuantiles) h.set(q.key, dense.quantile(q.q));
+        histograms.set(hdr.name, std::move(h));
     }
+    return JsonValue::object()
+        .set("counters", std::move(counters))
+        .set("gauges", std::move(gauges))
+        .set("histograms", std::move(histograms));
 }
 
 void render_stage_stats(PrometheusText& out, const StageStats& stages,

@@ -12,7 +12,8 @@
 // PrometheusText is the exposition builder the /metrics handler (and the
 // strict parse-back test) use: every metric family gets exactly one
 // HELP/TYPE header before its samples, names are sanitised to the
-// Prometheus grammar, and doubles are emitted round-trippably.
+// Prometheus grammar, doubles are emitted round-trippably, and every HDR
+// histogram renders through the one summary() helper.
 #pragma once
 
 #include <atomic>
@@ -22,6 +23,7 @@
 #include <string_view>
 #include <thread>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stage_timer.hpp"
 
@@ -36,7 +38,7 @@ namespace rmwp::obs {
 class PrometheusText {
 public:
     /// Start a metric family: emits "# HELP" and "# TYPE" lines.  `type`
-    /// is one of counter/gauge/histogram/summary/untyped.
+    /// is one of counter/gauge/summary/untyped.
     void family(std::string_view name, std::string_view help, std::string_view type);
     /// One sample line; `labels` is the rendered label body without braces
     /// (e.g. `stage="prefilter"`), empty for none, and `suffix` extends the
@@ -45,6 +47,12 @@ public:
                 std::string_view suffix = "");
     void sample(std::string_view name, std::string_view labels, std::uint64_t value,
                 std::string_view suffix = "");
+    /// A whole summary family from an HDR histogram: quantiles 0.5, 0.9,
+    /// 0.99 and 0.999, then _sum and _count.  Tick values (quantiles and
+    /// the sum) are divided by `ticks_per_unit` — 1000 renders nanosecond
+    /// ticks as microseconds; at 1 they print as exact integers.
+    void summary(std::string_view name, std::string_view help, const HdrHistogram& hdr,
+                 double ticks_per_unit = 1.0);
 
     [[nodiscard]] const std::string& text() const noexcept { return text_; }
     [[nodiscard]] std::string take() noexcept { return std::move(text_); }
@@ -53,12 +61,17 @@ private:
     std::string text_;
 };
 
-/// Render a MetricsSnapshot (counters/gauges/histograms/HDR histograms)
-/// under `prefix` ("rmwp_").  Counters get a "_total" suffix; histograms
-/// become Prometheus histograms with cumulative `le` buckets; HDR
-/// histograms become summaries with p50/p90/p99/p99.9 quantiles.
+/// Render a MetricsSnapshot (counters/gauges/HDR histograms) under
+/// `prefix` ("rmwp_").  Counters get a "_total" suffix; HDR histograms
+/// become summaries (PrometheusText::summary).
 void render_metrics(PrometheusText& out, const MetricsSnapshot& snapshot,
                     std::string_view prefix);
+
+/// The same snapshot as JSON (the BENCH artefacts' "obs" block):
+/// {"counters": {name: n}, "gauges": {name: x}, "histograms": {name:
+/// {count, sum, min, max, p50, p90, p99, p999}}} — the quantile set
+/// render_metrics uses.  Host-scoped entries are included.
+[[nodiscard]] JsonValue metrics_json(const MetricsSnapshot& snapshot);
 
 /// Render a stage profile: rmwp_stage_calls_total / rmwp_stage_time_ns_total
 /// (estimated; see StageStats::estimated_ns) labelled by stage, the

@@ -20,12 +20,6 @@ constexpr const char* kIndexName = "index.json";
     return buffer;
 }
 
-void append_json_double(std::string& out, double d) {
-    char buffer[32];
-    std::snprintf(buffer, sizeof buffer, "%.17g", d);
-    out += buffer;
-}
-
 } // namespace
 
 TraceStreamWriter::TraceStreamWriter(std::string directory, TraceStreamOptions options)
@@ -103,22 +97,24 @@ void TraceStreamWriter::seal_shard() {
 }
 
 void TraceStreamWriter::write_index() const {
-    std::string body = "{\"version\":1,\"shards\":[";
-    bool first = true;
-    const auto append_shard = [&](const ShardInfo& shard) {
-        if (!first) body += ',';
-        first = false;
-        body += "{\"file\":\"" + shard.file + "\",\"events\":" + std::to_string(shard.events) +
-                ",\"bytes\":" + std::to_string(shard.bytes) + ",\"first_t_sim\":";
-        append_json_double(body, shard.first_t_sim);
-        body += ",\"last_t_sim\":";
-        append_json_double(body, shard.last_t_sim);
-        body += '}';
+    JsonValue shards = JsonValue::array();
+    const auto add_shard = [&](const ShardInfo& shard) {
+        shards.push(JsonValue::object()
+                        .set("file", shard.file)
+                        .set("events", shard.events)
+                        .set("bytes", shard.bytes)
+                        .set("first_t_sim", shard.first_t_sim)
+                        .set("last_t_sim", shard.last_t_sim));
     };
-    for (const ShardInfo& shard : sealed_) append_shard(shard);
-    if (shard_open_) append_shard(current_);
-    body += "],\"total_events\":" + std::to_string(total_events_) +
-            ",\"total_bytes\":" + std::to_string(total_bytes_) + "}\n";
+    for (const ShardInfo& shard : sealed_) add_shard(shard);
+    if (shard_open_) add_shard(current_);
+    const std::string body = JsonValue::object()
+                                 .set("version", 1)
+                                 .set("shards", std::move(shards))
+                                 .set("total_events", total_events_)
+                                 .set("total_bytes", total_bytes_)
+                                 .dump() +
+                             "\n";
 
     const std::string tmp = directory_ + "/" + kIndexName + ".tmp";
     const std::string final_path = directory_ + "/" + kIndexName;
@@ -145,19 +141,19 @@ TraceStreamIndex TraceStreamIndex::load(const std::string& directory) {
 
     const JsonValue root = json_parse(text.str());
     if (!root.is_object()) throw std::runtime_error("trace stream index: not a JSON object");
-    const auto u64_field = [&](const JsonValue& object, const char* key) -> std::uint64_t {
+    const auto number_field = [&](const JsonValue& object, const char* key,
+                                  bool exact) -> const JsonValue& {
         const JsonValue* field = object.find(key);
-        if (field == nullptr || !field->is_number())
+        if (field == nullptr || !(exact ? field->is_uint64() : field->is_number()))
             throw std::runtime_error(std::string("trace stream index: missing numeric field \"") +
                                      key + "\"");
-        return static_cast<std::uint64_t>(field->as_number());
+        return *field;
     };
-    const auto double_field = [&](const JsonValue& object, const char* key) -> double {
-        const JsonValue* field = object.find(key);
-        if (field == nullptr || !field->is_number())
-            throw std::runtime_error(std::string("trace stream index: missing numeric field \"") +
-                                     key + "\"");
-        return field->as_number();
+    const auto u64_field = [&](const JsonValue& object, const char* key) {
+        return number_field(object, key, true).as_uint64();
+    };
+    const auto double_field = [&](const JsonValue& object, const char* key) {
+        return number_field(object, key, false).as_number();
     };
 
     TraceStreamIndex index;

@@ -364,17 +364,11 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
             gauge("rmwp_serve_shards", "sharded-admission solve buckets cap (--shards)",
                   rm.shard_config().shards);
 
-            // Service latency as a summary straight off the board's live HDR.
-            text.family("rmwp_serve_latency_us",
-                        "wall-clock service latency per backlog flush (microseconds)",
-                        "summary");
-            for (const double q : {0.5, 0.9, 0.99, 0.999}) {
-                char label[32];
-                std::snprintf(label, sizeof label, "quantile=\"%g\"", q);
-                text.sample("rmwp_serve_latency_us", label, board.latency.quantile_us(q));
-            }
-            text.sample("rmwp_serve_latency_us", "", board.latency.sum_us(), "_sum");
-            text.sample("rmwp_serve_latency_us", "", board.latency.count(), "_count");
+            // Service latency as a summary off a snapshot of the board's live
+            // HDR (nanosecond ticks, rendered in microseconds).
+            text.summary("rmwp_serve_latency_us",
+                         "wall-clock service latency per backlog flush (microseconds)",
+                         board.latency.snapshot(), 1000.0);
 
             gauge("rmwp_serve_healthy",
                   "1 while no invariant violation has been latched",
@@ -645,6 +639,45 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
         out.violation = violation->to_string();
     }
     return out;
+}
+
+obs::JsonValue serve_stats_json(const ServeResult& serve, const obs::StageStats* stages) {
+    const TraceResult& result = serve.result;
+    obs::JsonValue doc = obs::JsonValue::object();
+    doc.set("arrivals", serve.arrivals)
+        .set("accepted", result.accepted)
+        .set("rejected", result.rejected)
+        .set("shed", serve.shed)
+        .set("completed", result.completed)
+        .set("deadline_misses", result.deadline_misses)
+        .set("parse_errors", serve.parse_errors)
+        .set("total_energy", result.total_energy)
+        .set("wall_seconds", serve.wall_seconds)
+        .set("decisions_per_second",
+             serve.wall_seconds > 0.0
+                 ? static_cast<double>(result.requests) / serve.wall_seconds
+                 : 0.0)
+        .set("latency_p50_us", serve.latency_p50_us)
+        .set("latency_p90_us", serve.latency_p90_us)
+        .set("latency_p99_us", serve.latency_p99_us)
+        .set("latency_p999_us", serve.latency_p999_us)
+        .set("ring_occupancy", serve.ring_occupancy)
+        .set("ring_dropped", serve.ring_dropped)
+        .set("telemetry_requests", serve.telemetry_requests)
+        .set("predictor_predictions", serve.predictor_predictions)
+        .set("predictor_hits", serve.predictor_hits)
+        .set("monitor_checks", serve.monitor_checks)
+        .set("checkpoints_written", serve.checkpoints_written)
+        .set("stopped_by_signal", serve.stopped_by_signal);
+    if (stages != nullptr) {
+        // Same verdict names as /metrics' stage_prefilter_verdicts_total.
+        doc.set("prefilter_feasible", stages->prefilter_feasible)
+            .set("prefilter_infeasible", stages->prefilter_infeasible)
+            .set("prefilter_unknown", stages->prefilter_unknown)
+            .set("edf_simulate_calls", stages->cell(obs::Stage::edf_simulate).calls);
+    }
+    doc.set("exit_code", serve.exit_code);
+    return doc;
 }
 
 } // namespace rmwp

@@ -41,6 +41,7 @@
 #include "core/reservation.hpp"
 #include "fault/fault.hpp"
 #include "metrics/trace_result.hpp"
+#include "obs/json.hpp"
 #include "obs/stage_timer.hpp"
 #include "predict/predictor.hpp"
 #include "serve/arrival_source.hpp"
@@ -162,6 +163,13 @@ void install_serve_signal_handlers();
 void serve_request_stop() noexcept;
 /// Clear a pending stop request (between consecutive runs in one process).
 void serve_clear_stop() noexcept;
+
+/// The `--stats-json` document: the run's counts, energy, wall time and
+/// latency quantiles at full double precision, plus — when `stages` is
+/// non-null — the prefilter verdict counts and EDF simulation calls of the
+/// run's stage profile.
+[[nodiscard]] obs::JsonValue serve_stats_json(const ServeResult& serve,
+                                              const obs::StageStats* stages);
 
 /// Run the service until the source is exhausted, a bound is hit, a stop is
 /// requested, or the monitor trips.  Throws std::runtime_error for

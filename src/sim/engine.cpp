@@ -428,7 +428,7 @@ void SimEngine::commit_decision(const ArrivalContext& context, const Decision& d
 #ifdef RMWP_OBS
     if (options_.sink != nullptr) {
         // sim scope: the size of the instance the RM planned over.
-        ins_.plan_size->record(static_cast<double>(context.active.size() + 1));
+        ins_.plan_size->record(context.active.size() + 1);
     }
 #endif
 
@@ -536,14 +536,13 @@ void SimEngine::decide_batch_on(Time decision_time) {
         RMWP_ENSURE(batch_decisions_.size() == batch_items_.size());
 
 #ifdef RMWP_OBS
-        obs::stage_add_timed_ns(
-            obs::Stage::decide,
+        const auto decide_ns = static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(finished - started).count());
+        obs::stage_add_timed_ns(obs::Stage::decide, decide_ns);
         if (options_.sink != nullptr) {
             // host scope: one record per decide_batch call — on a coalesced
             // group the amortised cost is the quantity of interest.
-            ins_.admission_latency_us->record(
-                std::chrono::duration<double, std::micro>(finished - started).count());
+            ins_.admission_latency_ns->record(decide_ns);
         }
 #endif
     }
@@ -1075,10 +1074,11 @@ void SimEngine::init_obs() {
     ins_.busy_time.resize(platform_.size());
     for (ResourceId i = 0; i < platform_.size(); ++i)
         ins_.busy_time[i] = &m.gauge("busy_time." + std::to_string(i));
-    ins_.plan_size = &m.histogram("plan_size", {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
-    ins_.admission_latency_us =
-        &m.histogram("admission_latency_us", {1.0, 10.0, 100.0, 1000.0, 10000.0, 100000.0},
-                     obs::MetricScope::host);
+    // An HDR's cells, sum and extrema are exact functions of the samples,
+    // so deterministic_equal compares plan_size exactly (sizes below 64
+    // even get unit-width buckets).
+    ins_.plan_size = &m.hdr("plan_size");
+    ins_.admission_latency_ns = &m.hdr("admission_latency_ns", obs::MetricScope::host);
 }
 #endif
 

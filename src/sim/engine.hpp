@@ -44,7 +44,7 @@
 namespace rmwp::obs {
 class Counter;
 class Gauge;
-class Histogram;
+class HdrHistogram;
 } // namespace rmwp::obs
 
 namespace rmwp {
@@ -161,8 +161,8 @@ private:
         obs::Counter* sink_dropped = nullptr;
         obs::Gauge* sink_ring_occupancy = nullptr;
         std::vector<obs::Gauge*> busy_time; ///< indexed by ResourceId
-        obs::Histogram* plan_size = nullptr;
-        obs::Histogram* admission_latency_us = nullptr;
+        obs::HdrHistogram* plan_size = nullptr;
+        obs::HdrHistogram* admission_latency_ns = nullptr;
     };
 #endif
 

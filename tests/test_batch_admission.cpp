@@ -438,7 +438,7 @@ TEST(EngineBatch, CoalescedGroupsMatchSequentialArrivalsAtTheSameWake) {
 #ifdef RMWP_OBS
 /// A group whose every member missed its deadline before the wake is
 /// rejected without calling the RM, so it must leave no decision-latency
-/// sample behind: no admission_latency_us record, no decision_seconds.
+/// sample behind: no admission_latency_ns record, no decision_seconds.
 TEST(EngineBatch, AllDoomedGroupRecordsNoDecisionLatency) {
     StreamWorld world;
     obs::TraceSink sink(64);
@@ -456,8 +456,7 @@ TEST(EngineBatch, AllDoomedGroupRecordsNoDecisionLatency) {
     EXPECT_EQ(engine.result().decision_seconds, 0.0);
 
     const obs::MetricsSnapshot metrics = sink.metrics().snapshot();
-    const obs::MetricsSnapshot::HistogramValue* latency =
-        metrics.find_histogram("admission_latency_us");
+    const obs::MetricsSnapshot::HdrValue* latency = metrics.find_hdr("admission_latency_ns");
     ASSERT_NE(latency, nullptr);
     EXPECT_EQ(latency->count, 0u);
     EXPECT_EQ(metrics.counter_value("reject.deadline_passed"), 2u);

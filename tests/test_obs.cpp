@@ -6,9 +6,11 @@
 // artefacts are byte-identical for every jobs value.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -22,6 +24,7 @@
 #include "obs/export.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/telemetry_server.hpp"
 #include "obs/trace_sink.hpp"
 #include "predict/predictor.hpp"
 #include "sim/simulator.hpp"
@@ -73,20 +76,28 @@ TEST(TraceSink, TraceMacroToleratesNullSink) {
 // ---- metrics registry ----
 
 TEST(Metrics, HistogramBucketsAreRightClosed) {
+    // The registry's histogram is the HDR: unit-width buckets below 64,
+    // then 32 per power of two, each right-closed at its upper bound —
+    // bucket 64 holds 63 < v <= 65, bucket 65 holds 65 < v <= 67.
     obs::MetricsRegistry registry;
-    obs::Histogram& h = registry.histogram("h", {1.0, 2.0, 4.0});
-    h.record(0.5); // bucket 0: v <= 1
-    h.record(1.0); // bucket 0: right-closed at the bound
-    h.record(2.0); // bucket 1: 1 < v <= 2
-    h.record(4.0); // bucket 2: 2 < v <= 4
-    h.record(4.5); // overflow: v > 4
-    ASSERT_EQ(h.buckets().size(), 4u);
-    EXPECT_EQ(h.buckets()[0], 2u);
-    EXPECT_EQ(h.buckets()[1], 1u);
-    EXPECT_EQ(h.buckets()[2], 1u);
-    EXPECT_EQ(h.buckets()[3], 1u);
-    EXPECT_EQ(h.count(), 5u);
-    EXPECT_DOUBLE_EQ(h.sum(), 0.5 + 1.0 + 2.0 + 4.0 + 4.5);
+    obs::HdrHistogram& h = registry.hdr("h");
+    h.record(1);
+    h.record(1); // unit bucket: counted exactly
+    h.record(63);
+    h.record(64); // bucket 64
+    h.record(65); // bucket 64: right-closed at its upper bound
+    h.record(66); // bucket 65
+    const std::vector<obs::HdrCell> cells = h.cells();
+    ASSERT_EQ(cells.size(), 4u);
+    EXPECT_EQ(cells[0], (obs::HdrCell{1, 2}));
+    EXPECT_EQ(cells[1], (obs::HdrCell{63, 1}));
+    EXPECT_EQ(cells[2], (obs::HdrCell{64, 2}));
+    EXPECT_EQ(cells[3], (obs::HdrCell{65, 1}));
+    EXPECT_EQ(h.count(), 6u);
+    EXPECT_EQ(h.sum(), 1u + 1u + 63u + 64u + 65u + 66u);
+    EXPECT_EQ(h.quantile(0.5), 63u);  // rank 3: exact in the unit range
+    EXPECT_EQ(h.quantile(0.8), 65u);  // rank 5: bucket 64's upper bound
+    EXPECT_EQ(h.quantile(1.0), 66u);  // clamped to the exact maximum
 }
 
 TEST(Metrics, RegistryFindsOrCreatesAndSnapshotsInRegistrationOrder) {
@@ -119,12 +130,12 @@ TEST(Metrics, MergeSumsByNameAndAppendsMissing) {
     obs::MetricsRegistry ra;
     ra.counter("x").add(2);
     ra.gauge("busy").add(1.25);
-    ra.histogram("h", {1.0, 2.0}).record(0.5);
+    ra.hdr("h").record(1);
     obs::MetricsRegistry rb;
     rb.counter("x").add(3);
     rb.counter("y").add(1);
     rb.gauge("busy").add(0.75);
-    rb.histogram("h", {1.0, 2.0}).record(1.5);
+    rb.hdr("h").record(2);
 
     obs::MetricsSnapshot merged = ra.snapshot();
     merged.merge(rb.snapshot());
@@ -133,24 +144,111 @@ TEST(Metrics, MergeSumsByNameAndAppendsMissing) {
     const obs::MetricsSnapshot::GaugeValue* busy = merged.find_gauge("busy");
     ASSERT_NE(busy, nullptr);
     EXPECT_DOUBLE_EQ(busy->value, 2.0);
-    const obs::MetricsSnapshot::HistogramValue* h = merged.find_histogram("h");
+    const obs::MetricsSnapshot::HdrValue* h = merged.find_hdr("h");
     ASSERT_NE(h, nullptr);
     EXPECT_EQ(h->count, 2u);
-    EXPECT_EQ(h->buckets[0], 1u);
-    EXPECT_EQ(h->buckets[1], 1u);
+    EXPECT_EQ(h->cells, (std::vector<obs::HdrCell>{{1, 1}, {2, 1}}));
+    EXPECT_EQ(h->sum, 3u);
+    EXPECT_EQ(h->min, 1u);
+    EXPECT_EQ(h->max, 2u);
 }
 
 TEST(Metrics, DeterministicEqualIgnoresHostScope) {
     obs::MetricsRegistry ra;
     ra.counter("sim_events").add(4);
-    ra.histogram("latency_us", {1.0, 10.0}, obs::MetricScope::host).record(3.0);
+    ra.hdr("latency_ns", obs::MetricScope::host).record(3);
     obs::MetricsRegistry rb;
     rb.counter("sim_events").add(4);
-    rb.histogram("latency_us", {1.0, 10.0}, obs::MetricScope::host).record(9999.0);
+    rb.hdr("latency_ns", obs::MetricScope::host).record(9999);
 
     EXPECT_TRUE(obs::deterministic_equal(ra.snapshot(), rb.snapshot()));
     rb.counter("sim_events").add(); // sim-scoped divergence must be caught
     EXPECT_FALSE(obs::deterministic_equal(ra.snapshot(), rb.snapshot()));
+}
+
+TEST(Metrics, JsonExportSummarisesEveryHdr) {
+    obs::MetricsRegistry registry;
+    registry.counter("admit").add(7);
+    registry.gauge("busy_time.0").add(2.5);
+    obs::HdrHistogram& plan = registry.hdr("plan_size");
+    for (std::uint64_t v = 1; v <= 10; ++v) plan.record(v);
+    obs::HdrHistogram& latency = registry.hdr("admission_latency_ns", obs::MetricScope::host);
+    latency.record(1000);
+    latency.record(250000);
+    const obs::MetricsSnapshot snapshot = registry.snapshot();
+
+    const obs::JsonValue doc = obs::json_parse(obs::metrics_json(snapshot).dump(2));
+    EXPECT_EQ(doc.find("counters")->find("admit")->as_uint64(), 7u);
+    EXPECT_EQ(doc.find("gauges")->find("busy_time.0")->as_number(), 2.5);
+    const obs::JsonValue* histograms = doc.find("histograms");
+    ASSERT_NE(histograms, nullptr);
+    ASSERT_EQ(histograms->as_object().size(), 2u);
+    // Every HDR carries the quantile set /metrics renders, in this order.
+    const std::vector<std::string> keys = {"count", "sum", "min", "max",
+                                           "p50",   "p90", "p99", "p999"};
+    for (const auto& [name, h] : histograms->as_object()) {
+        SCOPED_TRACE(name);
+        const obs::HdrHistogram dense = snapshot.find_hdr(name)->dense();
+        std::vector<std::string> names;
+        for (const auto& member : h.as_object()) names.push_back(member.first);
+        EXPECT_EQ(names, keys);
+        EXPECT_EQ(h.find("count")->as_uint64(), dense.count());
+        EXPECT_EQ(h.find("sum")->as_uint64(), dense.sum());
+        EXPECT_EQ(h.find("p99")->as_uint64(), dense.quantile(0.99));
+        EXPECT_EQ(h.find("p999")->as_uint64(), dense.quantile(0.999));
+    }
+    // Unit buckets make the plan-size summary exact.
+    const obs::JsonValue* p = histograms->find("plan_size");
+    EXPECT_EQ(p->find("sum")->as_uint64(), 55u);
+    EXPECT_EQ(p->find("min")->as_uint64(), 1u);
+    EXPECT_EQ(p->find("max")->as_uint64(), 10u);
+    EXPECT_EQ(p->find("p50")->as_uint64(), 5u);
+    EXPECT_EQ(p->find("p90")->as_uint64(), 9u);
+    EXPECT_EQ(p->find("p99")->as_uint64(), 10u);
+}
+
+// ---- the JSON writer ----
+
+TEST(JsonWriter, CompactAndIndentedOutputParseBackIdentical) {
+    obs::JsonValue items = obs::JsonValue::array();
+    items.push(1).push(-2).push(0.25).push("x");
+    obs::JsonValue doc = obs::JsonValue::object();
+    doc.set("null", nullptr)
+        .set("flag", false)
+        .set("u64_max", std::numeric_limits<std::uint64_t>::max())
+        .set("i64_min", std::numeric_limits<std::int64_t>::min())
+        .set("third", 1.0 / 3.0)
+        .set("huge", 1.7976931348623157e308)
+        .set("tiny", std::numeric_limits<double>::denorm_min())
+        .set("control", "quote\" backslash\\ nl\n tab\t bell\x07 unit\x1f")
+        .set("empty_array", obs::JsonValue::array())
+        .set("empty_object", obs::JsonValue::object())
+        .set("items", std::move(items));
+
+    const std::string compact = doc.dump();
+    EXPECT_EQ(compact,
+              R"({"null":null,"flag":false,"u64_max":18446744073709551615,)"
+              R"("i64_min":-9223372036854775808,"third":0.33333333333333331,)"
+              R"("huge":1.7976931348623157e+308,"tiny":4.9406564584124654e-324,)"
+              R"("control":"quote\" backslash\\ nl\n tab\t bell\u0007 unit\u001f",)"
+              R"("empty_array":[],"empty_object":{},"items":[1,-2,0.25,"x"]})");
+    const std::string indented = doc.dump(2);
+    EXPECT_NE(indented.find("{\n  \"null\": null,\n  \"flag\": false,"), std::string::npos)
+        << indented;
+    EXPECT_NE(indented.find("\"items\": [\n    1,\n    -2,"), std::string::npos) << indented;
+    // Integers, doubles and strings all come back exactly: re-writing the
+    // parsed document reproduces the same bytes.
+    EXPECT_EQ(obs::json_parse(compact).dump(), compact);
+    EXPECT_EQ(obs::json_parse(indented).dump(), compact);
+    EXPECT_EQ(obs::json_parse(indented).dump(2), indented);
+}
+
+TEST(JsonWriter, NonFiniteNumbersAreWrittenAsNull) {
+    obs::JsonValue doc = obs::JsonValue::array();
+    doc.push(std::numeric_limits<double>::quiet_NaN())
+        .push(std::numeric_limits<double>::infinity())
+        .push(-std::numeric_limits<double>::infinity());
+    EXPECT_EQ(doc.dump(), "[null,null,null]");
 }
 
 // ---- the motivational scenario, fully instrumented ----
@@ -259,8 +357,7 @@ TEST(GoldenEvents, MotivationalScenarioPinnedSequence) {
     const obs::MetricsSnapshot::GaugeValue* busy = result.obs_metrics.find_gauge("busy_time.2");
     ASSERT_NE(busy, nullptr);
     EXPECT_DOUBLE_EQ(busy->value, 5.0);
-    const obs::MetricsSnapshot::HistogramValue* plan =
-        result.obs_metrics.find_histogram("plan_size");
+    const obs::MetricsSnapshot::HdrValue* plan = result.obs_metrics.find_hdr("plan_size");
     ASSERT_NE(plan, nullptr);
     EXPECT_EQ(plan->count, 2u); // one per RM decision
 }
@@ -632,8 +729,7 @@ TEST(ObsDifferential, EventStreamRecomputesTraceResultFigures) {
 
             // The plan-size histogram saw exactly one sample per RM decision
             // that reached the RM (deadline-passed pre-checks never do).
-            const obs::MetricsSnapshot::HistogramValue* plan =
-                metrics.find_histogram("plan_size");
+            const obs::MetricsSnapshot::HdrValue* plan = metrics.find_hdr("plan_size");
             ASSERT_NE(plan, nullptr);
             const std::uint64_t deadline_rejects =
                 metrics.counter_value("reject.deadline_passed");
@@ -660,6 +756,15 @@ TEST(ObsNegative, JsonParserRejectsMalformedInputWithPositions) {
         "\"bad\\q\"",
         "{\"a\" 1}",
         "nan",
+        // RFC 8259 number grammar: no leading zeros, digits on both sides
+        // of '.', digits after the exponent marker.
+        ".5",
+        "1.",
+        "01",
+        "-.5",
+        "-01",
+        "1.e3",
+        "00",
     };
     for (const char* input : bad) {
         SCOPED_TRACE(std::string("input: ") + input);
@@ -672,6 +777,14 @@ TEST(ObsNegative, JsonParserRejectsMalformedInputWithPositions) {
             EXPECT_NE(std::string(error.what()).find("json error at"), std::string::npos);
         }
     }
+    // The strict grammar still takes every well-formed number.
+    EXPECT_EQ(obs::json_parse("0").as_uint64(), 0u);
+    EXPECT_TRUE(std::signbit(obs::json_parse("-0").as_number()));
+    EXPECT_EQ(obs::json_parse("0.5").as_number(), 0.5);
+    EXPECT_EQ(obs::json_parse("1e-3").as_number(), 1e-3);
+    EXPECT_EQ(obs::json_parse("1E+2").as_number(), 100.0);
+    EXPECT_EQ(obs::json_parse("5e-324").as_number(), std::numeric_limits<double>::denorm_min());
+    EXPECT_THROW((void)obs::json_parse("1e400"), obs::json_error); // overflow
     // Errors point at the offending line, not just "somewhere".
     try {
         (void)obs::json_parse("{\n  \"a\": ?\n}");

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/heuristic_rm.hpp"
+#include "obs/json.hpp"
 #include "predict/online.hpp"
 #include "predict/predictor.hpp"
 #include "serve/serve.hpp"
@@ -545,6 +546,41 @@ TEST(Serve, CleanRunPassesTheMonitor) {
     EXPECT_EQ(serve.exit_code, 0);
     EXPECT_GE(serve.monitor_checks, 1u);
     EXPECT_TRUE(serve.violation.empty());
+}
+
+TEST(Serve, StatsJsonKeepsFullPrecision) {
+    ServeWorld world;
+    SyntheticSourceParams params;
+    params.seed = 17;
+    SyntheticArrivalSource source(world.catalog, params);
+    HeuristicRM rm;
+    NullPredictor predictor;
+    ServeConfig config;
+    config.max_arrivals = 200;
+    config.monitor = false;
+    obs::StageStats stages;
+    config.stage_stats_out = &stages;
+    const ServeResult serve =
+        run_serve(world.platform, world.catalog, rm, predictor, nullptr, source, config);
+    ASSERT_GT(serve.result.total_energy, 0.0);
+
+    // Parse the document back: every double survives bit-for-bit.
+    const obs::JsonValue doc = obs::json_parse(serve_stats_json(serve, &stages).dump(2));
+    EXPECT_EQ(doc.find("total_energy")->as_number(), serve.result.total_energy);
+    EXPECT_EQ(doc.find("wall_seconds")->as_number(), serve.wall_seconds);
+    EXPECT_EQ(doc.find("latency_p99_us")->as_number(), serve.latency_p99_us);
+    EXPECT_EQ(doc.find("arrivals")->as_uint64(), serve.arrivals);
+    EXPECT_EQ(doc.find("edf_simulate_calls")->as_uint64(),
+              stages.cell(obs::Stage::edf_simulate).calls);
+    // The keys CI reads.
+    for (const char* key : {"arrivals", "decisions_per_second", "stopped_by_signal", "exit_code",
+                            "telemetry_requests", "ring_dropped", "prefilter_unknown",
+                            "edf_simulate_calls"})
+        EXPECT_NE(doc.find(key), nullptr) << key;
+    // Without a stage profile the pipeline counters are left out.
+    const obs::JsonValue bare = obs::json_parse(serve_stats_json(serve, nullptr).dump());
+    EXPECT_EQ(bare.find("prefilter_unknown"), nullptr);
+    EXPECT_NE(bare.find("exit_code"), nullptr);
 }
 
 // ---- signal drain ----

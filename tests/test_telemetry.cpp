@@ -327,29 +327,17 @@ TEST(Hdr, CellsLoadRoundTripAndAtomicSnapshot) {
 
 // ---- registry validation (satellite) -----------------------------------
 
-TEST(Metrics, HistogramCtorRejectsBadBounds) {
-    EXPECT_THROW(obs::Histogram({}), std::invalid_argument);
-    EXPECT_THROW(obs::Histogram({1.0, 1.0}), std::invalid_argument);
-    EXPECT_THROW(obs::Histogram({2.0, 1.0}), std::invalid_argument);
-    EXPECT_THROW(obs::Histogram({1.0, std::numeric_limits<double>::infinity()}),
-                 std::invalid_argument);
-    EXPECT_THROW(obs::Histogram({std::numeric_limits<double>::quiet_NaN()}),
-                 std::invalid_argument);
-    EXPECT_NO_THROW(obs::Histogram({1.0, 2.0, 4.0}));
-}
-
-TEST(Metrics, RegistryRejectsCrossKindAndRespecifiedDuplicates) {
+TEST(Metrics, RegistryRejectsCrossKindDuplicates) {
     obs::MetricsRegistry registry;
     obs::Counter& counter = registry.counter("x");
     EXPECT_EQ(&registry.counter("x"), &counter); // same-kind find-or-create stays
     EXPECT_THROW((void)registry.gauge("x"), std::invalid_argument);
-    EXPECT_THROW((void)registry.histogram("x", {1.0, 2.0}), std::invalid_argument);
     EXPECT_THROW((void)registry.hdr("x"), std::invalid_argument);
 
-    obs::Histogram& histogram = registry.histogram("h", {1.0, 2.0});
-    EXPECT_EQ(&registry.histogram("h", {1.0, 2.0}), &histogram);
-    EXPECT_THROW((void)registry.histogram("h", {1.0, 2.0, 4.0}), std::invalid_argument);
+    obs::HdrHistogram& histogram = registry.hdr("h");
+    EXPECT_EQ(&registry.hdr("h"), &histogram);
     EXPECT_THROW((void)registry.counter("h"), std::invalid_argument);
+    EXPECT_THROW((void)registry.gauge("h"), std::invalid_argument);
 }
 
 // ---- stage profiler ----------------------------------------------------
@@ -466,10 +454,10 @@ TEST(Prometheus, RenderedRegistryPassesStrictChecker) {
     registry.counter("admit").add(41);
     registry.counter("reject.deadline").add(1);
     registry.gauge("busy_time.0").add(12.5);
-    obs::Histogram& plan = registry.histogram("plan_size", {1.0, 2.0, 4.0});
-    plan.record(1.0);
-    plan.record(3.0);
-    plan.record(100.0);
+    obs::HdrHistogram& plan = registry.hdr("plan_size");
+    plan.record(1);
+    plan.record(3);
+    plan.record(100);
     obs::HdrHistogram& latency = registry.hdr("admission_ns", obs::MetricScope::host);
     for (std::uint64_t v = 1; v < 2000; v += 7) latency.record(v);
 
@@ -492,8 +480,21 @@ TEST(Prometheus, RenderedRegistryPassesStrictChecker) {
 
     ASSERT_NO_THROW(check_prometheus_text(exposition)) << exposition;
     EXPECT_NE(exposition.find("rmwp_engine_admit_total 41"), std::string::npos);
-    EXPECT_NE(exposition.find("rmwp_engine_plan_size_bucket{le=\"+Inf\"} 3"),
+    // plan_size is a summary like every histogram: no histogram family
+    // remains, the three samples are counted, and the quantiles are exact
+    // in the HDR's unit range (and clamped to the exact maximum above it).
+    EXPECT_EQ(exposition.find(" histogram\n"), std::string::npos);
+    EXPECT_NE(exposition.find("# TYPE rmwp_engine_plan_size summary\n"), std::string::npos);
+    EXPECT_NE(exposition.find("rmwp_engine_plan_size{quantile=\"0.5\"} 3\n"),
               std::string::npos);
+    EXPECT_NE(exposition.find("rmwp_engine_plan_size{quantile=\"0.9\"} 100\n"),
+              std::string::npos);
+    EXPECT_NE(exposition.find("rmwp_engine_plan_size{quantile=\"0.99\"} 100\n"),
+              std::string::npos);
+    EXPECT_NE(exposition.find("rmwp_engine_plan_size{quantile=\"0.999\"} 100\n"),
+              std::string::npos);
+    EXPECT_NE(exposition.find("rmwp_engine_plan_size_sum 104\n"), std::string::npos);
+    EXPECT_NE(exposition.find("rmwp_engine_plan_size_count 3\n"), std::string::npos);
     EXPECT_NE(exposition.find("rmwp_engine_admission_ns{quantile=\"0.99\"}"),
               std::string::npos);
     EXPECT_NE(exposition.find("rmwp_stage_calls_total{stage=\"prefilter\"}"),

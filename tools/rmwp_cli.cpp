@@ -252,11 +252,11 @@ void print_obs_metrics(const obs::MetricsSnapshot& snapshot) {
         if (counter.value > 0) table.row().cell(counter.name).cell(counter.value);
     for (const auto& gauge : snapshot.gauges)
         if (gauge.value != 0.0) table.row().cell(gauge.name).cell(gauge.value, 1);
-    for (const auto& histogram : snapshot.histograms) {
-        if (histogram.count == 0) continue;
-        table.row().cell(histogram.name).cell(
-            std::to_string(histogram.count) + " samples, mean " +
-            format_fixed(histogram.sum / static_cast<double>(histogram.count), 3));
+    for (const auto& hdr : snapshot.hdrs) {
+        if (hdr.count == 0) continue;
+        table.row().cell(hdr.name).cell(
+            std::to_string(hdr.count) + " samples, mean " +
+            format_fixed(static_cast<double>(hdr.sum) / static_cast<double>(hdr.count), 3));
     }
     table.print(std::cout);
 }
@@ -637,44 +637,7 @@ int cmd_serve(Args& args) {
     if (stats_json) {
         std::ofstream out(*stats_json);
         if (!out) throw std::runtime_error("cannot open " + *stats_json);
-        out << "{\n"
-            << "  \"arrivals\": " << serve.arrivals << ",\n"
-            << "  \"accepted\": " << result.accepted << ",\n"
-            << "  \"rejected\": " << result.rejected << ",\n"
-            << "  \"shed\": " << serve.shed << ",\n"
-            << "  \"completed\": " << result.completed << ",\n"
-            << "  \"deadline_misses\": " << result.deadline_misses << ",\n"
-            << "  \"parse_errors\": " << serve.parse_errors << ",\n"
-            << "  \"total_energy\": " << result.total_energy << ",\n"
-            << "  \"wall_seconds\": " << serve.wall_seconds << ",\n"
-            << "  \"decisions_per_second\": "
-            << (serve.wall_seconds > 0.0
-                    ? static_cast<double>(result.requests) / serve.wall_seconds
-                    : 0.0)
-            << ",\n"
-            << "  \"latency_p50_us\": " << serve.latency_p50_us << ",\n"
-            << "  \"latency_p90_us\": " << serve.latency_p90_us << ",\n"
-            << "  \"latency_p99_us\": " << serve.latency_p99_us << ",\n"
-            << "  \"latency_p999_us\": " << serve.latency_p999_us << ",\n"
-            << "  \"ring_occupancy\": " << serve.ring_occupancy << ",\n"
-            << "  \"ring_dropped\": " << serve.ring_dropped << ",\n"
-            << "  \"telemetry_requests\": " << serve.telemetry_requests << ",\n"
-            << "  \"predictor_predictions\": " << serve.predictor_predictions << ",\n"
-            << "  \"predictor_hits\": " << serve.predictor_hits << ",\n"
-            << "  \"monitor_checks\": " << serve.monitor_checks << ",\n"
-            << "  \"checkpoints_written\": " << serve.checkpoints_written << ",\n"
-            << "  \"stopped_by_signal\": " << (serve.stopped_by_signal ? "true" : "false")
-            << ",\n";
-        if (config.stage_stats_out != nullptr) {
-            // Same verdict names as /metrics' stage_prefilter_verdicts_total.
-            out << "  \"prefilter_feasible\": " << stage_stats.prefilter_feasible << ",\n"
-                << "  \"prefilter_infeasible\": " << stage_stats.prefilter_infeasible << ",\n"
-                << "  \"prefilter_unknown\": " << stage_stats.prefilter_unknown << ",\n"
-                << "  \"edf_simulate_calls\": "
-                << stage_stats.cell(obs::Stage::edf_simulate).calls << ",\n";
-        }
-        out << "  \"exit_code\": " << serve.exit_code << "\n"
-            << "}\n";
+        out << serve_stats_json(serve, config.stage_stats_out).dump(2) << '\n';
         std::cout << "wrote serve stats to " << *stats_json << '\n';
     }
     if (events_out) {
