@@ -1,13 +1,24 @@
 // Integration tests for the discrete-event simulator: the event kernel,
 // execution/energy accounting, migration bookkeeping, the overhead-stall
-// model, and cross-RM invariants on realistic workloads.
+// model, cross-RM invariants on realistic workloads, and a golden pin of
+// whole-trace results across activation, prediction and fault modes.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
+#include <sstream>
+#include <string>
 #include <tuple>
 
 #include "core/exact_rm.hpp"
 #include "core/heuristic_rm.hpp"
+#include "core/reservation.hpp"
+#include "fault/fault.hpp"
+#include "obs/export.hpp"
+#include "obs/trace_sink.hpp"
+#include "predict/noisy.hpp"
+#include "predict/online.hpp"
 #include "predict/oracle.hpp"
 #include "predict/predictor.hpp"
 #include "sim/event_queue.hpp"
@@ -320,6 +331,203 @@ TEST(Simulator, PredictionNeverBreaksGuarantees) {
     const TraceResult result = simulate_trace(platform, catalog, trace, rm, liar);
     EXPECT_EQ(result.deadline_misses, 0u);
     EXPECT_EQ(result.completed, result.accepted);
+}
+
+// ---- golden pin: whole-trace results across the driver's modes ----
+
+/// The deterministic TraceResult fields of one run (host-time fields and
+/// the obs snapshot excluded), plus an FNV-1a hash of its JSONL event
+/// stream.  Doubles are compared bit for bit.
+struct PinnedRun {
+    std::string cell;
+    std::size_t requests, accepted, rejected, completed, deadline_misses, aborted, fault_aborted,
+        migrations, activations, plans_with_prediction, resource_outages, throttle_events,
+        rescue_activations, rescued, rescue_migrations;
+    /// audit_checks under RMWP_AUDIT (0 in unaudited builds).
+    std::size_t audit_checks;
+    double total_energy, migration_energy, critical_energy, degraded_energy, reference_energy;
+    std::uint64_t events_hash;
+};
+
+std::uint64_t fnv1a(const std::string& bytes) {
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (const char c : bytes) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 0x100000001b3ull;
+    }
+    return hash;
+}
+
+std::string hexfloat(double value) {
+    char buffer[48];
+    std::snprintf(buffer, sizeof buffer, "%a", value);
+    return buffer;
+}
+
+/// One row in the initializer syntax of the pinned table below, so a
+/// mismatch report shows the actual run next to the pinned one.
+std::string format_pinned(const PinnedRun& run) {
+    std::ostringstream out;
+    out << "{\"" << run.cell << "\", " << run.requests << ", " << run.accepted << ", "
+        << run.rejected << ", " << run.completed << ", " << run.deadline_misses << ", "
+        << run.aborted << ", " << run.fault_aborted << ", " << run.migrations << ", "
+        << run.activations << ", " << run.plans_with_prediction << ", " << run.resource_outages
+        << ", " << run.throttle_events << ", " << run.rescue_activations << ", " << run.rescued
+        << ", " << run.rescue_migrations << ", " << run.audit_checks << ", "
+        << hexfloat(run.total_energy) << ", " << hexfloat(run.migration_energy) << ", "
+        << hexfloat(run.critical_energy) << ", " << hexfloat(run.degraded_energy) << ", "
+        << hexfloat(run.reference_energy) << ", 0x" << std::hex << run.events_hash << "ull},";
+    return out.str();
+}
+
+struct GoldenWorld {
+    Platform platform = make_paper_platform();
+    Catalog catalog = [this] {
+        Rng rng = Rng(2024).derive(1);
+        return generate_catalog(platform, CatalogParams{}, rng);
+    }();
+    Trace trace = [this] {
+        TraceGenParams params;
+        params.length = 120;
+        Rng rng = Rng(2024).derive(2);
+        return generate_trace(catalog, params, rng);
+    }();
+    FaultSchedule faults = [this] {
+        FaultParams params;
+        params.outage_rate = 3.0;
+        params.throttle_rate = 3.0;
+        Rng rng = Rng(2024).derive(3);
+        return generate_fault_schedule(platform, params,
+                                       trace.request(trace.size() - 1).arrival + 50.0, rng);
+    }();
+    ReservationTable reservations{{CriticalTask{"ctrl", 0, 10.0, 2.0, 2.0, 1.5}}};
+};
+
+enum class GoldenPredictor { off, oracle, noisy, online };
+
+PinnedRun run_golden_cell(const GoldenWorld& world, std::string cell, Time activation_period,
+                          GoldenPredictor kind, bool faults, bool reserve, Time overhead) {
+    SimOptions options;
+    options.activation_period = activation_period;
+    options.fault_schedule = faults ? &world.faults : nullptr;
+    options.overhead_stalls_platform = true;
+    obs::TraceSink sink;
+    options.sink = &sink;
+
+    std::unique_ptr<Predictor> predictor;
+    switch (kind) {
+    case GoldenPredictor::off: predictor = std::make_unique<NullPredictor>(); break;
+    case GoldenPredictor::oracle: predictor = std::make_unique<OraclePredictor>(overhead); break;
+    case GoldenPredictor::noisy:
+        predictor = std::make_unique<NoisyPredictor>(world.catalog, 0.75, 0.25, Rng(5));
+        break;
+    case GoldenPredictor::online:
+        predictor = std::make_unique<OnlinePredictor>(world.catalog);
+        options.lookahead = 3;
+        break;
+    }
+
+    HeuristicRM rm;
+    const TraceResult r =
+        reserve ? simulate_trace(world.platform, world.catalog, world.trace, rm, *predictor,
+                                 world.reservations, options)
+                : simulate_trace(world.platform, world.catalog, world.trace, rm, *predictor,
+                                 options);
+    EXPECT_EQ(sink.dropped(), 0u);
+    std::ostringstream jsonl;
+    const std::vector<obs::TraceEvent> events = sink.events();
+    obs::write_events_jsonl(jsonl, events);
+    return PinnedRun{std::move(cell),
+                     r.requests,
+                     r.accepted,
+                     r.rejected,
+                     r.completed,
+                     r.deadline_misses,
+                     r.aborted,
+                     r.fault_aborted,
+                     r.migrations,
+                     r.activations,
+                     r.plans_with_prediction,
+                     r.resource_outages,
+                     r.throttle_events,
+                     r.rescue_activations,
+                     r.rescued,
+                     r.rescue_migrations,
+                     r.audit_checks,
+                     r.total_energy,
+                     r.migration_energy,
+                     r.critical_energy,
+                     r.degraded_energy,
+                     r.reference_energy,
+                     fnv1a(jsonl.str())};
+}
+
+// A fixed matrix of whole-trace runs at WCET-exact execution: activation
+// {per arrival, every 4 ms} x predictor {off, oracle, noisy, online with
+// lookahead 3} x faults {none, outages + throttling}, plus a critical
+// reservation and a Fig 5 overhead stall.  Every deterministic result field
+// and the event stream are pinned exactly; a mismatch is a behaviour change
+// of the trace driver or the engine, to be explained, not re-recorded.
+TEST(GoldenTrace, DriverModesPinnedExactly) {
+    const GoldenWorld world;
+    ASSERT_FALSE(world.faults.empty());
+
+    std::vector<PinnedRun> actual;
+    const char* const predictor_names[] = {"off", "oracle", "noisy", "online"};
+    for (const Time period : {0.0, 4.0})
+        for (const GoldenPredictor kind : {GoldenPredictor::off, GoldenPredictor::oracle,
+                                           GoldenPredictor::noisy, GoldenPredictor::online})
+            for (const bool faults : {false, true}) {
+                std::string cell = std::string(period > 0.0 ? "period4/" : "per-arrival/") +
+                                   predictor_names[static_cast<int>(kind)] +
+                                   (faults ? "/faults" : "");
+                actual.push_back(run_golden_cell(world, std::move(cell), period, kind, faults,
+                                                 false, 0.0));
+            }
+    actual.push_back(run_golden_cell(world, "reserve/oracle", 0.0, GoldenPredictor::oracle,
+                                     false, true, 0.0));
+    actual.push_back(run_golden_cell(world, "stall/oracle", 0.0, GoldenPredictor::oracle, false,
+                                     false, 1.5));
+
+    // Recorded before the trace driver became a loop over the engine's
+    // stream entry point; they must hold unchanged across that refactor.
+    const std::vector<PinnedRun> pinned = {
+        // clang-format off
+        {"per-arrival/off", 120, 110, 10, 110, 0, 0, 0, 1, 120, 0, 0, 0, 0, 0, 0, 350, 0x1.7c9cd913f2c9dp+8, 0x1.e0d372261ec4fp+0, 0x0p+0, 0x0p+0, 0x1.8987c21f5964bp+10, 0xa5f54487bc3e8d93ull},
+        {"per-arrival/off/faults", 120, 110, 10, 110, 0, 0, 0, 2, 120, 0, 9, 13, 22, 1, 1, 416, 0x1.8020f319985d6p+8, 0x1.07e84502371bep+2, 0x0p+0, 0x1.fcfaa0f56917ap+7, 0x1.8987c21f5964bp+10, 0x359faa58fb37d991ull},
+        {"per-arrival/oracle", 120, 114, 6, 114, 0, 0, 0, 12, 120, 107, 0, 0, 0, 0, 0, 354, 0x1.d806e6d2d44c8p+8, 0x1.83cb318ce209dp+4, 0x0p+0, 0x0p+0, 0x1.8987c21f5964bp+10, 0xaab8d82e7b6a34c3ull},
+        {"per-arrival/oracle/faults", 120, 112, 8, 111, 0, 0, 1, 9, 120, 105, 9, 13, 22, 2, 2, 417, 0x1.9c3727fe18d63p+8, 0x1.19c7f88eff937p+4, 0x0p+0, 0x1.0967a6e2e3c74p+8, 0x1.8987c21f5964bp+10, 0xfceba44afe50a7a4ull},
+        {"per-arrival/noisy", 120, 113, 7, 113, 0, 0, 0, 10, 120, 107, 0, 0, 0, 0, 0, 353, 0x1.b0d4dfab26aeep+8, 0x1.2dd70eeda63aap+4, 0x0p+0, 0x0p+0, 0x1.8987c21f5964bp+10, 0xc639ddf347bffd6full},
+        {"per-arrival/noisy/faults", 120, 112, 8, 111, 0, 0, 1, 11, 120, 107, 9, 13, 22, 2, 3, 417, 0x1.a1900527be4f5p+8, 0x1.64577e7259916p+4, 0x0p+0, 0x1.0ed0e4505140ep+8, 0x1.8987c21f5964bp+10, 0xa47a25e1e514f0abull},
+        {"per-arrival/online", 120, 110, 10, 110, 0, 0, 0, 23, 120, 104, 0, 0, 0, 0, 0, 350, 0x1.d2361d887f941p+8, 0x1.6fb8e72487615p+5, 0x0p+0, 0x0p+0, 0x1.8987c21f5964bp+10, 0x9c364f7ff944d499ull},
+        {"per-arrival/online/faults", 120, 109, 11, 109, 0, 0, 0, 28, 120, 104, 9, 13, 22, 2, 5, 415, 0x1.f79cd1d7dccbap+8, 0x1.c1db1100037e9p+5, 0x0p+0, 0x1.33a576133ea92p+8, 0x1.8987c21f5964bp+10, 0x53e07876b745e95bull},
+        {"period4/off", 120, 107, 13, 107, 0, 0, 0, 0, 114, 0, 0, 0, 0, 0, 0, 341, 0x1.637660298e4bep+8, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.8987c21f5964bp+10, 0xddd950aa5fcaa260ull},
+        {"period4/off/faults", 120, 106, 14, 105, 0, 0, 1, 0, 114, 0, 9, 13, 22, 0, 0, 405, 0x1.52066017e70aap+8, 0x0p+0, 0x0p+0, 0x1.d3c6d0bd67c59p+7, 0x1.8987c21f5964bp+10, 0x9fae27e97588420ull},
+        {"period4/oracle", 120, 109, 11, 109, 0, 0, 0, 2, 114, 105, 0, 0, 0, 0, 0, 343, 0x1.8bcc0f33cc776p+8, 0x1.1ab11e9fd734p+2, 0x0p+0, 0x0p+0, 0x1.8987c21f5964bp+10, 0x2a434693f5d20fc9ull},
+        {"period4/oracle/faults", 120, 111, 9, 109, 0, 0, 2, 10, 114, 107, 9, 13, 22, 1, 3, 409, 0x1.a0b0faacf85f2p+8, 0x1.56353bfc2a30cp+4, 0x0p+0, 0x1.0cc020db01fc7p+8, 0x1.8987c21f5964bp+10, 0xf373ec4c22fe5d8dull},
+        {"period4/noisy", 120, 111, 9, 111, 0, 0, 0, 14, 114, 104, 0, 0, 0, 0, 0, 345, 0x1.d0a9d6fc99c5ap+8, 0x1.99848df690fa4p+4, 0x0p+0, 0x0p+0, 0x1.8987c21f5964bp+10, 0x279c146c2e5c3d8ull},
+        {"period4/noisy/faults", 120, 108, 12, 108, 0, 0, 0, 10, 114, 101, 9, 13, 22, 0, 4, 408, 0x1.c0065f31af0ebp+8, 0x1.4bd2a50d35598p+4, 0x0p+0, 0x1.39ba101d92241p+8, 0x1.8987c21f5964bp+10, 0x940ff97bc51ad46eull},
+        {"period4/online", 120, 110, 10, 110, 0, 0, 0, 14, 114, 105, 0, 0, 0, 0, 0, 344, 0x1.a6184f664832p+8, 0x1.aebf863da2deep+4, 0x0p+0, 0x0p+0, 0x1.8987c21f5964bp+10, 0x2a7b7f4daf71009bull},
+        {"period4/online/faults", 120, 107, 13, 106, 0, 0, 1, 22, 114, 103, 9, 13, 22, 1, 5, 406, 0x1.b54b72a301bcfp+8, 0x1.5e9d8869dfeefp+5, 0x0p+0, 0x1.0b44f920908ebp+8, 0x1.8987c21f5964bp+10, 0x88f788b0298dbc56ull},
+        {"reserve/oracle", 120, 113, 7, 113, 0, 0, 0, 9, 120, 105, 0, 0, 0, 0, 0, 353, 0x1.b4f80180216f4p+8, 0x1.26541d57f8356p+4, 0x1.dap+6, 0x0p+0, 0x1.8987c21f5964bp+10, 0xe0d77ba8b7a2b4cull},
+        {"stall/oracle", 120, 112, 8, 78, 0, 34, 0, 6, 120, 104, 0, 0, 0, 0, 0, 318, 0x1.41c48ae873881p+8, 0x1.5112d08ec797ap+3, 0x0p+0, 0x0p+0, 0x1.8987c21f5964bp+10, 0x2c277cfb02458153ull},
+        // clang-format on
+    };
+
+    std::string report;
+    for (const PinnedRun& run : actual) report += format_pinned(run) + "\n";
+    ASSERT_EQ(actual.size(), pinned.size()) << report;
+    for (std::size_t k = 0; k < actual.size(); ++k) {
+        const PinnedRun& a = actual[k];
+        PinnedRun p = pinned[k];
+#ifndef RMWP_AUDIT
+        p.audit_checks = 0;
+#endif
+#ifndef RMWP_OBS
+        p.events_hash = fnv1a("");
+#endif
+        EXPECT_EQ(format_pinned(a), format_pinned(p));
+    }
 }
 
 } // namespace
