@@ -23,9 +23,12 @@
 
 namespace rmwp {
 
-/// One prediction source bound to one trace run.  The simulator calls
-/// observe() as each request arrives (ground truth becomes visible once the
-/// request is real) and predict_next() when the RM wants the lookahead.
+/// One prediction source bound to one run.  The engine calls
+/// observe_arrival() as each request arrives (ground truth becomes visible
+/// once the request is real) and predict_upcoming() when the RM wants the
+/// lookahead.  simulate_trace() maps those onto the trace-based observe() /
+/// predict_horizon() with the request's trace position, so trace-bound
+/// predictors need only the trace-based interface.
 class Predictor {
 public:
     virtual ~Predictor() = default;
@@ -59,8 +62,8 @@ public:
     /// RM's decision by this much (Sec 5.5).
     [[nodiscard]] virtual Time overhead() const noexcept { return 0.0; }
 
-    // Streaming variants for long-running serve mode (DESIGN.md §11), where
-    // no trace vector exists and requests are observed one at a time.  The
+    // Streaming variants, the engine's interface (DESIGN.md §11): no trace
+    // vector is needed and requests are observed one at a time.  The
     // defaults mean "prediction unavailable": trace-bound predictors
     // (oracle, noisy) need the future and cannot stream, so serve restricts
     // --predictor to the kinds that override these (off, online).

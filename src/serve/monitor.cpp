@@ -30,8 +30,6 @@ double LatencyHdr::quantile_us(double q) const noexcept {
 
 std::uint64_t LatencyHdr::count() const noexcept { return hdr_.count(); }
 
-double LatencyHdr::sum_us() const noexcept { return static_cast<double>(hdr_.sum()) / 1000.0; }
-
 std::uint64_t read_rss_kb() {
     std::ifstream status("/proc/self/status");
     if (!status) return 0;

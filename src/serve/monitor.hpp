@@ -47,8 +47,6 @@ public:
     /// empty.
     [[nodiscard]] double quantile_us(double q) const noexcept;
     [[nodiscard]] std::uint64_t count() const noexcept;
-    /// Total recorded latency in microseconds (for summary _sum lines).
-    [[nodiscard]] double sum_us() const noexcept;
     /// Consistent-enough copy for rendering (nanosecond ticks).
     [[nodiscard]] obs::HdrHistogram snapshot() const { return hdr_.snapshot(); }
 

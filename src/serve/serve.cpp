@@ -138,7 +138,6 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
     auto* online = dynamic_cast<OnlinePredictor*>(&predictor);
 
     SimEngine engine(platform, catalog, rm, predictor, reservations, config.sim);
-    engine.begin_stream();
 
     const bool faults_on = config.faults.any();
     std::uint64_t chunk_index = 0;
@@ -437,9 +436,9 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
     };
 
     /// One backlog flush.  Batching off (batch_window < 0): decide the
-    /// front request alone, exactly the pre-batching loop.  Batching on:
-    /// greedily extend the group with further queued requests whose wakes
-    /// fall within batch_window of the front's AND satisfy `eligible` (the
+    /// front request alone, as a group of one.  Batching on: greedily
+    /// extend the group with further queued requests whose wakes fall
+    /// within batch_window of the front's AND satisfy `eligible` (the
     /// caller's flush limit — next arrival / fault-chunk boundary), then
     /// decide the whole group at the last member's wake in a single
     /// decide_batch activation.  Grouping is derived afresh at flush time
@@ -448,23 +447,17 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
     const auto flush_front = [&](auto&& eligible) {
         // RMWP_LINT_ALLOW(R1): host-scope admission-latency metric; never feeds sim state
         const auto begun = std::chrono::steady_clock::now();
-        if (config.batch_window < 0.0) {
-            const PendingArrival pending = backlog.front();
+        group.clear();
+        const Time window_end = backlog.front().wake + config.batch_window;
+        Time wake = backlog.front().wake;
+        do {
+            const PendingArrival& front = backlog.front();
+            wake = front.wake;
+            group.push_back({front.request, front.uid});
             backlog.pop_front();
-            engine.stream_arrival(pending.request, pending.uid, pending.wake);
-        } else {
-            group.clear();
-            const Time window_end = backlog.front().wake + config.batch_window;
-            Time wake = backlog.front().wake;
-            do {
-                const PendingArrival& front = backlog.front();
-                wake = front.wake;
-                group.push_back({front.request, front.uid});
-                backlog.pop_front();
-            } while (!backlog.empty() && backlog.front().wake <= window_end &&
-                     eligible(backlog.front().wake));
-            engine.stream_arrival_batch(group, wake);
-        }
+        } while (config.batch_window >= 0.0 && !backlog.empty() &&
+                 backlog.front().wake <= window_end && eligible(backlog.front().wake));
+        engine.stream_arrival_batch(group, wake);
         // RMWP_LINT_ALLOW(R1): host-scope admission-latency metric; never feeds sim state
         const auto ended = std::chrono::steady_clock::now();
         board.latency.record(

@@ -9,13 +9,10 @@
 //     backlog modelled in *simulation time* (a deterministic decider that
 //     spends `decision_cost` per request); when the backlog is full the
 //     request is shed with RejectReason::overload instead of growing the
-//     queue.  With decision_cost = 0, an unbounded backlog, and
-//     deterministic execution times (execution_time_factor_min = 1) the
-//     serve outcome is identical to simulate_trace on the same arrivals —
-//     the differential test in tests/test_serve.cpp pins this down.  (With
-//     execution variation enabled the two paths draw actual work
-//     differently: batch from one sequential stream, serve per-uid so a
-//     checkpoint needs no RNG state;)
+//     queue.  With decision_cost = 0 and an unbounded backlog the serve
+//     outcome is identical to simulate_trace on the same arrivals, with or
+//     without execution-time variation — the differential test in
+//     tests/test_serve.cpp pins this down;
 //   * injected faults are generated in bounded chunks (one seeded schedule
 //     per `fault_chunk` of simulation time) so an endless run never
 //     materialises an unbounded schedule;

@@ -13,18 +13,16 @@
 #include "obs/trace_sink.hpp"
 #include "util/check.hpp"
 #include "util/hexfloat.hpp"
+#include "util/rng.hpp"
 
 namespace rmwp {
 namespace {
 
 constexpr double kFractionEps = 1e-9;
-constexpr double kTimeEps = 1e-6;
 
-constexpr std::uint32_t kArrivalEvent = 0;
-constexpr std::uint32_t kCompletionEvent = 1;
-constexpr std::uint32_t kActivationEvent = 2;
-constexpr std::uint32_t kFaultOnsetEvent = 3;
-constexpr std::uint32_t kFaultRecoveryEvent = 4;
+constexpr std::uint32_t kCompletionEvent = 0;
+constexpr std::uint32_t kFaultOnsetEvent = 1;
+constexpr std::uint32_t kFaultRecoveryEvent = 2;
 
 constexpr const char* kCheckpointContext = "engine checkpoint";
 
@@ -38,78 +36,56 @@ SimEngine::SimEngine(const Platform& platform, const Catalog& catalog, ResourceM
       rm_(rm),
       predictor_(predictor),
       reservations_(reservations),
-      options_(options),
-      execution_rng_(options.execution_seed) {}
-
-TraceResult SimEngine::run(const Trace& trace) {
-    RMWP_EXPECT(!streaming_ && trace_ == nullptr);
-    // Periodic activation already coalesces arrivals; combining the two
-    // batching policies has no defined wake-up semantics.
-    RMWP_EXPECT(!(options_.batch_arrivals && options_.activation_period > 0.0));
-    trace_ = &trace;
+      options_(options) {
+    set_fault_schedule(options.fault_schedule, -std::numeric_limits<Time>::infinity(),
+                       /*include_events_at_from=*/true);
 #ifdef RMWP_OBS
-    if (options_.sink != nullptr) init_obs();
+    if (options_.sink == nullptr) return;
+    obs::MetricsRegistry& m = options_.sink->metrics();
+    ins_.admit = &m.counter("admit");
+    for (std::size_t r = 0; r < kRejectReasonCount; ++r)
+        ins_.reject[r] =
+            &m.counter(std::string("reject.") + to_string(static_cast<RejectReason>(r)));
+    ins_.preempt = &m.counter("preempt");
+    ins_.migrate = &m.counter("migrate");
+    ins_.complete = &m.counter("complete");
+    ins_.abort_overhead = &m.counter("abort_overhead");
+    ins_.plan_rebuild = &m.counter("plan_rebuild");
+    ins_.rescue_activation = &m.counter("rescue.activation");
+    ins_.rescue_keep = &m.counter("rescue.keep");
+    ins_.rescue_abort = &m.counter("rescue.abort");
+    ins_.fault_onset = &m.counter("fault.onset");
+    ins_.fault_recovery = &m.counter("fault.recovery");
+    // Sink self-accounting: how much of the event stream survived the
+    // ring.  Filled in once at the end of the run — the values are
+    // functions of the (deterministic) event count and the configured
+    // capacity, so they stay in the deterministic scope.
+    ins_.sink_events_total = &m.counter("sink.events_total");
+    ins_.sink_dropped = &m.counter("sink.dropped");
+    ins_.sink_ring_occupancy = &m.gauge("sink.ring_occupancy");
+    ins_.busy_time.resize(platform_.size());
+    for (ResourceId i = 0; i < platform_.size(); ++i)
+        ins_.busy_time[i] = &m.gauge("busy_time." + std::to_string(i));
+    // An HDR's cells, sum and extrema are exact functions of the samples,
+    // so deterministic_equal compares plan_size exactly (sizes below 64
+    // even get unit-width buckets).
+    ins_.plan_size = &m.hdr("plan_size");
+    ins_.admission_latency_ns = &m.hdr("admission_latency_ns", obs::MetricScope::host);
 #endif
-    result_.requests = trace.size();
-    for (const Request& request : trace)
-        result_.reference_energy += catalog_.type(request.type).mean_energy();
-
-    for (std::size_t j = 0; j < trace.size(); ++j)
-        events_.schedule(trace.request(j).arrival, kArrivalEvent, j);
-
-    if (options_.fault_schedule != nullptr) {
-        const auto& faults = options_.fault_schedule->events();
-        for (std::size_t f = 0; f < faults.size(); ++f) {
-            events_.schedule(faults[f].start, kFaultOnsetEvent, f);
-            if (std::isfinite(faults[f].end))
-                events_.schedule(faults[f].end, kFaultRecoveryEvent, f);
-        }
-    }
-
-    return finalize();
-}
-
-void SimEngine::begin_stream() {
-    RMWP_EXPECT(!streaming_ && trace_ == nullptr);
-    RMWP_EXPECT(options_.activation_period == 0.0);
-    streaming_ = true;
-#ifdef RMWP_OBS
-    if (options_.sink != nullptr) init_obs();
-#endif
-}
-
-Time SimEngine::stream_arrival(const Request& request, TaskUid uid, Time wake) {
-    RMWP_EXPECT(streaming_);
-    RMWP_EXPECT(uid < kReservedUidBase);
-    RMWP_EXPECT(wake >= request.arrival);
-    drain_until(wake);
-
-    RMWP_TRACE(options_.sink, request.arrival, obs::EventKind::arrival, uid, obs::kNoResource,
-               request.absolute_deadline());
-    ++result_.requests;
-    result_.reference_energy += catalog_.type(request.type).mean_energy();
-
-    const Time decision_time = wake_up(wake);
-    ++result_.activations;
-    batch_entries_.assign(1, BatchEntry{});
-    batch_entries_.front().request = request;
-    batch_entries_.front().uid = uid;
-    decide_batch_on(decision_time);
-    rebuild(decision_time);
-    return decision_time;
 }
 
 Time SimEngine::stream_arrival_batch(std::span<const StreamArrival> arrivals, Time wake) {
-    RMWP_EXPECT(streaming_);
     RMWP_EXPECT(!arrivals.empty());
     for (const StreamArrival& arrival : arrivals) {
         RMWP_EXPECT(arrival.uid < kReservedUidBase);
         RMWP_EXPECT(wake >= arrival.request.arrival);
     }
-    drain_until(wake);
 
     batch_entries_.clear();
     for (const StreamArrival& arrival : arrivals) {
+        // Events before the member's arrival happen first, so its arrival
+        // event takes its place in time order even when the wake is later.
+        drain_until(arrival.request.arrival);
         RMWP_TRACE(options_.sink, arrival.request.arrival, obs::EventKind::arrival, arrival.uid,
                    obs::kNoResource, arrival.request.absolute_deadline());
         ++result_.requests;
@@ -119,16 +95,16 @@ Time SimEngine::stream_arrival_batch(std::span<const StreamArrival> arrivals, Ti
         entry.uid = arrival.uid;
         batch_entries_.push_back(std::move(entry));
     }
+    drain_until(wake);
 
     const Time decision_time = wake_up(wake);
-    ++result_.activations; // one coalesced activation for the whole group
+    ++result_.activations; // one activation for the whole group
     decide_batch_on(decision_time);
     rebuild(decision_time);
     return decision_time;
 }
 
 void SimEngine::stream_shed(const Request& request, [[maybe_unused]] TaskUid uid) {
-    RMWP_EXPECT(streaming_);
     ++result_.requests;
     result_.reference_energy += catalog_.type(request.type).mean_energy();
     ++result_.rejected;
@@ -150,7 +126,6 @@ void SimEngine::drain_through(Time t) {
 
 void SimEngine::set_fault_schedule(const FaultSchedule* schedule, Time from,
                                    bool include_events_at_from) {
-    RMWP_EXPECT(streaming_);
     options_.fault_schedule = schedule;
     if (schedule == nullptr) return;
     const auto after = [&](Time t) { return include_events_at_from ? t >= from : t > from; };
@@ -163,11 +138,6 @@ void SimEngine::set_fault_schedule(const FaultSchedule* schedule, Time from,
 }
 
 TraceResult SimEngine::finish_stream() {
-    RMWP_EXPECT(streaming_);
-    return finalize();
-}
-
-TraceResult SimEngine::finalize() {
     while (!events_.empty()) dispatch(events_.pop());
     advance(std::numeric_limits<Time>::infinity());
     RMWP_ENSURE(active_.empty());
@@ -183,45 +153,7 @@ TraceResult SimEngine::finalize() {
 }
 
 void SimEngine::dispatch(const Event& event) {
-    if (event.kind == kArrivalEvent) {
-        RMWP_TRACE(options_.sink, event.time, obs::EventKind::arrival, event.payload,
-                   obs::kNoResource,
-                   trace_->request(static_cast<std::size_t>(event.payload)).absolute_deadline());
-        if (options_.activation_period > 0.0) {
-            enqueue_for_batch(static_cast<std::size_t>(event.payload));
-        } else if (options_.batch_arrivals) {
-            // Coalesce the maximal run of simultaneous arrivals.  Arrivals
-            // are scheduled before any completion/fault event exists, so
-            // same-time arrivals hold the lowest FIFO sequences and pop
-            // consecutively: peeking until the kind or time changes
-            // captures exactly the group a sequential run would decide
-            // back-to-back with zero-width advances in between.
-            batch_entries_.clear();
-            auto push_entry = [this](std::uint64_t payload) {
-                BatchEntry entry;
-                entry.trace_index = static_cast<std::size_t>(payload);
-                entry.uid = static_cast<TaskUid>(payload);
-                entry.request = trace_->request(entry.trace_index);
-                batch_entries_.push_back(std::move(entry));
-            };
-            push_entry(event.payload);
-            while (!events_.empty()) {
-                const Event& next = events_.peek();
-                if (next.kind != kArrivalEvent || next.time != event.time) break;
-                const Event member = events_.pop();
-                RMWP_TRACE(options_.sink, member.time, obs::EventKind::arrival, member.payload,
-                           obs::kNoResource,
-                           trace_->request(static_cast<std::size_t>(member.payload))
-                               .absolute_deadline());
-                push_entry(member.payload);
-            }
-            handle_arrival_batch(event.time);
-        } else {
-            handle_arrival(static_cast<std::size_t>(event.payload));
-        }
-    } else if (event.kind == kActivationEvent) {
-        handle_activation(event.time);
-    } else if (event.kind == kFaultOnsetEvent || event.kind == kFaultRecoveryEvent) {
+    if (event.kind == kFaultOnsetEvent || event.kind == kFaultRecoveryEvent) {
         handle_fault(event.time, event.kind == kFaultOnsetEvent,
                      static_cast<std::size_t>(event.payload));
     } else {
@@ -400,14 +332,6 @@ Time SimEngine::wake_up(Time wake) {
     return decision_time;
 }
 
-void SimEngine::process_request(std::size_t index, Time decision_time) {
-    batch_entries_.assign(1, BatchEntry{});
-    batch_entries_.front().request = trace_->request(index);
-    batch_entries_.front().uid = static_cast<TaskUid>(index);
-    batch_entries_.front().trace_index = index;
-    decide_batch_on(decision_time);
-}
-
 void SimEngine::reject_doomed([[maybe_unused]] TaskUid uid, [[maybe_unused]] Time decision_time) {
     ++result_.rejected;
     RMWP_TRACE(options_.sink, decision_time, obs::EventKind::reject, uid, obs::kNoResource, 0.0,
@@ -486,8 +410,7 @@ void SimEngine::commit_decision(const ArrivalContext& context, const Decision& d
 void SimEngine::decide_batch_on(Time decision_time) {
     batch_items_.clear();
     for (BatchEntry& entry : batch_entries_) {
-        if (streaming_) predictor_.observe_arrival(entry.request);
-        else predictor_.observe(*trace_, entry.trace_index);
+        predictor_.observe_arrival(entry.request);
 
         entry.candidate = ActiveTask{};
         entry.candidate.uid = entry.uid;
@@ -503,10 +426,7 @@ void SimEngine::decide_batch_on(Time decision_time) {
         }
         BatchItem item;
         item.candidate = entry.candidate;
-        item.predicted = streaming_
-                             ? predictor_.predict_upcoming(decision_time, options_.lookahead)
-                             : predictor_.predict_horizon(*trace_, entry.trace_index,
-                                                          decision_time, options_.lookahead);
+        item.predicted = predictor_.predict_upcoming(decision_time, options_.lookahead);
         entry.item = batch_items_.size();
         batch_items_.push_back(std::move(item));
     }
@@ -567,41 +487,6 @@ void SimEngine::decide_batch_on(Time decision_time) {
         context.health = &health_;
         commit_decision(context, batch_decisions_[entry.item], decision_time);
     }
-}
-
-void SimEngine::handle_arrival(std::size_t index) {
-    const Time decision_time = wake_up(trace_->request(index).arrival);
-    ++result_.activations;
-    process_request(index, decision_time);
-    rebuild(decision_time);
-}
-
-void SimEngine::handle_arrival_batch(Time arrival_time) {
-    RMWP_EXPECT(!batch_entries_.empty());
-    const Time decision_time = wake_up(arrival_time);
-    ++result_.activations; // one coalesced activation for the whole group
-    decide_batch_on(decision_time);
-    rebuild(decision_time);
-}
-
-void SimEngine::enqueue_for_batch(std::size_t index) {
-    pending_.push_back(index);
-    const Time arrival = trace_->request(index).arrival;
-    const double periods = std::ceil(arrival / options_.activation_period);
-    const Time boundary = std::max(periods * options_.activation_period, arrival);
-    if (boundary > last_activation_scheduled_ + kTimeEps) {
-        events_.schedule(boundary, kActivationEvent, 0);
-        last_activation_scheduled_ = boundary;
-    }
-}
-
-void SimEngine::handle_activation(Time boundary) {
-    if (pending_.empty()) return;
-    const Time decision_time = wake_up(boundary);
-    ++result_.activations;
-    for (const std::size_t index : pending_) process_request(index, decision_time);
-    pending_.clear();
-    rebuild(decision_time);
 }
 
 void SimEngine::handle_fault(Time event_time, bool onset, std::size_t fault_index) {
@@ -749,16 +634,12 @@ void SimEngine::apply(const Decision& decision, const ActiveTask& candidate,
             admitted.resource = assignment.resource;
             active_.push_back(admitted);
             if (options_.execution_time_factor_min < 1.0) {
-                // Batch mode draws sequentially (the historical contract the
-                // determinism tests pin down); streaming mode derives an
-                // independent stream per uid, so a checkpoint needs no RNG
-                // state — replaying uid j always sees the same draw.
-                actual_work_[admitted.uid] =
-                    streaming_
-                        ? Rng(options_.execution_seed)
-                              .derive(admitted.uid)
-                              .uniform(options_.execution_time_factor_min, 1.0)
-                        : execution_rng_.uniform(options_.execution_time_factor_min, 1.0);
+                // An independent stream per uid: the draw does not depend on
+                // which requests were admitted before, and a checkpoint needs
+                // no RNG state — replaying uid j always sees the same draw.
+                actual_work_[admitted.uid] = Rng(options_.execution_seed)
+                                                 .derive(admitted.uid)
+                                                 .uniform(options_.execution_time_factor_min, 1.0);
             }
             continue;
         }
@@ -901,7 +782,6 @@ void SimEngine::rebuild(Time now) {
 }
 
 void SimEngine::save_stream(std::ostream& os) {
-    RMWP_EXPECT(streaming_);
     // Clean cut: everything at or before the clock has happened (a fault
     // event landing exactly on the checkpoint instant is processed now, in
     // the same order an uninterrupted run would process it next), so
@@ -948,7 +828,6 @@ void SimEngine::save_stream(std::ostream& os) {
 }
 
 void SimEngine::restore_stream(std::istream& is, const FaultSchedule* faults) {
-    RMWP_EXPECT(streaming_);
     RMWP_EXPECT(active_.empty() && clock_ == 0.0);
     std::string magic, version;
     if (!(is >> magic >> version) || magic != "RMWP-SIM-ENGINE" || version != "1")
@@ -1044,41 +923,6 @@ AuditReport SimEngine::audit_schedule() const {
 void SimEngine::run_audit(AuditReport report) {
     ++result_.audit_checks;
     if (!report.ok()) throw audit_error(report);
-}
-#endif
-
-#ifdef RMWP_OBS
-void SimEngine::init_obs() {
-    obs::MetricsRegistry& m = options_.sink->metrics();
-    ins_.admit = &m.counter("admit");
-    for (std::size_t r = 0; r < kRejectReasonCount; ++r)
-        ins_.reject[r] =
-            &m.counter(std::string("reject.") + to_string(static_cast<RejectReason>(r)));
-    ins_.preempt = &m.counter("preempt");
-    ins_.migrate = &m.counter("migrate");
-    ins_.complete = &m.counter("complete");
-    ins_.abort_overhead = &m.counter("abort_overhead");
-    ins_.plan_rebuild = &m.counter("plan_rebuild");
-    ins_.rescue_activation = &m.counter("rescue.activation");
-    ins_.rescue_keep = &m.counter("rescue.keep");
-    ins_.rescue_abort = &m.counter("rescue.abort");
-    ins_.fault_onset = &m.counter("fault.onset");
-    ins_.fault_recovery = &m.counter("fault.recovery");
-    // Sink self-accounting: how much of the event stream survived the
-    // ring.  Filled in once at the end of the run — the values are
-    // functions of the (deterministic) event count and the configured
-    // capacity, so they stay in the deterministic scope.
-    ins_.sink_events_total = &m.counter("sink.events_total");
-    ins_.sink_dropped = &m.counter("sink.dropped");
-    ins_.sink_ring_occupancy = &m.gauge("sink.ring_occupancy");
-    ins_.busy_time.resize(platform_.size());
-    for (ResourceId i = 0; i < platform_.size(); ++i)
-        ins_.busy_time[i] = &m.gauge("busy_time." + std::to_string(i));
-    // An HDR's cells, sum and extrema are exact functions of the samples,
-    // so deterministic_equal compares plan_size exactly (sizes below 64
-    // even get unit-width buckets).
-    ins_.plan_size = &m.hdr("plan_size");
-    ins_.admission_latency_ns = &m.hdr("admission_latency_ns", obs::MetricScope::host);
 }
 #endif
 

@@ -1,20 +1,21 @@
-// The reusable simulation engine behind both execution front-ends
-// (DESIGN.md §11):
+// The simulation engine behind both execution front-ends (DESIGN.md §11).
 //
-//   * batch  — simulate_trace() (sim/simulator.hpp) wraps run(): the whole
-//     trace is known up front, arrivals are pre-scheduled as events, and
-//     the predictor uses its trace-based interface;
-//   * stream — the long-running serve mode (src/serve) feeds arrivals one
-//     at a time via stream_arrival(): nothing about the future is known,
-//     the predictor uses its streaming interface, and the engine state can
-//     be checkpointed (save_stream) and resumed (restore_stream)
-//     bit-identically.
+// The engine has one entry point for arrivals, stream_arrival_batch(group,
+// wake): a group of requests the manager picks up at one wake-up.  Two
+// drivers feed it:
 //
-// Both front-ends share every line of the execution model — advance(),
+//   * simulate_trace() (sim/simulator.hpp) walks a whole trace and owns the
+//     activation policy: one group per arrival (the paper's protocol), or,
+//     with options.activation_period, one group per period boundary;
+//   * run_serve() (src/serve) feeds arrivals as they come, one at a time or
+//     coalesced by its batch window, and checkpoints the engine state
+//     (save_stream) to resume it bit-identically (restore_stream).
+//
+// Both drivers share every line of the execution model — advance(),
 // admission, migration charging, fault rescue, schedule rebuild — so serve
-// cannot drift from the simulator it is tested against.  The batch path is
-// unchanged by the extraction: with the same inputs, run() performs the
-// same operations in the same order as the pre-refactor simulator.
+// cannot drift from the simulator it is tested against.  The engine sees
+// the predictor only through its streaming interface (observe_arrival /
+// predict_upcoming); the trace driver adapts trace-bound predictors.
 //
 // This header is an internal engine API (consumed by sim/simulator.cpp and
 // src/serve); experiment code should keep calling simulate_trace().
@@ -33,7 +34,6 @@
 #include "predict/predictor.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
-#include "util/rng.hpp"
 #include "workload/catalog.hpp"
 #include "workload/trace.hpp"
 
@@ -49,7 +49,11 @@ class HdrHistogram;
 
 namespace rmwp {
 
-/// One member of a coalesced streaming batch (stream_arrival_batch).
+/// Time comparison tolerance of the engine's deadline checks, shared with
+/// the trace driver's activation-boundary merge.
+inline constexpr Time kTimeEps = 1e-6;
+
+/// One member of an arrival group (stream_arrival_batch).
 struct StreamArrival {
     Request request;
     TaskUid uid = 0;
@@ -57,6 +61,9 @@ struct StreamArrival {
 
 class SimEngine {
 public:
+    /// Events of options.fault_schedule (if any) are scheduled here; the
+    /// engine starts at clock 0 with an empty active set.  One engine runs
+    /// one trace or one stream.
     SimEngine(const Platform& platform, const Catalog& catalog, ResourceManager& rm,
               Predictor& predictor, const ReservationTable* reservations,
               const SimOptions& options);
@@ -64,33 +71,19 @@ public:
     SimEngine(const SimEngine&) = delete;
     SimEngine& operator=(const SimEngine&) = delete;
 
-    /// Batch mode: run one whole trace to completion (the simulate_trace
-    /// protocol).  One engine runs exactly one trace OR one stream.
-    [[nodiscard]] TraceResult run(const Trace& trace);
-
-    // --- streaming interface (serve mode) ---
-
-    /// Enter streaming mode.  Periodic-activation batching is a batch-only
-    /// feature (options.activation_period must be 0).
-    void begin_stream();
-
-    /// Feed one arrival.  `wake` is the instant the manager picks the
-    /// request up (== request.arrival unless an admission queue delayed
-    /// it); internal events before `wake` are processed first, execution is
-    /// advanced, the RM decides, and the schedule is rebuilt — the same
-    /// wake-up protocol as a batch arrival.  Task uids must be unique and
-    /// strictly increasing, below kReservedUidBase.  Returns the decision
-    /// instant.
-    Time stream_arrival(const Request& request, TaskUid uid, Time wake);
-
-    /// Feed a coalesced group of arrivals deciding at one shared wake-up:
-    /// one event drain, one advance, one rm_.decide_batch, one schedule
-    /// rebuild for the whole group.  Per-request accounting (requests,
-    /// reference energy, predictor observations, decisions) is identical to
-    /// feeding the members through stream_arrival one by one at this wake;
-    /// with a zero-overhead predictor the resulting simulation state is
-    /// bit-identical too (the amortisation only shows once decision costs
-    /// or predictor overheads are charged).  Returns the decision instant.
+    /// Feed a group of arrivals the manager picks up at one wake-up `wake`
+    /// (>= every member's arrival; later when an activation period or an
+    /// admission queue delayed them).  Internal events before each member's
+    /// arrival are processed before its arrival is recorded, then those
+    /// before `wake`; then one advance, one rm_.decide_batch and one
+    /// schedule rebuild serve the whole group.  A single arrival is a group
+    /// of one.  Per-request accounting (requests, reference energy,
+    /// predictor observations, decisions) is identical to feeding the
+    /// members as groups of one at this wake; with a zero-overhead
+    /// predictor the resulting simulation state is bit-identical too (the
+    /// amortisation only shows once decision costs or predictor overheads
+    /// are charged).  Task uids must be unique and strictly increasing,
+    /// below kReservedUidBase.  Returns the decision instant.
     Time stream_arrival_batch(std::span<const StreamArrival> arrivals, Time wake);
 
     /// Account one request shed by serve-side overload protection: counted
@@ -98,7 +91,7 @@ public:
     void stream_shed(const Request& request, TaskUid uid);
 
     /// Process internal events (completions, faults) strictly before /
-    /// up to and including `t`.  stream_arrival drains up to its wake
+    /// up to and including `t`.  stream_arrival_batch drains up to its wake
     /// itself; these are for fault-chunk boundaries and quiescing.
     void drain_until(Time t);
     void drain_through(Time t);
@@ -115,7 +108,7 @@ public:
                             bool include_events_at_from);
 
     /// Drain every remaining event, execute the schedule to quiescence and
-    /// return the final result (the batch postamble).
+    /// return the final result.
     [[nodiscard]] TraceResult finish_stream();
 
     /// Checkpoint the streaming state (clock, active set, health mask,
@@ -126,16 +119,16 @@ public:
     /// checkpointed by their owners (src/serve).
     void save_stream(std::ostream& os);
 
-    /// Inverse of save_stream on a freshly constructed engine (after
-    /// begin_stream).  `faults` is the regenerated fault chunk covering the
-    /// checkpoint clock (null when serve runs fault-free); pending fault
-    /// events and the completion schedule are re-derived.  Throws
-    /// std::runtime_error on a malformed or mismatched checkpoint.
+    /// Inverse of save_stream on a freshly constructed engine.  `faults` is
+    /// the regenerated fault chunk covering the checkpoint clock (null when
+    /// serve runs fault-free); pending fault events and the completion
+    /// schedule are re-derived.  Throws std::runtime_error on a malformed or
+    /// mismatched checkpoint.
     void restore_stream(std::istream& is, const FaultSchedule* faults);
 
     [[nodiscard]] Time clock() const noexcept { return clock_; }
     [[nodiscard]] std::size_t active_count() const noexcept { return active_.size(); }
-    /// Accumulated result so far (final only after run()/finish_stream()).
+    /// Accumulated result so far (final only after finish_stream()).
     [[nodiscard]] const TraceResult& result() const noexcept { return result_; }
 
 private:
@@ -173,15 +166,10 @@ private:
     [[nodiscard]] Time schedule_horizon() const;
     [[nodiscard]] Time wake_up(Time wake);
     void dispatch(const Event& event);
-    void process_request(std::size_t index, Time decision_time);
     void reject_doomed(TaskUid uid, Time decision_time);
     void commit_decision(const ArrivalContext& context, const Decision& decision,
                          Time decision_time);
     void decide_batch_on(Time decision_time);
-    void handle_arrival(std::size_t index);
-    void handle_arrival_batch(Time arrival_time);
-    void enqueue_for_batch(std::size_t index);
-    void handle_activation(Time boundary);
     void handle_fault(Time event_time, bool onset, std::size_t fault_index);
     void rescue_activation(Time now);
     void apply(const Decision& decision, const ActiveTask& candidate, Time now);
@@ -190,15 +178,10 @@ private:
     void abort_doomed(Time now);
     [[nodiscard]] Time actual_completion(const ActiveTask& task, Time planned) const;
     void rebuild(Time now);
-    [[nodiscard]] TraceResult finalize();
 
 #ifdef RMWP_AUDIT
     [[nodiscard]] AuditReport audit_schedule() const;
     void run_audit(AuditReport report);
-#endif
-
-#ifdef RMWP_OBS
-    void init_obs();
 #endif
 
     const Platform& platform_;
@@ -207,11 +190,6 @@ private:
     Predictor& predictor_;
     const ReservationTable* reservations_ = nullptr;
     SimOptions options_;
-    /// Batch-mode trace (null in streaming mode).
-    const Trace* trace_ = nullptr;
-    /// Streaming mode: arrivals are fed by the caller and the predictor's
-    /// streaming interface is used.
-    bool streaming_ = false;
 
     std::vector<ActiveTask> active_;
     /// Current resource health (all nominal unless faults are injected).
@@ -225,22 +203,17 @@ private:
     /// past the stale tail.  Cleared by every rebuild.
     bool plan_stale_ = false;
     TraceResult result_;
-    Rng execution_rng_;
-    /// Hidden actual work per task (fraction of WCET); the RM never sees
-    /// it.  Entries are dropped when their task retires, so the map is
-    /// O(active set) — a requirement for the bounded-memory serve mode.
+    /// Hidden actual work per task (fraction of WCET, drawn from
+    /// Rng(execution_seed).derive(uid)); the RM never sees it.  Entries are
+    /// dropped when their task retires, so the map is O(active set) — a
+    /// requirement for the bounded-memory serve mode.
     std::unordered_map<TaskUid, double> actual_work_;
-    /// Periodic-activation state (batch mode only).
-    std::vector<std::size_t> pending_;
-    Time last_activation_scheduled_ = -1.0;
 
-    /// Coalesced-arrival state (options.batch_arrivals / the streaming
-    /// batch entry point).  Member buffers: batches run on the hot path and
-    /// must not reallocate per group.
+    /// The group being decided.  Member buffers: groups run on the hot
+    /// path and must not reallocate per arrival.
     struct BatchEntry {
         Request request;
         TaskUid uid = 0;
-        std::size_t trace_index = 0; ///< batch mode only (predictor interface)
         ActiveTask candidate;
         /// Index into batch_items_, or kNotAdmissible when the deadline
         /// already passed at decision time (the RM never sees those).

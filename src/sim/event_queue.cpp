@@ -50,10 +50,4 @@ Time EventQueue::next_time() {
     return queue_.top().event.time;
 }
 
-const Event& EventQueue::peek() {
-    drop_cancelled();
-    RMWP_EXPECT(!queue_.empty());
-    return queue_.top().event;
-}
-
 } // namespace rmwp

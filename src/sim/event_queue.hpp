@@ -28,9 +28,8 @@ class EventQueue {
 public:
     /// Schedule an event; events at equal times pop in insertion order —
     /// the tie-break that makes runs deterministic when, e.g., a fault
-    /// onset coincides with an arrival (arrivals are scheduled first, so
-    /// the arrival is decided under the pre-fault health).  `time` must be
-    /// a number and must not lie before the last popped event.
+    /// onset coincides with a completion.  `time` must be a number and must
+    /// not lie before the last popped event.
     void schedule(Time time, std::uint32_t kind, std::uint64_t payload, std::uint64_t group = 0);
 
     /// Invalidate every event scheduled under groups 1..`group` (lazy:
@@ -46,11 +45,6 @@ public:
 
     /// Time of the earliest valid event.  Requires !empty().
     [[nodiscard]] Time next_time();
-
-    /// The earliest valid event without popping it.  Requires !empty().
-    /// The reference is invalidated by the next schedule/pop.  Lets the
-    /// dispatcher coalesce runs of simultaneous same-kind events.
-    [[nodiscard]] const Event& peek();
 
     [[nodiscard]] std::size_t scheduled_count() const noexcept { return total_scheduled_; }
 

@@ -1,7 +1,8 @@
-// The trace-driven simulation protocol of Sec 5: a discrete-event loop that
-// feeds each request to the resource manager, executes the planned window
-// schedules between activations, and accounts energy, migrations, and
-// admission outcomes.
+// The trace-driven simulation protocol of Sec 5: a driver loop over the
+// engine's single arrival entry point (sim/engine.hpp) that feeds each
+// request to the resource manager at its activation, executes the planned
+// window schedules between activations, and accounts energy, migrations,
+// and admission outcomes.
 //
 // Event flow per arrival:
 //   1. execution is advanced from the previous event to the decision time
@@ -73,7 +74,9 @@ struct SimOptions {
     /// reclaimed slack benefits queued tasks (work-conserving).
     double execution_time_factor_min = 1.0;
     /// Seed for the per-task execution-time draws (independent of the
-    /// workload generation seeds).
+    /// workload generation seeds).  Task uid j draws from
+    /// Rng(execution_seed).derive(j), so its actual work does not depend on
+    /// which other requests were admitted, nor on the front-end.
     std::uint64_t execution_seed = 0;
     /// Injected faults (fault-tolerance extension; null = fault-free, which
     /// is bit-identical to the pre-extension simulator).  Every fault onset
@@ -85,23 +88,15 @@ struct SimOptions {
     /// restored capacity.  A rescued task never misses its deadline (the
     /// rescue re-plan is verified like any admission).
     const FaultSchedule* fault_schedule = nullptr;
-    /// RM activation policy (extension; 0 reproduces the paper's
-    /// activation on every arrival).  With a positive period the manager
-    /// wakes only at period boundaries and decides on all requests that
-    /// arrived since the previous activation, in arrival order: queueing
-    /// delay consumes deadline slack, but any per-activation prediction
-    /// overhead (Fig 5) is paid once per batch instead of once per request.
+    /// RM activation policy of the trace driver, simulate_trace()
+    /// (extension; 0 reproduces the paper's activation on every arrival).
+    /// With a positive period the manager wakes only at period boundaries
+    /// and decides, as one group, on all requests that arrived since the
+    /// previous activation, in arrival order: queueing delay consumes
+    /// deadline slack, but any per-activation prediction overhead (Fig 5) is
+    /// paid once per group instead of once per request.  The engine never
+    /// reads it; serve requires 0 (it coalesces by its own batch window).
     Time activation_period = 0.0;
-    /// Coalesce simultaneous arrivals into one RM activation (the batched
-    /// admission hot path, DESIGN.md §13).  Consecutive arrival events at
-    /// the same instant are decided by a single rm_.decide_batch call —
-    /// one event drain, one execution advance, one schedule rebuild for
-    /// the group — instead of one full activation each.  Decisions are
-    /// bit-identical to the sequential path (decide_batch's contract);
-    /// TraceResult::activations then counts coalesced groups, not
-    /// arrivals.  Off by default; incompatible with activation_period
-    /// (periodic batching already coalesces).
-    bool batch_arrivals = false;
     /// Observability sink (DESIGN.md §10).  When non-null (and the build
     /// has RMWP_OBS, the default) the run records structured events —
     /// arrivals, admissions/rejections with reason codes, executed slices,

@@ -8,8 +8,8 @@
 //     multi-item batch against a sequential emulation of that reference
 //     over a working copy of the active set;
 //   * engine level — stream_arrival_batch over coalesced same-instant
-//     groups leaves the same simulation state as feeding the members
-//     through stream_arrival one by one at the same wake, and a group
+//     groups leaves the same simulation state as feeding the members as
+//     groups of one at the same wake, and a group
 //     whose members are all past their deadline never reaches the RM;
 //   * serve level — run_serve with batch_window = 0 (coalesce identical
 //     wakes) matches the unbatched loop on a bursty synthetic stream with
@@ -406,20 +406,19 @@ TEST(EngineBatch, CoalescedGroupsMatchSequentialArrivalsAtTheSameWake) {
     OnlinePredictor sequential_predictor(world.catalog);
     SimEngine sequential(world.platform, world.catalog, sequential_rm, sequential_predictor,
                          nullptr, options);
-    sequential.begin_stream();
 
     HeuristicRM batched_rm;
     OnlinePredictor batched_predictor(world.catalog);
     SimEngine batched(world.platform, world.catalog, batched_rm, batched_predictor, nullptr,
                       options);
-    batched.begin_stream();
 
     TaskUid uid = 0;
     for (const std::vector<Request>& group : groups) {
         const Time wake = group.front().arrival;
         std::vector<StreamArrival> coalesced;
         for (const Request& request : group) {
-            (void)sequential.stream_arrival(request, uid, wake);
+            const StreamArrival single[] = {{request, uid}};
+            (void)sequential.stream_arrival_batch(single, wake);
             coalesced.push_back({request, uid});
             ++uid;
         }
@@ -447,7 +446,6 @@ TEST(EngineBatch, AllDoomedGroupRecordsNoDecisionLatency) {
     HeuristicRM rm;
     OnlinePredictor predictor(world.catalog);
     SimEngine engine(world.platform, world.catalog, rm, predictor, nullptr, options);
-    engine.begin_stream();
 
     const StreamArrival doomed[] = {{Request{0.0, 0, 5.0}, 0}, {Request{0.0, 1, 5.0}, 1}};
     engine.stream_arrival_batch(doomed, 10.0);

@@ -2,6 +2,7 @@
 // (E14) and the periodic-activation mode (E15).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <tuple>
 
 #include "core/baseline_rm.hpp"
@@ -171,6 +172,25 @@ TEST(PeriodicActivation, BatchesShareOneActivation) {
     EXPECT_EQ(result.activations, 1u);
     EXPECT_EQ(result.accepted, 3u);
     EXPECT_EQ(result.completed, 3u);
+}
+
+TEST(PeriodicActivation, ArrivalMergedIntoAPastWakeIsStillDecided) {
+    // With a 0.1 ms period, 0.9 wakes at itself, and the next double after
+    // it rounds to a boundary within the merge tolerance of 0.9 — a wake-up
+    // that has already passed when that request arrives.  With no later
+    // wake-up set, the request must still be decided, not dropped.
+    const Platform platform = make_motivational_platform();
+    const Catalog catalog = table1_catalog();
+    const Trace trace({Request{0.9, 0, 100.0}, Request{std::nextafter(0.9, 1.0), 1, 100.0}});
+
+    HeuristicRM rm;
+    NullPredictor off;
+    SimOptions options;
+    options.activation_period = 0.1;
+    const TraceResult result = simulate_trace(platform, catalog, trace, rm, off, options);
+    EXPECT_EQ(result.requests, 2u);
+    EXPECT_EQ(result.accepted + result.rejected, 2u);
+    EXPECT_EQ(result.activations, 2u);
 }
 
 TEST(PeriodicActivation, InvariantsHoldOnRealisticWorkloads) {
