@@ -65,7 +65,7 @@ struct EdfArrays {
 /// array-of-structs loop, so timelines and verdicts are bit-identical
 /// (tests/test_edf.cpp pins them).
 bool simulate_edf(const Resource& resource, Time now, std::span<const ScheduleItem> items,
-                  ResourceTimeline* record, std::unordered_map<TaskUid, Time>* completion) {
+                  ResourceTimeline* record, CompletionList* completion) {
     RMWP_STAGE_SCOPE(obs::Stage::edf_simulate);
     bool feasible = true;
     Time cur = now;
@@ -85,7 +85,7 @@ bool simulate_edf(const Resource& resource, Time now, std::span<const ScheduleIt
     };
 
     auto finish = [&](TaskUid uid, Time abs_deadline, Time end) {
-        if (completion != nullptr) (*completion)[uid] = end;
+        if (completion != nullptr) completion->emplace_back(uid, end);
         if (end > abs_deadline + kEps) feasible = false;
     };
 
@@ -400,7 +400,7 @@ std::size_t insert_demand_ordered(std::vector<ScheduleItem>& items, const Schedu
 
 ResourceScheduleResult schedule_resource(const Resource& resource, Time now,
                                          std::span<const ScheduleItem> items,
-                                         std::unordered_map<TaskUid, Time>* completion) {
+                                         CompletionList* completion) {
     ResourceScheduleResult result;
     result.feasible = simulate_edf(resource, now, items, &result.timeline, completion);
     return result;
@@ -459,12 +459,12 @@ bool resource_feasible_sorted(const Resource& resource, Time now,
     return simulate_edf(resource, now, items, nullptr, nullptr);
 }
 
-WindowSchedule build_window_schedule(const Platform& platform, Time now,
-                                     std::span<const ScheduleItem> items) {
-    WindowSchedule schedule;
-    schedule.start = now;
-    schedule.feasible = true;
-    schedule.per_resource.resize(platform.size());
+void build_window_schedule_into(const Platform& platform, Time now,
+                                std::span<const ScheduleItem> items, WindowSchedule& out) {
+    out.start = now;
+    out.feasible = true;
+    out.per_resource.resize(platform.size());
+    out.completion.clear();
 
     // Operating points of one DVFS core share the core's timeline: group by
     // the physical anchor, so two tasks on different frequency levels of
@@ -481,15 +481,30 @@ WindowSchedule build_window_schedule(const Platform& platform, Time now,
         grouped[platform.resource(item.resource).physical()].push_back(item);
     }
     for (ResourceId i = 0; i < platform.size(); ++i) {
+        ResourceTimeline& timeline = out.per_resource[i];
+        timeline.segments.clear();
         if (platform.resource(i).physical() != i) {
             RMWP_EXPECT(grouped[i].empty());
             continue;
         }
-        auto result =
-            schedule_resource(platform.resource(i), now, grouped[i], &schedule.completion);
-        schedule.per_resource[i] = std::move(result.timeline);
-        schedule.feasible = schedule.feasible && result.feasible;
+        const bool feasible =
+            simulate_edf(platform.resource(i), now, grouped[i], &timeline, &out.completion);
+        out.feasible = out.feasible && feasible;
     }
+    // Every item finishes exactly once; with distinct uids (a precondition
+    // on `items`) the uid-sorted list answers completion_of unambiguously.
+    RMWP_ENSURE(out.completion.size() == items.size());
+    std::sort(out.completion.begin(), out.completion.end());
+    RMWP_EXPECT(std::adjacent_find(out.completion.begin(), out.completion.end(),
+                                   [](const auto& a, const auto& b) {
+                                       return a.first == b.first;
+                                   }) == out.completion.end());
+}
+
+WindowSchedule build_window_schedule(const Platform& platform, Time now,
+                                     std::span<const ScheduleItem> items) {
+    WindowSchedule schedule;
+    build_window_schedule_into(platform, now, items, schedule);
     return schedule;
 }
 

@@ -24,17 +24,17 @@ namespace rmwp {
 
 /// Plan one resource's timeline.  `items` are the tasks assigned to
 /// `resource` (any order).  Returns the timeline and whether every item
-/// finishes by its deadline; completion times are appended to `completion`.
-/// At most one item may be pinned_first, and only on a non-preemptable
-/// resource.
+/// finishes by its deadline; completion times are appended to `completion`
+/// in finishing order.  At most one item may be pinned_first, and only on a
+/// non-preemptable resource.
 struct ResourceScheduleResult {
     ResourceTimeline timeline;
     bool feasible = true;
 };
 
-[[nodiscard]] ResourceScheduleResult schedule_resource(
-    const Resource& resource, Time now, std::span<const ScheduleItem> items,
-    std::unordered_map<TaskUid, Time>* completion = nullptr);
+[[nodiscard]] ResourceScheduleResult schedule_resource(const Resource& resource, Time now,
+                                                       std::span<const ScheduleItem> items,
+                                                       CompletionList* completion = nullptr);
 
 /// Verdict of the O(k log k) demand-bound prefilter that guards the full
 /// EDF simulation on the admission hot path.
@@ -102,9 +102,16 @@ std::size_t insert_demand_ordered(std::vector<ScheduleItem>& items, const Schedu
 [[nodiscard]] bool resource_feasible_sorted(const Resource& resource, Time now,
                                             std::span<const ScheduleItem> items);
 
-/// Plan the whole window: groups `items` by their `resource` field and runs
-/// schedule_resource on each.  Items mapped to a resource index >= platform
-/// size are a precondition violation.
+/// Plan the whole window into `out`: groups `items` by their `resource`
+/// field and simulates EDF on each physical resource.  Reuses `out`'s
+/// timeline and completion storage, so a caller that keeps one schedule
+/// across re-plans allocates nothing once the buffers have grown.  Items
+/// mapped to a resource index >= platform size are a precondition
+/// violation.
+void build_window_schedule_into(const Platform& platform, Time now,
+                                std::span<const ScheduleItem> items, WindowSchedule& out);
+
+/// build_window_schedule_into a fresh schedule.
 [[nodiscard]] WindowSchedule build_window_schedule(const Platform& platform, Time now,
                                                    std::span<const ScheduleItem> items);
 

@@ -7,8 +7,10 @@
 namespace rmwp {
 
 std::optional<Time> WindowSchedule::completion_of(TaskUid uid) const {
-    const auto it = completion.find(uid);
-    if (it == completion.end()) return std::nullopt;
+    const auto it = std::lower_bound(
+        completion.begin(), completion.end(), uid,
+        [](const std::pair<TaskUid, Time>& entry, TaskUid key) { return entry.first < key; });
+    if (it == completion.end() || it->first != uid) return std::nullopt;
     return it->second;
 }
 

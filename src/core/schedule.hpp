@@ -7,7 +7,7 @@
 
 #include <limits>
 #include <optional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/task_state.hpp"
@@ -70,12 +70,15 @@ struct ScheduleItem {
     bool reserved = false;
 };
 
+/// Final finish time per task, as (uid, time) pairs.
+using CompletionList = std::vector<std::pair<TaskUid, Time>>;
+
 /// Result of planning one window.
 struct WindowSchedule {
     Time start = 0.0;
     bool feasible = false;
     std::vector<ResourceTimeline> per_resource;
-    std::unordered_map<TaskUid, Time> completion; ///< final finish time per task
+    CompletionList completion; ///< one entry per scheduled task, sorted by uid
 
     /// Completion time of a task; empty if the task was not scheduled.
     [[nodiscard]] std::optional<Time> completion_of(TaskUid uid) const;

@@ -12,6 +12,7 @@ const char* to_string(Stage stage) noexcept {
     case Stage::edf_simulate: return "edf_simulate";
     case Stage::shard_solve: return "shard_solve";
     case Stage::shard_merge: return "shard_merge";
+    case Stage::rebuild: return "rebuild";
     }
     return "unknown";
 }

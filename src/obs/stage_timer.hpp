@@ -36,9 +36,10 @@ enum class Stage : std::uint8_t {
     edf_simulate,   ///< exact EDF simulation fallback
     shard_solve,    ///< sharded per-bucket sub-solves, incl. cross-shard wait
     shard_merge,    ///< deterministic cross-shard mapping merge
+    rebuild,        ///< engine schedule rebuild after a decision, incl. re-arming completions
 };
 
-inline constexpr std::size_t kStageCount = 8;
+inline constexpr std::size_t kStageCount = 9;
 
 /// Lower-snake-case stage name (Prometheus label value).
 [[nodiscard]] const char* to_string(Stage stage) noexcept;

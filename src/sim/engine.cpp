@@ -158,15 +158,15 @@ void SimEngine::dispatch(const Event& event) {
                      static_cast<std::size_t>(event.payload));
     } else {
         advance(event.time);
-        // The completion event is only valid for the current plan
-        // generation, so the task must really be gone by now.
+        // Every rebuild re-arms the completions of the current plan, so the
+        // task must really be gone by now.
         if (options_.validate) RMWP_ENSURE(find_task(event.payload) == nullptr);
 #ifdef RMWP_AUDIT
         // Completion audit: the executed window must still satisfy
         // every structural invariant it satisfied when planned.
         // (Window-only: task states have advanced past the items.)
         if (options_.audit)
-            run_audit(auditor_.audit_window(platform_, audited_now_, audited_items_, schedule_,
+            run_audit(auditor_.audit_window(platform_, schedule_.start, plan_items_, schedule_,
                                             &health_));
 #endif
         // With execution-time variation the completion was (likely)
@@ -676,30 +676,29 @@ void SimEngine::apply(const Decision& decision, const ActiveTask& candidate,
     }
 }
 
-WindowSchedule SimEngine::plan_current(Time now, std::vector<ScheduleItem>* items_out) const {
-    std::vector<ScheduleItem> items;
-    items.reserve(active_.size());
+void SimEngine::plan_current(Time now) {
+    plan_items_.clear();
     Time horizon = now;
     for (const ActiveTask& task : active_) {
-        items.push_back(
+        plan_items_.push_back(
             make_schedule_item(task, catalog_.type(task.type), task.resource, now, &health_));
         horizon = std::max(horizon, task.absolute_deadline);
     }
     if (reservations_ != nullptr && !reservations_->empty())
-        reservations_->append_blocks(now, horizon, items);
-    if (items_out != nullptr) *items_out = items;
-    return build_window_schedule(platform_, now, items);
+        reservations_->append_blocks(now, horizon, plan_items_);
+    build_window_schedule_into(platform_, now, plan_items_, schedule_);
 }
 
 void SimEngine::abort_doomed(Time now) {
+    // Plans into schedule_ like rebuild(), which always follows before the
+    // clock moves on.
     while (true) {
-        std::vector<ScheduleItem> items;
-        const WindowSchedule schedule = plan_current(now, &items);
-        if (schedule.feasible) return;
+        plan_current(now);
+        if (schedule_.feasible) return;
         const std::size_t before = active_.size();
         std::vector<TaskUid> doomed;
         std::erase_if(active_, [&](const ActiveTask& task) {
-            const auto completion = schedule.completion_of(task.uid);
+            const auto completion = schedule_.completion_of(task.uid);
             const bool late =
                 completion.has_value() && *completion > task.absolute_deadline + kTimeEps;
             if (late) doomed.push_back(task.uid);
@@ -710,9 +709,9 @@ void SimEngine::abort_doomed(Time now) {
             // infeasibility is a *reservation* made late (e.g. a pinned
             // task overrunning into a reserved window after a stall).
             // Kill one adaptive occupant of each violated resource.
-            for (const ScheduleItem& item : items) {
+            for (const ScheduleItem& item : plan_items_) {
                 if (!item.reserved) continue;
-                const auto completion = schedule.completion_of(item.uid);
+                const auto completion = schedule_.completion_of(item.uid);
                 if (!completion || *completion <= item.abs_deadline + kTimeEps) continue;
                 bool removed = false;
                 std::erase_if(active_, [&](const ActiveTask& task) {
@@ -744,7 +743,11 @@ Time SimEngine::actual_completion(const ActiveTask& task, Time planned) const {
     double work_left = std::max(0.0, actual - (1.0 - task.remaining_fraction)) *
                        type.wcet(task.resource) * health_.throttle(task.resource);
     double overhead_left = task.pending_overhead;
-    for (const Segment& segment : schedule_.segments_of(task.uid)) {
+    // Within one plan a task runs only on its resource's physical timeline,
+    // whose segments are already in time order.
+    const ResourceId timeline = platform_.resource(task.resource).physical();
+    for (const Segment& segment : schedule_.per_resource[timeline].segments) {
+        if (segment.uid != task.uid) continue;
         double duration = segment.duration();
         const double overhead = std::min(overhead_left, duration);
         overhead_left -= overhead;
@@ -756,28 +759,24 @@ Time SimEngine::actual_completion(const ActiveTask& task, Time planned) const {
 }
 
 void SimEngine::rebuild(Time now) {
+    RMWP_STAGE_SCOPE(obs::Stage::rebuild);
     RMWP_TRACE(options_.sink, now, obs::EventKind::plan_rebuild, obs::kNoTask, obs::kNoResource,
                static_cast<double>(active_.size()));
 #ifdef RMWP_OBS
     if (options_.sink != nullptr) ins_.plan_rebuild->add();
 #endif
+    plan_current(now);
 #ifdef RMWP_AUDIT
-    schedule_ = plan_current(now, &audited_items_);
-    audited_now_ = now;
     if (options_.audit) run_audit(audit_schedule());
-#else
-    schedule_ = plan_current(now);
 #endif
     if (options_.validate) RMWP_ENSURE(schedule_.feasible);
     plan_stale_ = false;
 
-    events_.cancel_groups_through(generation_);
-    ++generation_;
+    events_.clear_armed();
     for (const ActiveTask& task : active_) {
         const auto completion = schedule_.completion_of(task.uid);
         RMWP_ENSURE(completion.has_value());
-        events_.schedule(actual_completion(task, *completion), kCompletionEvent, task.uid,
-                         generation_);
+        events_.arm(actual_completion(task, *completion), kCompletionEvent, task.uid);
     }
 }
 
@@ -913,10 +912,10 @@ void SimEngine::restore_stream(std::istream& is, const FaultSchedule* faults) {
 
 #ifdef RMWP_AUDIT
 AuditReport SimEngine::audit_schedule() const {
-    AuditReport report = auditor_.audit_items(platform_, catalog_, audited_now_, active_,
-                                              audited_items_, &health_);
+    AuditReport report = auditor_.audit_items(platform_, catalog_, schedule_.start, active_,
+                                              plan_items_, &health_);
     report.merge(
-        auditor_.audit_window(platform_, audited_now_, audited_items_, schedule_, &health_));
+        auditor_.audit_window(platform_, schedule_.start, plan_items_, schedule_, &health_));
     return report;
 }
 

@@ -173,8 +173,9 @@ private:
     void handle_fault(Time event_time, bool onset, std::size_t fault_index);
     void rescue_activation(Time now);
     void apply(const Decision& decision, const ActiveTask& candidate, Time now);
-    [[nodiscard]] WindowSchedule plan_current(Time now,
-                                              std::vector<ScheduleItem>* items_out = nullptr) const;
+    /// Plan the active set (plus reservation blocks) at `now` into
+    /// plan_items_ and schedule_, reusing their storage.
+    void plan_current(Time now);
     void abort_doomed(Time now);
     [[nodiscard]] Time actual_completion(const ActiveTask& task, Time planned) const;
     void rebuild(Time now);
@@ -194,10 +195,14 @@ private:
     std::vector<ActiveTask> active_;
     /// Current resource health (all nominal unless faults are injected).
     PlatformHealth health_;
+    /// The current plan and the items it was built from (plan_current()
+    /// rebuilds both in place; the audit re-checks the pair).
+    std::vector<ScheduleItem> plan_items_;
     WindowSchedule schedule_;
+    /// Fault onsets/recoveries on the heap; the current plan's completions
+    /// in the armed set, replaced by every rebuild.
     EventQueue events_;
     Time clock_ = 0.0;
-    std::uint64_t generation_ = 1;
     /// Set when advance() retires a task before the end of its planned
     /// slice; the completion handler then re-plans before the clock moves
     /// past the stale tail.  Cleared by every rebuild.
@@ -230,10 +235,6 @@ private:
 
 #ifdef RMWP_AUDIT
     ScheduleAuditor auditor_;
-    /// The items the current execution schedule was built from, and the
-    /// build instant — kept so completions can re-audit the window.
-    std::vector<ScheduleItem> audited_items_;
-    Time audited_now_ = 0.0;
 #endif
 };
 

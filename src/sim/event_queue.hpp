@@ -1,16 +1,26 @@
 // A small discrete-event simulation kernel: a time-ordered event queue with
-// stable FIFO ordering for simultaneous events and O(1) lazy cancellation.
+// stable FIFO ordering for simultaneous events, fed from two sources.
 //
-// Cancellation is by generation watermark: cancel_groups_through(g)
-// invalidates every event scheduled under groups 1..g, while group 0 (the
-// default) is never cancelled.  The resource-management simulator numbers
-// its plans 1, 2, ... and cancels the current one on every re-plan, so the
-// whole cancellation state is one integer however long the run.
+//   * schedule() pushes a one-off event onto a heap (fault onset and
+//     recovery); it stays until popped.
+//   * arm() adds to the armed set, which the owner replaces as a whole
+//     (clear_armed(), then one arm() per event).  The resource-management
+//     simulator re-arms every active task's completion after each re-plan,
+//     so a plan's stale completions are dropped in O(1) instead of lying
+//     in the heap as cancelled entries.  The set is sorted once per re-arm,
+//     latest first, and pops from its back.
+//
+// Both sources draw from one sequence counter and pop() merges them by
+// (time, sequence), so equal-time events keep their insertion order across
+// the two: a fault scheduled before a re-arm pops before the completions
+// armed at its instant, and one scheduled after (a later fault chunk) pops
+// after them.
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <queue>
+#include <vector>
 
 #include "workload/trace.hpp"
 
@@ -21,31 +31,33 @@ struct Event {
     Time time = 0.0;
     std::uint32_t kind = 0;     ///< simulation-defined discriminator
     std::uint64_t payload = 0;  ///< simulation-defined data (e.g. a task uid)
-    std::uint64_t group = 0;    ///< cancellation group
 };
 
 class EventQueue {
 public:
-    /// Schedule an event; events at equal times pop in insertion order —
-    /// the tie-break that makes runs deterministic when, e.g., a fault
-    /// onset coincides with a completion.  `time` must be a number and must
-    /// not lie before the last popped event.
-    void schedule(Time time, std::uint32_t kind, std::uint64_t payload, std::uint64_t group = 0);
+    /// Schedule a one-off event; events at equal times pop in insertion
+    /// order — the tie-break that makes runs deterministic when, e.g., a
+    /// fault onset coincides with a completion.  `time` must be a number and
+    /// must not lie before the last popped event.
+    void schedule(Time time, std::uint32_t kind, std::uint64_t payload);
 
-    /// Invalidate every event scheduled under groups 1..`group` (lazy:
-    /// they are discarded on pop).  `group` must be positive and must not
-    /// lie below an earlier watermark; group 0 is never cancelled.
-    void cancel_groups_through(std::uint64_t group);
+    /// Drop every armed event.
+    void clear_armed() noexcept;
 
-    /// True when no valid events remain.
-    [[nodiscard]] bool empty();
+    /// Add an event to the armed set (same ordering and preconditions as
+    /// schedule()); it stays until popped or until clear_armed().
+    void arm(Time time, std::uint32_t kind, std::uint64_t payload);
 
-    /// Pop the earliest valid event.  Requires !empty().
+    /// True when no events remain.
+    [[nodiscard]] bool empty() const noexcept { return heap_.empty() && armed_.empty(); }
+
+    /// Pop the earliest event of either source.  Requires !empty().
     [[nodiscard]] Event pop();
 
-    /// Time of the earliest valid event.  Requires !empty().
+    /// Time of the earliest event.  Requires !empty().
     [[nodiscard]] Time next_time();
 
+    /// Events ever scheduled or armed.
     [[nodiscard]] std::size_t scheduled_count() const noexcept { return total_scheduled_; }
 
 private:
@@ -60,13 +72,16 @@ private:
         }
     };
 
-    [[nodiscard]] bool cancelled(std::uint64_t group) const noexcept {
-        return group != 0 && group <= cancelled_through_;
-    }
-    void drop_cancelled();
+    [[nodiscard]] Entry make_entry(Time time, std::uint32_t kind, std::uint64_t payload);
+    /// Sort the armed set latest first if an arm() left it unsorted.
+    void sort_armed();
+    /// True when the earliest event is the armed set's back, false when it
+    /// is the heap's top.  Requires !empty().
+    [[nodiscard]] bool armed_first();
 
-    std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
-    std::uint64_t cancelled_through_ = 0; ///< groups 1..cancelled_through_ are dead
+    std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+    std::vector<Entry> armed_; ///< latest first once sorted; pops from the back
+    bool armed_sorted_ = true;
     std::uint64_t next_sequence_ = 0;
     std::size_t total_scheduled_ = 0;
     /// Dispatch horizon: no event may be scheduled before it, and pops are

@@ -2,11 +2,13 @@
 //
 // The solver arenas (PlanScratch, the BatchPlanner arena, the EDF buffers) make
 // steady-state admission allocation-free except for the Decision's
-// assignments vector — the one output that must outlive the call.  This
-// test pins that budget with counting global operator new/delete
-// overrides, so a future change that reintroduces per-decision allocations
-// (a copied mapping, a rebuilt schedule buffer, a temporary set) fails
-// loudly instead of silently costing throughput.
+// assignments vector — the one output that must outlive the call — and the
+// engine's schedule rebuild after each decision re-plans into buffers it
+// keeps, so a whole arrival costs the same budget.  This test pins it with
+// counting global operator new/delete overrides, so a future change that
+// reintroduces per-decision allocations (a copied mapping, a rebuilt
+// schedule buffer, a temporary set) fails loudly instead of silently
+// costing throughput.
 //
 // The counters are process-global, so this binary holds only this test.
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "core/heuristic_rm.hpp"
+#include "sim/engine.hpp"
 #include "util/rng.hpp"
 #include "workload/trace_generator.hpp"
 
@@ -169,6 +172,57 @@ TEST(AllocCount, BatchDecisionAmortisesSetupAllocations) {
     EXPECT_LE(allocations, budget)
         << "decide_batch allocated " << allocations << " times over " << kRounds
         << " batches of " << items.size();
+}
+
+TEST(AllocCount, EngineSteadyStateAllocatesOnlyTheDecisionOutputs) {
+#ifdef RMWP_AUDIT
+    GTEST_SKIP() << "allocation budgets are pinned on no-audit builds";
+#endif
+    const Platform platform = make_motivational_platform();
+    CatalogParams params;
+    params.type_count = 8;
+    Rng catalog_rng = Rng(3).derive(1);
+    const Catalog catalog = generate_catalog(platform, params, catalog_rng);
+    TraceGenParams trace_params;
+    trace_params.length = 600;
+    Rng trace_rng = Rng(3).derive(2);
+    const Trace trace = generate_trace(catalog, trace_params, trace_rng);
+
+    HeuristicRM rm;
+    NullPredictor predictor;
+    const auto feed = [&](SimEngine& engine, std::size_t from, std::size_t to) {
+        for (std::size_t j = from; j < to; ++j) {
+            const StreamArrival single[] = {{trace.request(j), j}};
+            (void)engine.stream_arrival_batch(single, trace.request(j).arrival);
+        }
+    };
+    // Warm-up: a first engine runs the whole trace, so the solver's
+    // thread-local arenas reach the trace's largest plan; the measured
+    // engine then runs a prefix, so its own buffers (active set, plan
+    // items, timelines, armed completions) reach their working sizes.
+    {
+        SimEngine warm(platform, catalog, rm, predictor, nullptr, SimOptions{});
+        feed(warm, 0, trace.size());
+    }
+    SimEngine engine(platform, catalog, rm, predictor, nullptr, SimOptions{});
+    constexpr std::size_t kWarmUp = 200;
+    feed(engine, 0, kWarmUp);
+
+    const std::size_t accepted_before = engine.result().accepted;
+    AllocationCount count;
+    count.start();
+    feed(engine, kWarmUp, trace.size());
+    const std::uint64_t allocations = count.stop();
+    const std::size_t admitted = engine.result().accepted - accepted_before;
+    ASSERT_GT(admitted, 0u);
+
+    // Budget: each admitted Decision's assignments vector — the decision
+    // outputs — and nothing per rebuild, completion or event.  (+8 absorbs
+    // engine buffers that grow when the active set passes its warm-up
+    // peak; it does not scale with the arrival count.)
+    EXPECT_LE(allocations, static_cast<std::uint64_t>(admitted) + 8)
+        << "engine allocated " << allocations << " times over " << trace.size() - kWarmUp
+        << " arrivals with " << admitted << " admissions";
 }
 
 // ---- sharded admission (DESIGN.md §15) ----

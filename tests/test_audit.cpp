@@ -205,7 +205,7 @@ TEST(Auditor, EdfOrderViolationDiagnosed) {
     forged.feasible = true;
     forged.per_resource.resize(world.platform.size());
     forged.per_resource[0].segments = {Segment{2, 0.0, 2.0}, Segment{1, 2.0, 4.0}};
-    forged.completion = {{2, 2.0}, {1, 4.0}};
+    forged.completion = {{1, 4.0}, {2, 2.0}}; // sorted by uid
 
     const AuditReport report = world.auditor.audit_window(world.platform, 0.0, items, forged);
     EXPECT_TRUE(report.has(AuditCode::edf_order)) << report.summary();

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -17,6 +18,15 @@ namespace {
 
 const Resource kCpu(0, ResourceKind::cpu, "CPU");
 const Resource kGpu(1, ResourceKind::gpu, "GPU");
+
+/// The finish time schedule_resource recorded for `uid`; throws when the
+/// task never finished.
+Time completion_at(const CompletionList& completion, TaskUid uid) {
+    const auto it = std::find_if(completion.begin(), completion.end(),
+                                 [uid](const auto& entry) { return entry.first == uid; });
+    if (it == completion.end()) throw std::out_of_range("no completion recorded");
+    return it->second;
+}
 
 ScheduleItem item(TaskUid uid, double duration, Time deadline, Time release = 0.0,
                   bool pinned = false) {
@@ -42,13 +52,13 @@ void expect_well_formed(const ResourceTimeline& timeline, Time now) {
 
 TEST(Edf, SingleTaskRunsImmediately) {
     const std::vector<ScheduleItem> items{item(1, 5.0, 10.0)};
-    std::unordered_map<TaskUid, Time> completion;
+    CompletionList completion;
     const auto result = schedule_resource(kCpu, 0.0, items, &completion);
     EXPECT_TRUE(result.feasible);
     ASSERT_EQ(result.timeline.segments.size(), 1u);
     EXPECT_DOUBLE_EQ(result.timeline.segments[0].start, 0.0);
     EXPECT_DOUBLE_EQ(result.timeline.segments[0].end, 5.0);
-    EXPECT_DOUBLE_EQ(completion.at(1), 5.0);
+    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 5.0);
 }
 
 TEST(Edf, StartsAtNowNotZero) {
@@ -61,13 +71,13 @@ TEST(Edf, StartsAtNowNotZero) {
 TEST(Edf, OrdersByDeadline) {
     const std::vector<ScheduleItem> items{item(1, 4.0, 20.0), item(2, 3.0, 5.0),
                                           item(3, 2.0, 12.0)};
-    std::unordered_map<TaskUid, Time> completion;
+    CompletionList completion;
     const auto result = schedule_resource(kCpu, 0.0, items, &completion);
     EXPECT_TRUE(result.feasible);
     // EDF: 2 (d=5), then 3 (d=12), then 1 (d=20).
-    EXPECT_DOUBLE_EQ(completion.at(2), 3.0);
-    EXPECT_DOUBLE_EQ(completion.at(3), 5.0);
-    EXPECT_DOUBLE_EQ(completion.at(1), 9.0);
+    EXPECT_DOUBLE_EQ(completion_at(completion, 2), 3.0);
+    EXPECT_DOUBLE_EQ(completion_at(completion, 3), 5.0);
+    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 9.0);
     expect_well_formed(result.timeline, 0.0);
 }
 
@@ -86,18 +96,18 @@ TEST(Edf, ExactlyMeetingDeadlineIsFeasible) {
 
 TEST(Edf, DeadlineTieBreaksByUid) {
     const std::vector<ScheduleItem> items{item(7, 2.0, 10.0), item(3, 2.0, 10.0)};
-    std::unordered_map<TaskUid, Time> completion;
+    CompletionList completion;
     std::ignore = schedule_resource(kCpu, 0.0, items, &completion);
-    EXPECT_DOUBLE_EQ(completion.at(3), 2.0);
-    EXPECT_DOUBLE_EQ(completion.at(7), 4.0);
+    EXPECT_DOUBLE_EQ(completion_at(completion, 3), 2.0);
+    EXPECT_DOUBLE_EQ(completion_at(completion, 7), 4.0);
 }
 
 TEST(Edf, ZeroDurationCompletesInstantly) {
     const std::vector<ScheduleItem> items{item(1, 0.0, 10.0), item(2, 3.0, 5.0)};
-    std::unordered_map<TaskUid, Time> completion;
+    CompletionList completion;
     const auto result = schedule_resource(kCpu, 0.0, items, &completion);
     EXPECT_TRUE(result.feasible);
-    EXPECT_EQ(completion.count(1), 1u);
+    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 0.0);
     ASSERT_EQ(result.timeline.segments.size(), 1u); // no zero-width segment emitted
 }
 
@@ -108,17 +118,17 @@ TEST(EdfPredicted, LaterDeadlineQueuesAfterAll) {
     // max(s_p, q_i) where q_i is when everything else finishes.
     std::vector<ScheduleItem> items{item(1, 6.0, 10.0),
                                     item(kPredictedUid, 3.0, 20.0, /*release=*/2.0)};
-    std::unordered_map<TaskUid, Time> completion;
+    CompletionList completion;
     auto result = schedule_resource(kCpu, 0.0, items, &completion);
     EXPECT_TRUE(result.feasible);
-    EXPECT_DOUBLE_EQ(completion.at(1), 6.0);
-    EXPECT_DOUBLE_EQ(completion.at(kPredictedUid), 9.0); // starts at q = 6 > s_p = 2
+    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 6.0);
+    EXPECT_DOUBLE_EQ(completion_at(completion, kPredictedUid), 9.0); // starts at q = 6 > s_p = 2
 
     // s_p beyond q: starts at s_p.
     items[1].release = 8.0;
     completion.clear();
     result = schedule_resource(kCpu, 0.0, items, &completion);
-    EXPECT_DOUBLE_EQ(completion.at(kPredictedUid), 11.0);
+    EXPECT_DOUBLE_EQ(completion_at(completion, kPredictedUid), 11.0);
     // The resource idles in [6, 8): verify via the segment start.
     ASSERT_EQ(result.timeline.segments.size(), 2u);
     EXPECT_DOUBLE_EQ(result.timeline.segments[1].start, 8.0);
@@ -132,12 +142,12 @@ TEST(EdfPredicted, EarlierDeadlineArrivingDuringSl1DoesNotPreempt) {
         item(2, 5.0, 30.0),                                  // SL2
         item(kPredictedUid, 2.0, 8.0, /*release=*/1.0),      // d_p = 8
     };
-    std::unordered_map<TaskUid, Time> completion;
+    CompletionList completion;
     const auto result = schedule_resource(kCpu, 0.0, items, &completion);
     EXPECT_TRUE(result.feasible);
-    EXPECT_DOUBLE_EQ(completion.at(1), 4.0);
-    EXPECT_DOUBLE_EQ(completion.at(kPredictedUid), 6.0);
-    EXPECT_DOUBLE_EQ(completion.at(2), 11.0);
+    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 4.0);
+    EXPECT_DOUBLE_EQ(completion_at(completion, kPredictedUid), 6.0);
+    EXPECT_DOUBLE_EQ(completion_at(completion, 2), 11.0);
     // Task 1 must not be split.
     EXPECT_EQ(result.timeline.segments.size(), 3u);
 }
@@ -150,12 +160,12 @@ TEST(EdfPredicted, ArrivalAfterQPreemptsRunningSl2Task) {
         item(2, 8.0, 30.0),                             // SL2, starts at 3
         item(kPredictedUid, 2.0, 10.0, /*release=*/5.0) // preempts task 2 at 5
     };
-    std::unordered_map<TaskUid, Time> completion;
+    CompletionList completion;
     const auto result = schedule_resource(kCpu, 0.0, items, &completion);
     EXPECT_TRUE(result.feasible);
-    EXPECT_DOUBLE_EQ(completion.at(1), 3.0);
-    EXPECT_DOUBLE_EQ(completion.at(kPredictedUid), 7.0);
-    EXPECT_DOUBLE_EQ(completion.at(2), 13.0); // 8 units of work + 2 preempted
+    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 3.0);
+    EXPECT_DOUBLE_EQ(completion_at(completion, kPredictedUid), 7.0);
+    EXPECT_DOUBLE_EQ(completion_at(completion, 2), 13.0); // 8 units of work + 2 preempted
 
     // Task 2 must have exactly two chunks: [3, 5) and [7, 13).
     std::vector<Segment> chunks;
@@ -174,10 +184,10 @@ TEST(EdfPredicted, EqualDeadlineDoesNotPreempt) {
         item(1, 6.0, 10.0),
         item(kPredictedUid, 2.0, 10.0, /*release=*/2.0),
     };
-    std::unordered_map<TaskUid, Time> completion;
+    CompletionList completion;
     const auto result = schedule_resource(kCpu, 0.0, items, &completion);
-    EXPECT_DOUBLE_EQ(completion.at(1), 6.0); // not preempted at t=2
-    EXPECT_DOUBLE_EQ(completion.at(kPredictedUid), 8.0);
+    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 6.0); // not preempted at t=2
+    EXPECT_DOUBLE_EQ(completion_at(completion, kPredictedUid), 8.0);
     EXPECT_EQ(result.timeline.segments.size(), 2u);
 }
 
@@ -190,11 +200,11 @@ TEST(EdfPredicted, NoPreemptionOnGpu) {
         item(2, 8.0, 30.0),
         item(kPredictedUid, 2.0, 16.0, /*release=*/5.0),
     };
-    std::unordered_map<TaskUid, Time> completion;
+    CompletionList completion;
     const auto result = schedule_resource(kGpu, 0.0, items, &completion);
     EXPECT_TRUE(result.feasible);
-    EXPECT_DOUBLE_EQ(completion.at(2), 11.0);              // runs [3, 11) unsplit
-    EXPECT_DOUBLE_EQ(completion.at(kPredictedUid), 13.0);  // boundary dispatch at 11
+    EXPECT_DOUBLE_EQ(completion_at(completion, 2), 11.0);              // runs [3, 11) unsplit
+    EXPECT_DOUBLE_EQ(completion_at(completion, kPredictedUid), 13.0);  // boundary dispatch at 11
     for (const Segment& segment : result.timeline.segments)
         if (segment.uid == 2) {
             EXPECT_DOUBLE_EQ(segment.duration(), 8.0);
@@ -210,13 +220,13 @@ TEST(EdfPredicted, GpuBoundaryDispatchPrefersPredictedWhenReleased) {
         item(3, 5.0, 50.0),
         item(kPredictedUid, 2.0, 12.0, /*release=*/3.0),
     };
-    std::unordered_map<TaskUid, Time> completion;
+    CompletionList completion;
     const auto result = schedule_resource(kGpu, 0.0, items, &completion);
     EXPECT_TRUE(result.feasible);
-    EXPECT_DOUBLE_EQ(completion.at(1), 4.0);
-    EXPECT_DOUBLE_EQ(completion.at(kPredictedUid), 6.0); // boundary at 4 >= s_p = 3
-    EXPECT_DOUBLE_EQ(completion.at(2), 11.0);
-    EXPECT_DOUBLE_EQ(completion.at(3), 16.0);
+    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 4.0);
+    EXPECT_DOUBLE_EQ(completion_at(completion, kPredictedUid), 6.0); // boundary at 4 >= s_p = 3
+    EXPECT_DOUBLE_EQ(completion_at(completion, 2), 11.0);
+    EXPECT_DOUBLE_EQ(completion_at(completion, 3), 16.0);
 }
 
 TEST(EdfPredicted, GpuWorkConservingBeforeRelease) {
@@ -227,11 +237,11 @@ TEST(EdfPredicted, GpuWorkConservingBeforeRelease) {
         item(2, 6.0, 40.0),
         item(kPredictedUid, 2.0, 12.0, /*release=*/3.0),
     };
-    std::unordered_map<TaskUid, Time> completion;
+    CompletionList completion;
     const auto result = schedule_resource(kGpu, 0.0, items, &completion);
     // Boundary at t=2 < s_p=3: task 2 dispatches; tau_p must wait until 8.
-    EXPECT_DOUBLE_EQ(completion.at(2), 8.0);
-    EXPECT_DOUBLE_EQ(completion.at(kPredictedUid), 10.0);
+    EXPECT_DOUBLE_EQ(completion_at(completion, 2), 8.0);
+    EXPECT_DOUBLE_EQ(completion_at(completion, kPredictedUid), 10.0);
     EXPECT_TRUE(result.feasible);
 }
 
@@ -242,11 +252,11 @@ TEST(EdfPinned, PinnedRunsFirstDespiteLaterDeadline) {
         item(1, 5.0, 100.0, 0.0, /*pinned=*/true), // currently executing on the GPU
         item(2, 2.0, 8.0),                         // earlier deadline but must wait
     };
-    std::unordered_map<TaskUid, Time> completion;
+    CompletionList completion;
     const auto result = schedule_resource(kGpu, 0.0, items, &completion);
     EXPECT_TRUE(result.feasible);
-    EXPECT_DOUBLE_EQ(completion.at(1), 5.0);
-    EXPECT_DOUBLE_EQ(completion.at(2), 7.0);
+    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 5.0);
+    EXPECT_DOUBLE_EQ(completion_at(completion, 2), 7.0);
 }
 
 TEST(EdfPinned, ZeroDurationItemsCompleteAfterThePinnedHeadInAnyInputOrder) {
@@ -260,9 +270,9 @@ TEST(EdfPinned, ZeroDurationItemsCompleteAfterThePinnedHeadInAnyInputOrder) {
     EXPECT_FALSE(schedule_resource(kGpu, 0.0, head_first).feasible);
     EXPECT_FALSE(resource_feasible(kGpu, 0.0, instant_first));
     EXPECT_FALSE(resource_feasible(kGpu, 0.0, head_first));
-    std::unordered_map<TaskUid, Time> completion;
+    CompletionList completion;
     std::ignore = schedule_resource(kGpu, 0.0, instant_first, &completion);
-    EXPECT_DOUBLE_EQ(completion.at(1), 3.0);
+    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 3.0);
 }
 
 TEST(EdfPinned, SimulationIsInputOrderIndependent) {
@@ -281,13 +291,17 @@ TEST(EdfPinned, SimulationIsInputOrderIndependent) {
         items.push_back(item(100, rng.uniform(0.0, 4.0), now + rng.uniform(0.5, 8.0), now,
                              /*pinned=*/true));
 
-        std::unordered_map<TaskUid, Time> reference;
+        CompletionList reference;
         const bool feasible = schedule_resource(kGpu, now, items, &reference).feasible;
+        // Finishing order is not part of the contract (zero-duration items
+        // finish in input order): compare the lists by uid.
+        std::ranges::sort(reference);
         for (int shuffle = 0; shuffle < 4; ++shuffle) {
             rng.shuffle(items);
-            std::unordered_map<TaskUid, Time> completion;
+            CompletionList completion;
             EXPECT_EQ(schedule_resource(kGpu, now, items, &completion).feasible, feasible)
                 << "round " << round;
+            std::ranges::sort(completion);
             EXPECT_EQ(completion, reference) << "round " << round;
             EXPECT_EQ(resource_feasible(kGpu, now, items), feasible) << "round " << round;
         }
@@ -356,12 +370,12 @@ TEST(EdfMixed, ReservationOutranksPredictedTask) {
         item(kPredictedUid, 3.0, 9.0, /*release=*/4.0),
         reservation,
     };
-    std::unordered_map<TaskUid, Time> completion;
+    CompletionList completion;
     const auto result = schedule_resource(kCpu, 0.0, items, &completion);
     EXPECT_TRUE(result.feasible);
-    EXPECT_DOUBLE_EQ(completion.at(kReservedUidBase + 1), 6.0);
-    EXPECT_DOUBLE_EQ(completion.at(kPredictedUid), 9.0); // after the window
-    EXPECT_DOUBLE_EQ(completion.at(1), 3.0);             // runs [0,3), before the window
+    EXPECT_DOUBLE_EQ(completion_at(completion, kReservedUidBase + 1), 6.0);
+    EXPECT_DOUBLE_EQ(completion_at(completion, kPredictedUid), 9.0); // after the window
+    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 3.0);             // runs [0,3), before the window
 }
 
 TEST(EdfMixed, PredictedPreemptsTaskThenReservationPreemptsPredicted) {
@@ -379,14 +393,14 @@ TEST(EdfMixed, PredictedPreemptsTaskThenReservationPreemptsPredicted) {
         item(kPredictedUid, 3.0, 8.0, /*release=*/2.0),
         reservation,
     };
-    std::unordered_map<TaskUid, Time> completion;
+    CompletionList completion;
     const auto result = schedule_resource(kCpu, 0.0, items, &completion);
     EXPECT_TRUE(result.feasible);
     // Timeline: task1 [0,2), tau_p [2,4), reservation [4,5), tau_p [5,6),
     // task1 [6,10).
-    EXPECT_DOUBLE_EQ(completion.at(kReservedUidBase + 2), 5.0);
-    EXPECT_DOUBLE_EQ(completion.at(kPredictedUid), 6.0);
-    EXPECT_DOUBLE_EQ(completion.at(1), 10.0);
+    EXPECT_DOUBLE_EQ(completion_at(completion, kReservedUidBase + 2), 5.0);
+    EXPECT_DOUBLE_EQ(completion_at(completion, kPredictedUid), 6.0);
+    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 10.0);
     // tau_p must be split into two chunks around the reservation.
     std::size_t predicted_chunks = 0;
     for (const Segment& segment : result.timeline.segments)
@@ -410,15 +424,15 @@ TEST(EdfProperty, FeasibleOnlyWhenAllCompletionsMeetDeadlines) {
             items.push_back(item(kPredictedUid, rng.uniform(0.5, 6.0), rng.uniform(4.0, 30.0),
                                  rng.uniform(0.0, 10.0)));
 
-        std::unordered_map<TaskUid, Time> completion;
+        CompletionList completion;
         const auto result =
             schedule_resource(gpu ? kGpu : kCpu, 0.0, items, &completion);
 
         bool all_met = true;
         double total_work = 0.0;
         for (const ScheduleItem& it : items) {
-            ASSERT_EQ(completion.count(it.uid), 1u);
-            if (completion.at(it.uid) > it.abs_deadline + 1e-6) all_met = false;
+            ASSERT_EQ(std::ranges::count(completion, it.uid, &CompletionList::value_type::first), 1);
+            if (completion_at(completion, it.uid) > it.abs_deadline + 1e-6) all_met = false;
             total_work += it.duration;
         }
         EXPECT_EQ(result.feasible, all_met);
@@ -623,7 +637,7 @@ TEST(EdfGolden, SoaInnerLoopReproducesGoldenSegmentOrder) {
         item(kPredictedUid, 2.0, 12.0, /*release=*/3.0), // preempts task 2 at 3
         reservation,                                     // preempts tau_p's tail window
     };
-    std::unordered_map<TaskUid, Time> completion;
+    CompletionList completion;
     const auto result = schedule_resource(kCpu, 0.0, items, &completion);
     EXPECT_TRUE(result.feasible);
 
@@ -641,8 +655,8 @@ TEST(EdfGolden, SoaInnerLoopReproducesGoldenSegmentOrder) {
         EXPECT_DOUBLE_EQ(result.timeline.segments[k].start, std::get<1>(golden[k]));
         EXPECT_DOUBLE_EQ(result.timeline.segments[k].end, std::get<2>(golden[k]));
     }
-    EXPECT_DOUBLE_EQ(completion.at(2), 9.0);
-    EXPECT_DOUBLE_EQ(completion.at(5), 12.0);
+    EXPECT_DOUBLE_EQ(completion_at(completion, 2), 9.0);
+    EXPECT_DOUBLE_EQ(completion_at(completion, 5), 12.0);
 }
 
 TEST(EdfPrefilterTest, DvfsAnchorScreensTheMergedOperatingPointSet) {
@@ -712,10 +726,10 @@ TEST(EdfPrefilterTest, NonPreemptableReplayEqualsSimulation) {
         }
         if (rng.bernoulli(0.5)) {
             // Pull some deadlines onto the simulated completion times.
-            std::unordered_map<TaskUid, Time> completion;
+            CompletionList completion;
             std::ignore = schedule_resource(kGpu, now, items, &completion);
             for (ScheduleItem& it : items)
-                if (rng.bernoulli(0.5)) it.abs_deadline = completion.at(it.uid) + jitter();
+                if (rng.bernoulli(0.5)) it.abs_deadline = completion_at(completion, it.uid) + jitter();
         }
 
         const bool simulated = schedule_resource(kGpu, now, items).feasible;

@@ -3,7 +3,9 @@
 // blocking), RM capacity carving, and end-to-end simulation guarantees.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <tuple>
 
 #include "core/exact_rm.hpp"
@@ -20,6 +22,15 @@ namespace {
 
 const Resource kCpu(0, ResourceKind::cpu, "CPU");
 const Resource kGpu(1, ResourceKind::gpu, "GPU");
+
+/// The finish time schedule_resource recorded for `uid`; throws when the
+/// task never finished.
+Time completion_at(const CompletionList& completion, TaskUid uid) {
+    const auto it = std::find_if(completion.begin(), completion.end(),
+                                 [uid](const auto& entry) { return entry.first == uid; });
+    if (it == completion.end()) throw std::out_of_range("no completion recorded");
+    return it->second;
+}
 
 ScheduleItem adaptive(TaskUid uid, double duration, Time deadline, Time release = 0.0) {
     ScheduleItem it;
@@ -108,11 +119,11 @@ TEST(ReservedEdf, PreemptsAdaptiveTaskOnCpu) {
     // Adaptive task [0, 8) with a reservation [3, 5): the task splits and
     // finishes at 10.
     const std::vector<ScheduleItem> items{adaptive(1, 8.0, 20.0), block(0, 3.0, 2.0)};
-    std::unordered_map<TaskUid, Time> completion;
+    CompletionList completion;
     const auto result = schedule_resource(kCpu, 0.0, items, &completion);
     EXPECT_TRUE(result.feasible);
-    EXPECT_DOUBLE_EQ(completion.at(1), 10.0);
-    EXPECT_DOUBLE_EQ(completion.at(kReservedUidBase + 0), 5.0);
+    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 10.0);
+    EXPECT_DOUBLE_EQ(completion_at(completion, kReservedUidBase + 0), 5.0);
     ASSERT_EQ(result.timeline.segments.size(), 3u);
     EXPECT_DOUBLE_EQ(result.timeline.segments[1].start, 3.0); // reservation exactly on time
     EXPECT_DOUBLE_EQ(result.timeline.segments[1].end, 5.0);
@@ -121,10 +132,10 @@ TEST(ReservedEdf, PreemptsAdaptiveTaskOnCpu) {
 TEST(ReservedEdf, ReservationBeatsEarlierDeadlineTask) {
     // Even a tighter-deadline adaptive task cannot displace a reservation.
     const std::vector<ScheduleItem> items{adaptive(1, 4.0, 6.0), block(0, 0.0, 3.0)};
-    std::unordered_map<TaskUid, Time> completion;
+    CompletionList completion;
     const auto result = schedule_resource(kCpu, 0.0, items, &completion);
-    EXPECT_DOUBLE_EQ(completion.at(kReservedUidBase + 0), 3.0);
-    EXPECT_DOUBLE_EQ(completion.at(1), 7.0);
+    EXPECT_DOUBLE_EQ(completion_at(completion, kReservedUidBase + 0), 3.0);
+    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 7.0);
     EXPECT_FALSE(result.feasible); // the adaptive task misses: 7 > 6
 }
 
@@ -134,22 +145,22 @@ TEST(ReservedEdf, NonPreemptableDispatchBlocksOverlappingTask) {
     // window ends.
     const std::vector<ScheduleItem> items{adaptive(1, 6.0, 30.0), adaptive(2, 3.0, 25.0),
                                           block(0, 4.0, 2.0)};
-    std::unordered_map<TaskUid, Time> completion;
+    CompletionList completion;
     const auto result = schedule_resource(kGpu, 0.0, items, &completion);
     EXPECT_TRUE(result.feasible);
-    EXPECT_DOUBLE_EQ(completion.at(2), 3.0);                     // fits before the window
-    EXPECT_DOUBLE_EQ(completion.at(kReservedUidBase + 0), 6.0);  // on time
-    EXPECT_DOUBLE_EQ(completion.at(1), 12.0);                    // after the window
+    EXPECT_DOUBLE_EQ(completion_at(completion, 2), 3.0);                     // fits before the window
+    EXPECT_DOUBLE_EQ(completion_at(completion, kReservedUidBase + 0), 6.0);  // on time
+    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 12.0);                    // after the window
 }
 
 TEST(ReservedEdf, NonPreemptableIdlesWhenNothingFits) {
     const std::vector<ScheduleItem> items{adaptive(1, 6.0, 30.0), block(0, 4.0, 2.0)};
-    std::unordered_map<TaskUid, Time> completion;
+    CompletionList completion;
     const auto result = schedule_resource(kGpu, 0.0, items, &completion);
     EXPECT_TRUE(result.feasible);
     // The GPU idles [0, 4), runs the reservation, then the task.
-    EXPECT_DOUBLE_EQ(completion.at(kReservedUidBase + 0), 6.0);
-    EXPECT_DOUBLE_EQ(completion.at(1), 12.0);
+    EXPECT_DOUBLE_EQ(completion_at(completion, kReservedUidBase + 0), 6.0);
+    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 12.0);
 }
 
 TEST(ReservedEdf, PinnedOverrunMakesReservationLate) {

@@ -48,37 +48,51 @@ TEST(EventQueue, SimultaneousEventsAreFifo) {
     for (std::uint64_t i = 0; i < 5; ++i) EXPECT_EQ(queue.pop().payload, i);
 }
 
-TEST(EventQueue, CancelGroupsThroughDropsGroup) {
+TEST(EventQueue, RearmingDropsEveryArmedEvent) {
     EventQueue queue;
-    queue.schedule(1.0, 0, 1, /*group=*/5);
-    queue.schedule(2.0, 0, 2, /*group=*/6);
-    queue.schedule(3.0, 0, 3, /*group=*/5);
-    queue.cancel_groups_through(5);
-    EXPECT_EQ(queue.pop().payload, 2u);
+    queue.arm(1.0, 0, 1);
+    queue.arm(2.0, 0, 2);
+    queue.schedule(3.0, 1, 3);
+    queue.clear_armed(); // a re-plan: the old completions are gone
+    queue.arm(4.0, 0, 4);
+    queue.arm(2.5, 0, 5);
+    EXPECT_EQ(queue.pop().payload, 5u);
+    EXPECT_EQ(queue.pop().payload, 3u); // heap events survive a re-arm
+    queue.clear_armed();
     EXPECT_TRUE(queue.empty());
-    EXPECT_THROW(queue.schedule(4.0, 0, 4, 5), precondition_error); // dead group
 }
 
-TEST(EventQueue, CancellationWatermarkSparesGroupZeroAndLaterGroups) {
+TEST(EventQueue, FaultScheduledBeforeArmPopsFirstAtEqualTime) {
     EventQueue queue;
-    queue.schedule(1.0, 0, 1, /*group=*/1);
-    queue.schedule(2.0, 0, 2, /*group=*/0);
-    queue.schedule(3.0, 0, 3, /*group=*/2);
-    queue.schedule(4.0, 0, 4, /*group=*/3);
-    queue.schedule(5.0, 0, 5, /*group=*/4);
-    queue.cancel_groups_through(1);
-    queue.cancel_groups_through(3); // drops 2 and 3 as well
-    queue.cancel_groups_through(3); // idempotent at the watermark
-    EXPECT_EQ(queue.pop().payload, 2u); // group 0 is never cancelled
-    EXPECT_EQ(queue.pop().payload, 5u);
+    queue.schedule(5.0, 1, 10); // fault onset
+    queue.arm(5.0, 0, 20);      // completion armed by a later re-plan
+    queue.arm(5.0, 0, 21);
+    EXPECT_EQ(queue.pop().payload, 10u);
+    EXPECT_EQ(queue.pop().payload, 20u);
+    EXPECT_EQ(queue.pop().payload, 21u);
+}
+
+TEST(EventQueue, FaultScheduledAfterArmPopsAfterItAtEqualTime) {
+    EventQueue queue;
+    queue.arm(5.0, 0, 20);
+    queue.schedule(5.0, 1, 10); // a later fault chunk lands on the completion
+    queue.arm(5.0, 0, 21);      // armed after the fault: pops after it too
+    EXPECT_DOUBLE_EQ(queue.next_time(), 5.0);
+    EXPECT_EQ(queue.pop().payload, 20u);
+    EXPECT_EQ(queue.pop().payload, 10u);
+    EXPECT_EQ(queue.pop().payload, 21u);
     EXPECT_TRUE(queue.empty());
-    EXPECT_THROW(queue.schedule(6.0, 0, 6, 2), precondition_error); // below the watermark
-    queue.schedule(6.0, 0, 6, /*group=*/0);
-    queue.schedule(7.0, 0, 7, /*group=*/4);
-    EXPECT_THROW(queue.cancel_groups_through(2), precondition_error); // not monotone
-    EXPECT_THROW(queue.cancel_groups_through(0), precondition_error); // group 0
-    EXPECT_EQ(queue.pop().payload, 6u);
-    EXPECT_EQ(queue.pop().payload, 7u);
+}
+
+TEST(EventQueue, ArmIntoDispatchedPastThrows) {
+    EventQueue queue;
+    queue.schedule(5.0, 1, 1);
+    EXPECT_EQ(queue.pop().payload, 1u);
+    queue.clear_armed();
+    EXPECT_THROW(queue.arm(4.0, 0, 2), precondition_error);
+    EXPECT_THROW(queue.arm(std::nan(""), 0, 3), precondition_error);
+    queue.arm(5.0, 0, 4); // the present is still fine
+    EXPECT_EQ(queue.pop().payload, 4u);
 }
 
 TEST(EventQueue, NextTimePeeks) {

@@ -433,6 +433,9 @@ TEST(StageTimer, ServeDecisionsBitIdenticalWithProfilingOnVsOff) {
     EXPECT_GT(stats.cell(obs::Stage::decide).calls, 0u);
     EXPECT_GT(stats.cell(obs::Stage::solve).calls, 0u);
     EXPECT_GT(stats.cell(obs::Stage::batch_assemble).calls, 0u);
+    // One schedule rebuild per decision: without faults or execution-time
+    // variation this stream has no recovery or completion re-plans.
+    EXPECT_EQ(stats.cell(obs::Stage::rebuild).calls, on.result.activations);
     EXPECT_GT(stats.prefilter_infeasible + stats.prefilter_feasible +
                   stats.prefilter_unknown,
               0u);
@@ -498,6 +501,8 @@ TEST(Prometheus, RenderedRegistryPassesStrictChecker) {
     EXPECT_NE(exposition.find("rmwp_engine_admission_ns{quantile=\"0.99\"}"),
               std::string::npos);
     EXPECT_NE(exposition.find("rmwp_stage_calls_total{stage=\"prefilter\"}"),
+              std::string::npos);
+    EXPECT_NE(exposition.find("rmwp_stage_calls_total{stage=\"rebuild\"}"),
               std::string::npos);
     // A malformed exposition must actually fail the checker (the checker is
     // load-bearing for the CI smoke job).
