@@ -398,14 +398,6 @@ std::size_t insert_demand_ordered(std::vector<ScheduleItem>& items, const Schedu
     return index;
 }
 
-ResourceScheduleResult schedule_resource(const Resource& resource, Time now,
-                                         std::span<const ScheduleItem> items,
-                                         CompletionList* completion) {
-    ResourceScheduleResult result;
-    result.feasible = simulate_edf(resource, now, items, &result.timeline, completion);
-    return result;
-}
-
 EdfPrefilter edf_demand_prefilter(const Resource& resource, Time now,
                                   std::span<const ScheduleItem> items) {
     RMWP_STAGE_SCOPE(obs::Stage::prefilter);

@@ -22,20 +22,6 @@
 
 namespace rmwp {
 
-/// Plan one resource's timeline.  `items` are the tasks assigned to
-/// `resource` (any order).  Returns the timeline and whether every item
-/// finishes by its deadline; completion times are appended to `completion`
-/// in finishing order.  At most one item may be pinned_first, and only on a
-/// non-preemptable resource.
-struct ResourceScheduleResult {
-    ResourceTimeline timeline;
-    bool feasible = true;
-};
-
-[[nodiscard]] ResourceScheduleResult schedule_resource(const Resource& resource, Time now,
-                                                       std::span<const ScheduleItem> items,
-                                                       CompletionList* completion = nullptr);
-
 /// Verdict of the O(k log k) demand-bound prefilter that guards the full
 /// EDF simulation on the admission hot path.
 enum class EdfPrefilter {
@@ -89,7 +75,9 @@ std::size_t insert_demand_ordered(std::vector<ScheduleItem>& items, const Schedu
 [[nodiscard]] EdfPrefilter edf_demand_prefilter_sorted(const Resource& resource, Time now,
                                                        std::span<const ScheduleItem> items);
 
-/// Fast feasibility-only variant of schedule_resource (no timeline built).
+/// Whether EDF meets every deadline of `items` on `resource` (no timeline
+/// built).  At most one item may be pinned_first, and only on a
+/// non-preemptable resource.
 /// Answers from the demand-bound prefilter when it is decisive; falls back
 /// to the full EDF simulation otherwise.
 [[nodiscard]] bool resource_feasible(const Resource& resource, Time now,

@@ -6,7 +6,6 @@
 #include <numeric>
 
 #include "core/edf.hpp"
-#include "core/shard.hpp"
 #include "obs/stage_timer.hpp"
 #include "util/check.hpp"
 
@@ -50,24 +49,6 @@ struct ExactSum {
         return lo < other.lo;
     }
 };
-
-/// ShardedSolver callback: branch-and-bound over one bucket's sub-instance.
-/// Costs and feasibility separate across buckets, so the per-bucket optima
-/// compose into the global optimum; `proven` reports whether a failure
-/// exhausted the search tree (node budgets are per sub-solve — see the
-/// DESIGN.md §15 caveat).
-bool sharded_optimize(const PlanInstance& sub, std::vector<ResourceId>& mapping, bool& proven,
-                      void* ctx) {
-    const auto* options = static_cast<const ExactRM::Options*>(ctx);
-    bool step_proven = true;
-    auto result = ExactRM::optimize(sub, *options, &step_proven);
-    proven = step_proven;
-    if (!result) return false;
-    // Assign (not move): the slot's buffer capacity is part of the
-    // allocation-free steady state.
-    mapping.assign(result->mapping.begin(), result->mapping.end());
-    return true;
-}
 
 /// Depth-first search state.  Pooled thread-locally (search_scratch):
 /// admission runs the search thousands of times per trace, and the
@@ -210,22 +191,28 @@ Search& search_scratch() {
     return search;
 }
 
+/// Run the search on this thread's pooled state and return it: the
+/// incumbent (empty when none was found) stays valid until the next search
+/// on the thread.
+const Search& run_search(const PlanInstance& instance, const ExactRM::Options& options) {
+    RMWP_STAGE_SCOPE(obs::Stage::solve);
+    RMWP_EXPECT(instance.platform != nullptr);
+    RMWP_EXPECT(instance.blocks.size() == instance.platform->size());
+    Search& search = search_scratch();
+    search.reset(instance, options);
+    search.dfs(0, ExactSum{});
+    RMWP_ENSURE(search.best.empty() || search.best.size() == instance.tasks.size());
+    return search;
+}
+
 } // namespace
 
 std::optional<ExactRM::Result> ExactRM::optimize(const PlanInstance& instance,
                                                  const Options& options, bool* proven_out) {
-    RMWP_STAGE_SCOPE(obs::Stage::solve);
-    const std::size_t count = instance.tasks.size();
     RMWP_EXPECT(instance.platform != nullptr);
-    RMWP_EXPECT(instance.blocks.size() == instance.platform->size());
-
-    Search& search = search_scratch();
-    search.reset(instance, options);
-    search.dfs(0, ExactSum{});
-
+    const Search& search = run_search(instance, options);
     if (proven_out != nullptr) *proven_out = search.proven;
     if (search.best.empty()) return std::nullopt;
-    RMWP_ENSURE(search.best.size() == count);
     Result result;
     result.mapping = search.best; // copy: the incumbent buffer stays pooled
     result.energy = search.best_cost.hi;
@@ -234,57 +221,18 @@ std::optional<ExactRM::Result> ExactRM::optimize(const PlanInstance& instance,
     return result;
 }
 
-void ExactRM::decide_batch(const BatchArrivalContext& batch, std::vector<Decision>& out) {
-    RMWP_EXPECT(batch.platform != nullptr && batch.catalog != nullptr);
-    const std::size_t shards = shard_config().shards;
-    BatchPlanner planner(batch);
-    ShardedSolver& solver = ShardedSolver::local();
-    if (shards > 1) solver.begin_batch(batch, shards);
-    std::vector<ResourceId> mapping;
-    out.clear();
-    out.reserve(batch.items.size());
-    for (std::size_t m = 0; m < planner.item_count(); ++m) {
-        // Track whether every failed ladder step exhausted its search tree:
-        // if so the rejection is a proof of infeasibility, otherwise (node
-        // limit hit with no incumbent) it is only the budget speaking.
-        bool proven = true;
-        Decision decision = run_admission_ladder_batch(
-            planner, m,
-            [&](const PlanInstance& instance) -> std::optional<std::span<const ResourceId>> {
-                if (shards > 1) {
-                    ShardedSolver::RunStats stats;
-                    auto merged = solver.run(instance, &sharded_optimize, &options_, &stats);
-                    if (!merged.has_value()) proven = proven && stats.proven;
-                    return merged;
-                }
-                bool step_proven = true;
-                if (auto result = optimize(instance, options_, &step_proven)) {
-                    mapping = std::move(result->mapping);
-                    return std::span<const ResourceId>(mapping);
-                }
-                proven = proven && step_proven;
-                return std::nullopt;
-            });
-        if (!decision.admitted)
-            decision.reason =
-                proven ? RejectReason::proved_infeasible : RejectReason::solver_infeasible;
-        else if (shards > 1)
-            solver.note_admission(decision, batch.items[m].candidate);
-        out.push_back(std::move(decision));
+std::optional<std::span<const ResourceId>> ExactRM::solve(const PlanInstance& instance,
+                                                          Purpose purpose, bool& proven) const {
+    RMWP_EXPECT(instance.platform != nullptr);
+    Options options = options_;
+    if (purpose == Purpose::rescue)
+        options.node_limit = std::min(options_.node_limit, options_.rescue_node_limit);
+    const Search& search = run_search(instance, options);
+    if (search.best.empty()) {
+        proven = proven && search.proven;
+        return std::nullopt;
     }
-    RMWP_ENSURE(out.size() == batch.items.size());
-}
-
-RescueDecision ExactRM::rescue(const RescueContext& context) {
-    RMWP_EXPECT(context.platform != nullptr && context.health != nullptr);
-    Options rescue_options = options_;
-    rescue_options.node_limit = std::min(options_.node_limit, options_.rescue_node_limit);
-    return run_rescue_ladder(
-        context,
-        [&rescue_options](const PlanInstance& instance) -> std::optional<std::vector<ResourceId>> {
-            if (auto result = optimize(instance, rescue_options)) return std::move(result->mapping);
-            return std::nullopt;
-        });
+    return std::span<const ResourceId>(search.best);
 }
 
 } // namespace rmwp

@@ -16,13 +16,14 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 
 #include "core/manager.hpp"
 #include "core/plan_instance.hpp"
 
 namespace rmwp {
 
-class ExactRM final : public ResourceManager {
+class ExactRM final : public LadderRM {
 public:
     struct Options {
         /// Safety valve on pathological instances; the search falls back to
@@ -43,12 +44,12 @@ public:
     ExactRM() = default;
     explicit ExactRM(Options options) : options_(options) {}
 
-    /// Admission over the shared BatchPlanner base: one plan rebuild per
-    /// batch, bit-identical decisions to deciding the items one at a time.
-    /// With shard_config().shards > 1 the ladder solves per resource group
-    /// on the ShardedSolver (DESIGN.md §15).
-    void decide_batch(const BatchArrivalContext& batch, std::vector<Decision>& out) override;
-    [[nodiscard]] RescueDecision rescue(const RescueContext& context) override;
+    /// Branch-and-bound as the ladder's solver.  Clears `proven` when the
+    /// node budget ran out with no incumbent; a rescue solve runs under
+    /// min(node_limit, rescue_node_limit).
+    [[nodiscard]] std::optional<std::span<const ResourceId>> solve(const PlanInstance& instance,
+                                                                   Purpose purpose,
+                                                                   bool& proven) const override;
     [[nodiscard]] std::string name() const override { return "exact"; }
 
     struct Result {
@@ -71,6 +72,13 @@ public:
     }
 
 private:
+    /// A rejection is a proof only when every failed solve exhausted its
+    /// search tree; otherwise the node budget spoke.
+    [[nodiscard]] RejectReason rejection(bool proven) const override {
+        return proven ? RejectReason::proved_infeasible : RejectReason::solver_infeasible;
+    }
+    [[nodiscard]] bool decomposes() const noexcept override { return true; }
+
     Options options_;
 };
 

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "core/edf.hpp"
-#include "core/shard.hpp"
 #include "obs/stage_timer.hpp"
 #include "util/check.hpp"
 
@@ -17,20 +16,6 @@ constexpr double kInfinity = std::numeric_limits<double>::infinity();
 /// The big-M of line 6: large enough to dominate any energy difference yet
 /// finite so a desirability order still exists among infeasible choices.
 constexpr double kBigM = 1e9;
-
-/// ShardedSolver callback: Algorithm 1 over one bucket's sub-instance.
-/// A heuristic rejection is never a proof of infeasibility.
-bool sharded_map_tasks(const PlanInstance& sub, std::vector<ResourceId>& mapping, bool& proven,
-                       void* ctx) {
-    proven = true;
-    const auto* options = static_cast<const HeuristicRM::Options*>(ctx);
-    const auto result = HeuristicRM::map_tasks(sub, *options);
-    if (!result.has_value()) return false;
-    // The span views this thread's scratch — copy out before the next
-    // bucket's solve reuses it.
-    mapping.assign(result->begin(), result->end());
-    return true;
-}
 
 } // namespace
 
@@ -209,35 +194,11 @@ std::optional<std::span<const ResourceId>> HeuristicRM::map_tasks(const PlanInst
     return std::span<const ResourceId>(s.mapping);
 }
 
-void HeuristicRM::decide_batch(const BatchArrivalContext& batch, std::vector<Decision>& out) {
-    RMWP_EXPECT(batch.platform != nullptr && batch.catalog != nullptr);
-    const std::size_t shards = shard_config().shards;
-    BatchPlanner planner(batch);
-    ShardedSolver& solver = ShardedSolver::local();
-    // The cross-item cache keys on bucket versions begun here: buckets no
-    // admission touches keep their solved verdict across the whole batch.
-    if (shards > 1) solver.begin_batch(batch, shards);
-    out.clear();
-    out.reserve(batch.items.size());
-    for (std::size_t m = 0; m < planner.item_count(); ++m) {
-        Decision decision =
-            run_admission_ladder_batch(planner, m, [&](const PlanInstance& instance) {
-                return shards > 1 ? solver.run(instance, &sharded_map_tasks, &options_)
-                                  : map_tasks(instance, options_);
-            });
-        // Algorithm 1 is incomplete: a rejection means the regret-driven
-        // search was exhausted, not that no schedulable mapping exists
-        // (Sec 5.2).
-        if (!decision.admitted) decision.reason = RejectReason::heuristic_exhausted;
-        else if (shards > 1) solver.note_admission(decision, batch.items[m].candidate);
-        out.push_back(std::move(decision));
-    }
-    RMWP_ENSURE(out.size() == batch.items.size());
-}
-
-RescueDecision HeuristicRM::rescue(const RescueContext& context) {
-    return run_rescue_ladder(
-        context, [this](const PlanInstance& instance) { return map_tasks(instance, options_); });
+std::optional<std::span<const ResourceId>> HeuristicRM::solve(const PlanInstance& instance,
+                                                              Purpose /*purpose*/,
+                                                              bool& /*proven*/) const {
+    RMWP_EXPECT(instance.platform != nullptr);
+    return map_tasks(instance, options_);
 }
 
 } // namespace rmwp

@@ -17,7 +17,7 @@
 
 namespace rmwp {
 
-class HeuristicRM final : public ResourceManager {
+class HeuristicRM final : public LadderRM {
 public:
     /// Ablation knobs (the defaults are the paper's Algorithm 1; the
     /// alternatives quantify how much each design choice contributes — see
@@ -41,13 +41,11 @@ public:
     HeuristicRM() = default;
     explicit HeuristicRM(Options options) : options_(options) {}
 
-    /// Admission over the shared BatchPlanner base: one plan rebuild per
-    /// batch, bit-identical decisions to deciding the items one at a time.
-    /// With shard_config().shards > 1 the ladder solves per resource group
-    /// on the ShardedSolver (DESIGN.md §15) — still bit-identical at any
-    /// shard count, pinned by tests/test_shard_admission.cpp.
-    void decide_batch(const BatchArrivalContext& batch, std::vector<Decision>& out) override;
-    [[nodiscard]] RescueDecision rescue(const RescueContext& context) override;
+    /// Algorithm 1 (map_tasks) as the ladder's solver; never clears
+    /// `proven`.
+    [[nodiscard]] std::optional<std::span<const ResourceId>> solve(const PlanInstance& instance,
+                                                                   Purpose purpose,
+                                                                   bool& proven) const override;
     [[nodiscard]] std::string name() const override { return "heuristic"; }
 
     /// Run Algorithm 1 on a prepared instance.  Returns the per-task mapping
@@ -64,6 +62,14 @@ public:
     }
 
 private:
+    /// Algorithm 1 is incomplete: a rejection means the regret-driven
+    /// search was exhausted, not that no schedulable mapping exists
+    /// (Sec 5.2).
+    [[nodiscard]] RejectReason rejection(bool /*proven*/) const override {
+        return RejectReason::heuristic_exhausted;
+    }
+    [[nodiscard]] bool decomposes() const noexcept override { return true; }
+
     Options options_;
 };
 

@@ -87,7 +87,10 @@ RescueDecision ResourceManager::rescue(const RescueContext& context) {
     // Tasks on an offline resource have nowhere to run without a migration,
     // which this policy never performs — they are aborted outright.
     Time horizon = context.now;
-    std::vector<std::vector<ScheduleItem>> per_physical(platform.size());
+    // Pooled per-core schedules: their capacity survives across rescues.
+    static thread_local std::vector<std::vector<ScheduleItem>> per_physical;
+    per_physical.resize(platform.size());
+    for (auto& items : per_physical) items.clear();
     for (const ActiveTask& task : context.active) {
         if (context.health != nullptr && !context.health->online(task.resource)) {
             decision.aborted.push_back(task.uid);
@@ -100,11 +103,9 @@ RescueDecision ResourceManager::rescue(const RescueContext& context) {
                                                           context.health));
     }
     if (context.reservations != nullptr && !context.reservations->empty()) {
-        for (const Resource& resource : platform) {
-            auto blocks = context.reservations->blocks_for(resource.id(), context.now, horizon);
-            auto& bucket = per_physical[resource.physical()];
-            bucket.insert(bucket.end(), blocks.begin(), blocks.end());
-        }
+        for (const Resource& resource : platform)
+            context.reservations->blocks_for(resource.id(), context.now, horizon,
+                                             per_physical[resource.physical()]);
     }
 
     // Degraded capacity (throttle-inflated durations) can make the in-place

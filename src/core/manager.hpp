@@ -164,8 +164,10 @@ struct BatchArrivalContext {
 /// solve buckets, solved one after another on the calling thread.
 /// Decisions are bit-identical to the unsharded solve at any shard count —
 /// sharding trades nothing but latency.  `shards <= 1` selects the
-/// unsharded solve exactly.  BaselineRM and MilpRM ignore the config (their
-/// solvers do not decompose provably bit-identically; see DESIGN.md §15).
+/// unsharded solve exactly.  The ladder driver (LadderRM) reads the config
+/// and wraps the solve of the heuristic and exact RMs in the sharded
+/// decorator; BaselineRM and MilpRM ignore it (their solvers do not
+/// decompose provably bit-identically; see DESIGN.md §15).
 struct ShardConfig {
     std::size_t shards = 1; ///< max solve buckets (1 = one whole-plan solve)
 };
@@ -187,15 +189,16 @@ public:
     /// Fault-rescue re-planning.  The default implementation is the
     /// non-replanning fallback (used by BaselineRM): tasks stay on their
     /// current resource; anything displaced, or no longer schedulable in
-    /// place under the degraded capacity, is aborted.  Re-planning RMs
-    /// override this to migrate tasks off the lost capacity.
+    /// place under the degraded capacity, is aborted.  The solver RMs
+    /// re-plan through LadderRM's rescue ladder to migrate tasks off the
+    /// lost capacity.
     [[nodiscard]] virtual RescueDecision rescue(const RescueContext& context);
     [[nodiscard]] virtual std::string name() const = 0;
 
     /// Sharded-admission configuration.  Set once, at construction/setup
     /// time, before the RM is shared across engine threads: the config is
-    /// read unsynchronised on every decision.  RMs whose solvers do not
-    /// decompose bit-identically (baseline, milp) ignore it.
+    /// read unsynchronised on every decision, by LadderRM only.  RMs whose
+    /// solvers do not decompose bit-identically (baseline, milp) ignore it.
     void set_shard_config(const ShardConfig& config) noexcept { shard_config_ = config; }
     [[nodiscard]] const ShardConfig& shard_config() const noexcept { return shard_config_; }
 

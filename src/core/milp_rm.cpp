@@ -320,40 +320,17 @@ std::optional<MilpRM::Result> MilpRM::optimize(const PlanInstance& instance,
     return result;
 }
 
-RescueDecision MilpRM::rescue(const RescueContext& context) {
-    RMWP_EXPECT(context.platform != nullptr && context.health != nullptr);
-    // Same applicability limits as decide_batch(): the literal Sec 4.2 encoding
-    // has no reserved windows or DVFS operating points.
-    return run_rescue_ladder(
-        context, [this](const PlanInstance& instance) -> std::optional<std::vector<ResourceId>> {
-            if (auto result = optimize(instance, options_)) return std::move(result->mapping);
-            return std::nullopt;
-        });
-}
-
-void MilpRM::decide_batch(const BatchArrivalContext& batch, std::vector<Decision>& out) {
-    RMWP_EXPECT(batch.platform != nullptr && batch.catalog != nullptr);
-    BatchPlanner planner(batch);
-    out.clear();
-    out.reserve(batch.items.size());
-    for (std::size_t m = 0; m < planner.item_count(); ++m) {
-        // The Sec 4.2 formulation models a single predicted request; deeper
-        // lookahead is only supported by the heuristic / branch-and-bound
-        // RMs.
-        RMWP_EXPECT(planner.predicted_count(m) <= 1);
-        Decision decision = run_admission_ladder_batch(
-            planner, m,
-            [this](const PlanInstance& instance) -> std::optional<std::vector<ResourceId>> {
-                if (auto result = optimize(instance, options_)) return std::move(result->mapping);
-                return std::nullopt;
-            });
-        // The in-repo branch-and-bound over the LP relaxation does not
-        // separate "proved infeasible" from "budget exhausted"; both report
-        // the solver.
-        if (!decision.admitted) decision.reason = RejectReason::solver_infeasible;
-        out.push_back(std::move(decision));
-    }
-    RMWP_ENSURE(out.size() == batch.items.size());
+std::optional<std::span<const ResourceId>> MilpRM::solve(const PlanInstance& instance,
+                                                         Purpose /*purpose*/,
+                                                         bool& /*proven*/) const {
+    // The Sec 4.2 formulation models a single predicted request; deeper
+    // lookahead is only supported by the heuristic / branch-and-bound RMs.
+    RMWP_EXPECT(instance.predicted_count <= 1);
+    static thread_local std::vector<ResourceId> mapping;
+    auto result = optimize(instance, options_);
+    if (!result) return std::nullopt;
+    mapping = std::move(result->mapping);
+    return std::span<const ResourceId>(mapping);
 }
 
 } // namespace rmwp

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 
 #include "core/manager.hpp"
 #include "core/plan_instance.hpp"
@@ -30,15 +31,18 @@
 
 namespace rmwp {
 
-class MilpRM final : public ResourceManager {
+class MilpRM final : public LadderRM {
 public:
     MilpRM() = default;
     explicit MilpRM(milp::MilpOptions options) : options_(std::move(options)) {}
 
-    /// Admission over the shared BatchPlanner base.  Each item carries at
-    /// most one predicted request (the formulation's single q_i).
-    void decide_batch(const BatchArrivalContext& batch, std::vector<Decision>& out) override;
-    [[nodiscard]] RescueDecision rescue(const RescueContext& context) override;
+    /// The Sec 4.2 MILP as the ladder's solver.  Each instance carries at
+    /// most one predicted request (the formulation's single q_i).  Never
+    /// clears `proven`: the solver does not separate a proof of
+    /// infeasibility from an exhausted budget.
+    [[nodiscard]] std::optional<std::span<const ResourceId>> solve(const PlanInstance& instance,
+                                                                   Purpose purpose,
+                                                                   bool& proven) const override;
     [[nodiscard]] std::string name() const override { return "milp"; }
 
     struct Result {
@@ -56,6 +60,13 @@ public:
     [[nodiscard]] static milp::LinearProgram encode(const PlanInstance& instance);
 
 private:
+    [[nodiscard]] RejectReason rejection(bool /*proven*/) const override {
+        return RejectReason::solver_infeasible;
+    }
+    /// Per-bucket optima are not proven to merge bit-identically
+    /// (DESIGN.md §15).
+    [[nodiscard]] bool decomposes() const noexcept override { return false; }
+
     milp::MilpOptions options_;
 };
 

@@ -6,6 +6,7 @@
 
 #include "core/edf.hpp"
 #include "core/reservation.hpp"
+#include "core/shard.hpp"
 #include "obs/stage_timer.hpp"
 #include "util/check.hpp"
 
@@ -75,6 +76,27 @@ void fill_predicted_task(PlanTask& plan, const Platform& platform, const Catalog
     RMWP_ENSURE(health != nullptr || !plan.executable.empty());
 }
 
+/// Size `per_anchor` to `n` empty lists, keeping every list's capacity.
+void reset_per_anchor(std::vector<std::vector<ScheduleItem>>& per_anchor, std::size_t n) {
+    per_anchor.resize(n);
+    for (auto& blocks : per_anchor) blocks.clear();
+}
+
+/// Append every resource's blocks intersecting [from, until) to its
+/// physical anchor's list in `blocks`, adding their durations to the
+/// anchor's `blocked_time` in generation order.
+void expand_blocks(const Platform& platform, const ReservationTable& reservations, Time from,
+                   Time until, std::vector<std::vector<ScheduleItem>>& blocks,
+                   std::vector<double>& blocked_time) {
+    for (ResourceId i = 0; i < platform.size(); ++i) {
+        const ResourceId anchor = platform.resource(i).physical();
+        const std::size_t first = blocks[anchor].size();
+        reservations.blocks_for(i, from, until, blocks[anchor]);
+        for (std::size_t b = first; b < blocks[anchor].size(); ++b)
+            blocked_time[anchor] += blocks[anchor][b].duration;
+    }
+}
+
 /// Reservation blocks intersecting [now, now + window), grouped per
 /// physical core (reservations occupy the core whatever operating point
 /// other work uses), plus the per-core blocked-time capacity reduction.
@@ -90,12 +112,11 @@ void fill_predicted_task(PlanTask& plan, const Platform& platform, const Catalog
 /// immutable), never its address, so recycled allocations cannot alias.
 void fill_blocks(PlanInstance& instance, const ReservationTable* reservations) {
     const std::size_t n = instance.platform->size();
-    instance.blocks.resize(n);
     instance.blocked_time.assign(n, 0.0);
     if (reservations == nullptr || reservations->empty()) {
         // The instance may be pooled: drop any stale blocks of a previous
         // activation that did have reservations.
-        for (auto& anchor_blocks : instance.blocks) anchor_blocks.clear();
+        reset_per_anchor(instance.blocks, n);
         return;
     }
 
@@ -121,35 +142,25 @@ void fill_blocks(PlanInstance& instance, const ReservationTable* reservations) {
         cache.now = instance.now;
         cache.resources = n;
         cache.horizon = instance.window;
-        cache.raw.assign(n, {});
-        for (ResourceId i = 0; i < n; ++i) {
-            const ResourceId anchor = instance.platform->resource(i).physical();
-            auto blocks =
-                reservations->blocks_for(i, instance.now, instance.now + instance.window);
-            cache.raw[anchor].insert(cache.raw[anchor].end(), blocks.begin(), blocks.end());
-        }
+        reset_per_anchor(cache.raw, n);
+        for (ResourceId i = 0; i < n; ++i)
+            reservations->blocks_for(i, instance.now, instance.now + instance.window,
+                                     cache.raw[instance.platform->resource(i).physical()]);
         cache.window = -2.0; // invalidate the derived level
     }
 
     if (cache.window != instance.window) {
         RMWP_STAGE_SCOPE(obs::Stage::sorted_refresh);
         cache.window = instance.window;
-        cache.blocks.assign(n, {});
+        reset_per_anchor(cache.blocks, n);
         cache.blocked_time.assign(n, 0.0);
         if (instance.window <= 0.0) {
             // Degenerate window: `release` collapses start==now with
             // start<now, which decide inclusion at width zero differently —
             // fall back to a direct query (cold: real admissions always
             // have a positive window).
-            for (ResourceId i = 0; i < n; ++i) {
-                const ResourceId anchor = instance.platform->resource(i).physical();
-                auto blocks =
-                    reservations->blocks_for(i, instance.now, instance.now + instance.window);
-                for (const ScheduleItem& block : blocks)
-                    cache.blocked_time[anchor] += block.duration;
-                cache.blocks[anchor].insert(cache.blocks[anchor].end(), blocks.begin(),
-                                            blocks.end());
-            }
+            expand_blocks(*instance.platform, *reservations, instance.now,
+                          instance.now + instance.window, cache.blocks, cache.blocked_time);
         } else {
             // A block intersects [now, now + window) iff it starts before
             // the window end; for positive windows that is exactly
@@ -171,14 +182,8 @@ void fill_blocks(PlanInstance& instance, const ReservationTable* reservations) {
         {
             std::vector<std::vector<ScheduleItem>> direct(n);
             std::vector<double> direct_time(n, 0.0);
-            for (ResourceId i = 0; i < n; ++i) {
-                const ResourceId anchor = instance.platform->resource(i).physical();
-                auto blocks =
-                    reservations->blocks_for(i, instance.now, instance.now + instance.window);
-                for (const ScheduleItem& block : blocks)
-                    direct_time[anchor] += block.duration;
-                direct[anchor].insert(direct[anchor].end(), blocks.begin(), blocks.end());
-            }
+            expand_blocks(*instance.platform, *reservations, instance.now,
+                          instance.now + instance.window, direct, direct_time);
             for (ResourceId anchor = 0; anchor < n; ++anchor) {
                 RMWP_ENSURE(direct_time[anchor] == cache.blocked_time[anchor]);
                 RMWP_ENSURE(direct[anchor].size() == cache.blocks[anchor].size());
@@ -517,6 +522,105 @@ std::vector<TaskAssignment> PlanInstance::real_assignments(
         assignments.push_back(TaskAssignment{tasks[j].uid, mapping[j]});
     }
     return assignments;
+}
+
+namespace {
+
+/// The Sec 4.1 admission ladder for item `m` (see LadderRM::decide_batch);
+/// an admission folds back into the batch's shared base.
+template <typename Solver>
+Decision run_admission_ladder_batch(BatchPlanner& planner, std::size_t m, Solver&& solve) {
+    for (std::size_t k = planner.predicted_count(m) + 1; k-- > 0;) {
+        const PlanInstance& instance = planner.assemble(m, k);
+        if (const auto mapping = solve(instance)) {
+            Decision decision = planner.admit(m, *mapping);
+            decision.used_prediction = k > 0;
+            return decision;
+        }
+    }
+    return Decision{}; // reject; the previous mapping stays in force
+}
+
+/// The fault-rescue ladder (see LadderRM::rescue).  Terminates because
+/// every retry plans one task fewer, and the empty set is trivially
+/// feasible.
+RescueDecision run_rescue_ladder(const RescueContext& context, const LadderRM& rm) {
+    RescueDecision decision;
+    std::vector<ActiveTask> keep(context.active.begin(), context.active.end());
+    while (!keep.empty()) {
+        const PlanInstance instance = PlanInstance::build_rescue(context, keep);
+
+        bool shed_unsavable = false;
+        for (std::size_t j = keep.size(); j-- > 0;) {
+            if (!instance.tasks[j].executable.empty()) continue;
+            decision.aborted.push_back(keep[j].uid);
+            keep.erase(keep.begin() + static_cast<std::ptrdiff_t>(j));
+            shed_unsavable = true;
+        }
+        if (shed_unsavable) continue;
+
+        bool proven = true; // a rescue sheds a victim either way
+        if (const auto mapping = rm.solve(instance, LadderRM::Purpose::rescue, proven)) {
+            decision.kept = instance.real_assignments(*mapping);
+            return decision;
+        }
+
+        std::size_t victim = 0;
+        double worst = -1.0;
+        for (std::size_t j = 0; j < keep.size(); ++j) {
+            const PlanTask& task = instance.tasks[j];
+            double cheapest = task.cpm[task.executable.front()];
+            for (const ResourceId i : task.executable)
+                cheapest = std::min(cheapest, task.cpm[i]);
+            const double slack = std::max(task.time_left(context.now), 1e-9);
+            const double ratio = cheapest / slack;
+            const bool better =
+                ratio > worst ||
+                (ratio == worst && task.abs_deadline > instance.tasks[victim].abs_deadline) ||
+                (ratio == worst && task.abs_deadline == instance.tasks[victim].abs_deadline &&
+                 task.uid > instance.tasks[victim].uid);
+            if (better) {
+                worst = ratio;
+                victim = j;
+            }
+        }
+        decision.aborted.push_back(keep[victim].uid);
+        keep.erase(keep.begin() + static_cast<std::ptrdiff_t>(victim));
+    }
+    return decision;
+}
+
+} // namespace
+
+void LadderRM::decide_batch(const BatchArrivalContext& batch, std::vector<Decision>& out) {
+    RMWP_EXPECT(batch.platform != nullptr && batch.catalog != nullptr);
+    const std::size_t shards = decomposes() ? shard_config().shards : 1;
+    BatchPlanner planner(batch);
+    ShardedSolver& sharded = ShardedSolver::local();
+    // The cross-item cache keys on bucket versions begun here: buckets no
+    // admission touches keep their solved verdict across the whole batch.
+    if (shards > 1) sharded.begin_batch(batch, shards);
+    out.clear();
+    out.reserve(batch.items.size());
+    for (std::size_t m = 0; m < planner.item_count(); ++m) {
+        // Whether every failed rung proved its infeasibility: only then is
+        // a rejection a proof rather than a solver giving up.
+        bool proven = true;
+        Decision decision =
+            run_admission_ladder_batch(planner, m, [&](const PlanInstance& instance) {
+                return shards > 1 ? sharded.run(instance, *this, proven)
+                                  : solve(instance, Purpose::admit, proven);
+            });
+        if (!decision.admitted) decision.reason = rejection(proven);
+        else if (shards > 1) sharded.note_admission(decision, batch.items[m].candidate);
+        out.push_back(std::move(decision));
+    }
+    RMWP_ENSURE(out.size() == batch.items.size());
+}
+
+RescueDecision LadderRM::rescue(const RescueContext& context) {
+    RMWP_EXPECT(context.platform != nullptr && context.catalog != nullptr);
+    return run_rescue_ladder(context, *this);
 }
 
 } // namespace rmwp

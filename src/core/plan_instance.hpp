@@ -6,9 +6,9 @@
 // agree on the instance by construction.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -199,78 +199,49 @@ struct PlanScratch {
     [[nodiscard]] static PlanScratch& local();
 };
 
-/// The Sec 4.1 admission ladder, generalised to multi-step lookahead, over
-/// a BatchPlanner-assembled instance: try planning item `m` with all its
-/// predicted tasks, trimming the furthest prediction on failure (nearest
-/// predictions are the most reliable), down to the prediction-free plan;
-/// reject only when even that fails.  `solve` maps a PlanInstance to an
-/// optional per-task mapping; an admission folds back into the batch's
-/// shared base.
-template <typename Solver>
-[[nodiscard]] Decision run_admission_ladder_batch(BatchPlanner& planner, std::size_t m,
-                                                  Solver&& solve) {
-    for (std::size_t k = planner.predicted_count(m) + 1; k-- > 0;) {
-        const PlanInstance& instance = planner.assemble(m, k);
-        if (const auto mapping = solve(instance)) {
-            Decision decision = planner.admit(m, *mapping);
-            decision.used_prediction = k > 0;
-            return decision;
-        }
-    }
-    return Decision{}; // reject; the previous mapping stays in force
-}
+/// The driver every solver RM runs on: the Sec 4.1 admission ladder over
+/// a BatchPlanner, the fault-rescue ladder, the proof tracking behind the
+/// rejection reasons, and the sharded solve (DESIGN.md §15).  An RM
+/// supplies only its solver.  With more than one shard configured and a
+/// decomposing solver, every admission rung runs on the thread's
+/// ShardedSolver, which calls `solve` once per resource-group bucket.
+class LadderRM : public ResourceManager {
+public:
+    /// What a solve serves: an arrival's admission ladder, or a fault
+    /// rescue (where ExactRM tightens its node budget).
+    enum class Purpose : std::uint8_t { admit, rescue };
 
-/// The fault-rescue counterpart of the admission ladder: try to re-plan the
-/// complete surviving set on the healthy capacity; while that fails, shed
-/// the most constraining task (largest best-case load relative to its
-/// remaining slack) and retry.  Tasks with no feasible resource at all are
-/// shed first.  Terminates because every retry plans one task fewer, and
-/// the empty set is trivially feasible.  `solve` maps a PlanInstance to an
-/// optional per-task mapping, exactly as in run_admission_ladder_batch.
-template <typename Solver>
-[[nodiscard]] RescueDecision run_rescue_ladder(const RescueContext& context, Solver&& solve) {
-    RescueDecision decision;
-    std::vector<ActiveTask> keep(context.active.begin(), context.active.end());
-    while (!keep.empty()) {
-        const PlanInstance instance = PlanInstance::build_rescue(context, keep);
+    /// Admission over the shared BatchPlanner base: for each item, try the
+    /// plan with all its predicted tasks, trimming the furthest prediction
+    /// on failure (nearest predictions are the most reliable), down to the
+    /// prediction-free plan; reject with `rejection` only when even that
+    /// fails.  One plan rebuild per batch, bit-identical decisions to
+    /// deciding the items one at a time and at any shard count.
+    void decide_batch(const BatchArrivalContext& batch, std::vector<Decision>& out) final;
 
-        bool shed_unsavable = false;
-        for (std::size_t j = keep.size(); j-- > 0;) {
-            if (!instance.tasks[j].executable.empty()) continue;
-            decision.aborted.push_back(keep[j].uid);
-            keep.erase(keep.begin() + static_cast<std::ptrdiff_t>(j));
-            shed_unsavable = true;
-        }
-        if (shed_unsavable) continue;
+    /// Re-plan the complete surviving set on the healthy capacity; while
+    /// that fails, shed the most constraining task (largest best-case load
+    /// relative to its remaining slack) and retry.  Tasks with no feasible
+    /// resource at all are shed first.
+    [[nodiscard]] RescueDecision rescue(const RescueContext& context) final;
 
-        if (const auto mapping = solve(instance)) {
-            decision.kept = instance.real_assignments(*mapping);
-            return decision;
-        }
+    /// Map every task of `instance` to a resource (indexed like
+    /// instance.tasks), or nullopt when the solver found no feasible
+    /// mapping.  The span views this thread's solver scratch and is valid
+    /// until the next solve on the same thread.  A failure that does not
+    /// prove infeasibility clears `proven`; nothing else touches it, so one
+    /// flag ANDs the proofs of several solves.
+    [[nodiscard]] virtual std::optional<std::span<const ResourceId>> solve(
+        const PlanInstance& instance, Purpose purpose, bool& proven) const = 0;
 
-        std::size_t victim = 0;
-        double worst = -1.0;
-        for (std::size_t j = 0; j < keep.size(); ++j) {
-            const PlanTask& task = instance.tasks[j];
-            double cheapest = task.cpm[task.executable.front()];
-            for (const ResourceId i : task.executable)
-                cheapest = std::min(cheapest, task.cpm[i]);
-            const double slack = std::max(task.time_left(context.now), 1e-9);
-            const double ratio = cheapest / slack;
-            const bool better =
-                ratio > worst ||
-                (ratio == worst && task.abs_deadline > instance.tasks[victim].abs_deadline) ||
-                (ratio == worst && task.abs_deadline == instance.tasks[victim].abs_deadline &&
-                 task.uid > instance.tasks[victim].uid);
-            if (better) {
-                worst = ratio;
-                victim = j;
-            }
-        }
-        decision.aborted.push_back(keep[victim].uid);
-        keep.erase(keep.begin() + static_cast<std::ptrdiff_t>(victim));
-    }
-    return decision;
-}
+private:
+    /// The reason for a rejected candidate; `proven` is the AND of every
+    /// failed rung's (and, sharded, every failed bucket's) proof.
+    [[nodiscard]] virtual RejectReason rejection(bool proven) const = 0;
+
+    /// Whether per-resource-group sub-solves merge bit-identically into
+    /// the whole-instance solve — the condition for sharding.
+    [[nodiscard]] virtual bool decomposes() const noexcept = 0;
+};
 
 } // namespace rmwp

@@ -60,10 +60,9 @@ double ReservationTable::utilization_of(ResourceId resource) const noexcept {
     return total;
 }
 
-std::vector<ScheduleItem> ReservationTable::blocks_for(ResourceId resource, Time from,
-                                                       Time until) const {
+void ReservationTable::blocks_for(ResourceId resource, Time from, Time until,
+                                  std::vector<ScheduleItem>& out) const {
     RMWP_EXPECT(from <= until);
-    std::vector<ScheduleItem> blocks;
     for (std::size_t t = 0; t < tasks_.size(); ++t) {
         const CriticalTask& task = tasks_[t];
         if (task.resource != resource) continue;
@@ -96,23 +95,20 @@ std::vector<ScheduleItem> ReservationTable::blocks_for(ResourceId resource, Time
             RMWP_ENSURE(block.duration > 0.0);
             RMWP_ENSURE(block.release >= previous_end - 1e-9);
             previous_end = end;
-            blocks.push_back(block);
+            out.push_back(block);
         }
     }
-    return blocks;
 }
 
 void ReservationTable::append_blocks(Time from, Time until,
                                      std::vector<ScheduleItem>& out) const {
     for (std::size_t t = 0; t < tasks_.size(); ++t) {
-        // blocks_for iterates per resource; reuse it per distinct resource
-        // without duplicating work for multi-task resources.
+        // blocks_for covers every task of a resource: expand each distinct
+        // resource once, at its first task.
         const ResourceId resource = tasks_[t].resource;
         bool seen = false;
         for (std::size_t s = 0; s < t; ++s) seen = seen || tasks_[s].resource == resource;
-        if (seen) continue;
-        auto blocks = blocks_for(resource, from, until);
-        out.insert(out.end(), blocks.begin(), blocks.end());
+        if (!seen) blocks_for(resource, from, until, out);
     }
 }
 

@@ -49,12 +49,14 @@ public:
     /// Total reserved utilisation of one resource.
     [[nodiscard]] double utilization_of(ResourceId resource) const noexcept;
 
-    /// Blocked ScheduleItems for `resource` whose windows intersect
-    /// [from, until).  A window already in progress at `from` is clipped to
-    /// its remaining part.  Uids encode (task index, instance number) and
-    /// are stable across calls.
-    [[nodiscard]] std::vector<ScheduleItem> blocks_for(ResourceId resource, Time from,
-                                                       Time until) const;
+    /// Append to `out` the blocked ScheduleItems for `resource` whose
+    /// windows intersect [from, until), in generation order (per critical
+    /// task, by instance).  A window already in progress at `from` is
+    /// clipped to its remaining part.  Uids encode (task index, instance
+    /// number) and are stable across calls.  Appending into a caller's
+    /// buffer lets hot paths reuse its capacity.
+    void blocks_for(ResourceId resource, Time from, Time until,
+                    std::vector<ScheduleItem>& out) const;
 
     /// Blocks for every resource, appended to `out`.
     void append_blocks(Time from, Time until, std::vector<ScheduleItem>& out) const;

@@ -130,8 +130,7 @@ void ShardedSolver::build_sub(Bucket& bucket, const PlanInstance& instance) {
 }
 
 std::optional<std::span<const ResourceId>> ShardedSolver::run(const PlanInstance& instance,
-                                                              SolveFn solve, void* ctx,
-                                                              RunStats* stats) {
+                                                              const LadderRM& rm, bool& proven) {
     RMWP_EXPECT(instance.platform != nullptr);
     RMWP_EXPECT(!instance.tasks.empty());
     RMWP_EXPECT(instance.tasks.size() >= 1 + instance.predicted_count);
@@ -156,7 +155,6 @@ std::optional<std::span<const ResourceId>> ShardedSolver::run(const PlanInstance
 
     // 2. Serve what the cache can; queue the rest for a fresh solve.
     pending_.clear();
-    std::size_t populated = 0;
     for (std::size_t b = 0; b < bucket_count; ++b) {
         Bucket& bucket = buckets_[b];
         if (bucket.task_index.empty()) {
@@ -165,7 +163,6 @@ std::optional<std::span<const ResourceId>> ShardedSolver::run(const PlanInstance
             bucket.mapping.clear();
             continue;
         }
-        ++populated;
         if (!bucket.item_local) {
             bool hit = false;
             for (CacheEntry& entry : bucket.cache) {
@@ -191,7 +188,12 @@ std::optional<std::span<const ResourceId>> ShardedSolver::run(const PlanInstance
         for (const std::size_t b : pending_) {
             Bucket& bucket = buckets_[b];
             bucket.proven = true;
-            bucket.ok = solve(bucket.sub, bucket.mapping, bucket.proven, ctx);
+            const auto mapping = rm.solve(bucket.sub, LadderRM::Purpose::admit, bucket.proven);
+            bucket.ok = mapping.has_value();
+            // The span views the RM's scratch — copy out before the next
+            // bucket's solve reuses it.  Assign, not move: the slot's
+            // capacity is part of the allocation-free steady state.
+            if (bucket.ok) bucket.mapping.assign(mapping->begin(), mapping->end());
         }
     }
     for (const std::size_t b : pending_) {
@@ -210,7 +212,6 @@ std::optional<std::span<const ResourceId>> ShardedSolver::run(const PlanInstance
     // 4. Verdict: the instance is feasible iff every bucket is; a failed
     // rung is *proven* infeasible when every failing bucket proved it.
     bool all_ok = true;
-    bool proven = true;
     for (std::size_t b = 0; b < bucket_count; ++b) {
         const Bucket& bucket = buckets_[b];
         if (!bucket.ok) {
@@ -218,26 +219,20 @@ std::optional<std::span<const ResourceId>> ShardedSolver::run(const PlanInstance
             proven = proven && bucket.proven;
         }
     }
-    if (stats != nullptr) {
-        stats->proven = all_ok || proven;
-        stats->buckets = populated;
-        stats->solved = pending_.size();
-    }
 
 #ifdef RMWP_AUDIT
     {
         // Drift gate (DESIGN.md §9): the sequential solve of the very same
         // instance must agree with the sharded merge bit for bit.
-        std::vector<ResourceId> direct;
         bool direct_proven = true;
-        const bool direct_ok = solve(instance, direct, direct_proven, ctx);
-        RMWP_ENSURE(direct_ok == all_ok);
+        const auto direct = rm.solve(instance, LadderRM::Purpose::admit, direct_proven);
+        RMWP_ENSURE(direct.has_value() == all_ok);
         if (all_ok) {
-            RMWP_ENSURE(direct.size() == count);
+            RMWP_ENSURE(direct->size() == count);
             for (std::size_t b = 0; b < bucket_count; ++b) {
                 const Bucket& bucket = buckets_[b];
                 for (std::size_t s = 0; s < bucket.task_index.size(); ++s)
-                    RMWP_ENSURE(bucket.mapping[s] == direct[bucket.task_index[s]]);
+                    RMWP_ENSURE(bucket.mapping[s] == (*direct)[bucket.task_index[s]]);
             }
         }
     }

@@ -82,26 +82,13 @@ private:
     std::size_t group_count_ = 0;
 };
 
-/// Generic sharded solve driver, used from inside the admission ladder's
-/// solve callback: both the heuristic and the exact RM plug their solver in
-/// as a stateless callback over a sub-instance.  Holds all per-batch state
-/// (the partition, pooled sub-instances, result slots, the cross-item solve
-/// cache) in thread-local storage — one RM object stays shareable across
-/// the experiment engine's threads.
+/// The sharded solve: a serial decorator around a LadderRM's `solve`, used
+/// by the ladder driver for every admission rung when sharding is on.
+/// Holds all per-batch state (the partition, pooled sub-instances, result
+/// slots, the cross-item solve cache) in thread-local storage — one RM
+/// object stays shareable across the experiment engine's threads.
 class ShardedSolver {
 public:
-    /// Solve `sub` into `mapping` (one resource per sub task, sub order).
-    /// Returns feasibility; on failure `proven` reports whether the
-    /// failure is a proof of infeasibility (exact) or a heuristic give-up.
-    using SolveFn = bool (*)(const PlanInstance& sub, std::vector<ResourceId>& mapping,
-                             bool& proven, void* ctx);
-
-    struct RunStats {
-        bool proven = true;      ///< AND over the failed buckets' proofs
-        std::size_t buckets = 0; ///< non-empty buckets in this instance
-        std::size_t solved = 0;  ///< buckets solved fresh (not cache hits)
-    };
-
     /// Start a coalesced batch under a `shards` cap: rebuilds the resource
     /// partition, resets bucket versions and the solve cache, and snapshots
     /// the working set's uid -> (resource, bucket) map so note_admission
@@ -114,13 +101,14 @@ public:
     void note_admission(const Decision& decision, const ActiveTask& candidate);
 
     /// Solve `instance` (assembled within the current batch) as
-    /// independent per-bucket sub-solves and merge.  Buckets not containing
-    /// the item's candidate/predicted tail reuse their cached verdict when
-    /// (version, window) match.  Returns the merged mapping (valid until
-    /// the next run on this thread's solver), or nullopt when any bucket is
-    /// infeasible.
-    std::optional<std::span<const ResourceId>> run(const PlanInstance& instance, SolveFn solve,
-                                                   void* ctx, RunStats* stats = nullptr);
+    /// independent per-bucket `rm.solve` calls and merge.  Buckets not
+    /// containing the item's candidate/predicted tail reuse their cached
+    /// verdict when (version, window) match.  Returns the merged mapping
+    /// (valid until the next run on this thread's solver), or nullopt when
+    /// any bucket is infeasible; `proven` is then ANDed with every failed
+    /// bucket's proof.
+    std::optional<std::span<const ResourceId>> run(const PlanInstance& instance,
+                                                   const LadderRM& rm, bool& proven);
 
     /// The calling thread's pooled solver.
     [[nodiscard]] static ShardedSolver& local();

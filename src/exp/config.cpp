@@ -18,6 +18,12 @@ const char* to_string(RmKind kind) noexcept {
     return "unknown";
 }
 
+std::optional<RmKind> rm_kind_from_string(std::string_view name) noexcept {
+    for (const RmKind kind : {RmKind::heuristic, RmKind::exact, RmKind::milp, RmKind::baseline})
+        if (name == to_string(kind)) return kind;
+    return std::nullopt;
+}
+
 std::unique_ptr<ResourceManager> make_rm(RmKind kind) {
     switch (kind) {
     case RmKind::heuristic: return std::make_unique<HeuristicRM>();

@@ -6,7 +6,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "core/manager.hpp"
 #include "fault/fault.hpp"
@@ -26,6 +28,8 @@ enum class RmKind {
 };
 
 [[nodiscard]] const char* to_string(RmKind kind) noexcept;
+/// The RmKind whose to_string is `name`; nullopt for any other name.
+[[nodiscard]] std::optional<RmKind> rm_kind_from_string(std::string_view name) noexcept;
 [[nodiscard]] std::unique_ptr<ResourceManager> make_rm(RmKind kind);
 
 struct ExperimentConfig {

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/heuristic_rm.hpp"
+#include "core/reservation.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
 #include "workload/trace_generator.hpp"
@@ -174,10 +175,16 @@ TEST(AllocCount, BatchDecisionAmortisesSetupAllocations) {
         << " batches of " << items.size();
 }
 
-TEST(AllocCount, EngineSteadyStateAllocatesOnlyTheDecisionOutputs) {
-#ifdef RMWP_AUDIT
-    GTEST_SKIP() << "allocation budgets are pinned on no-audit builds";
-#endif
+/// Allocations and admissions of a steady engine stream: a warm engine runs
+/// arrivals 200..600 of a 600-request trace on the motivational platform,
+/// planning around `reservations` (may be null).
+struct EngineCount {
+    std::uint64_t allocations = 0;
+    std::size_t admitted = 0;
+    std::size_t arrivals = 0;
+};
+
+EngineCount count_engine_steady_state(const ReservationTable* reservations) {
     const Platform platform = make_motivational_platform();
     CatalogParams params;
     params.type_count = 8;
@@ -201,10 +208,10 @@ TEST(AllocCount, EngineSteadyStateAllocatesOnlyTheDecisionOutputs) {
     // engine then runs a prefix, so its own buffers (active set, plan
     // items, timelines, armed completions) reach their working sizes.
     {
-        SimEngine warm(platform, catalog, rm, predictor, nullptr, SimOptions{});
+        SimEngine warm(platform, catalog, rm, predictor, reservations, SimOptions{});
         feed(warm, 0, trace.size());
     }
-    SimEngine engine(platform, catalog, rm, predictor, nullptr, SimOptions{});
+    SimEngine engine(platform, catalog, rm, predictor, reservations, SimOptions{});
     constexpr std::size_t kWarmUp = 200;
     feed(engine, 0, kWarmUp);
 
@@ -212,17 +219,44 @@ TEST(AllocCount, EngineSteadyStateAllocatesOnlyTheDecisionOutputs) {
     AllocationCount count;
     count.start();
     feed(engine, kWarmUp, trace.size());
-    const std::uint64_t allocations = count.stop();
-    const std::size_t admitted = engine.result().accepted - accepted_before;
-    ASSERT_GT(admitted, 0u);
+    EngineCount result;
+    result.allocations = count.stop();
+    result.admitted = engine.result().accepted - accepted_before;
+    result.arrivals = trace.size() - kWarmUp;
+    return result;
+}
+
+TEST(AllocCount, EngineSteadyStateAllocatesOnlyTheDecisionOutputs) {
+#ifdef RMWP_AUDIT
+    GTEST_SKIP() << "allocation budgets are pinned on no-audit builds";
+#endif
+    const EngineCount run = count_engine_steady_state(nullptr);
+    ASSERT_GT(run.admitted, 0u);
 
     // Budget: each admitted Decision's assignments vector — the decision
     // outputs — and nothing per rebuild, completion or event.  (+8 absorbs
     // engine buffers that grow when the active set passes its warm-up
     // peak; it does not scale with the arrival count.)
-    EXPECT_LE(allocations, static_cast<std::uint64_t>(admitted) + 8)
-        << "engine allocated " << allocations << " times over " << trace.size() - kWarmUp
-        << " arrivals with " << admitted << " admissions";
+    EXPECT_LE(run.allocations, static_cast<std::uint64_t>(run.admitted) + 8)
+        << "engine allocated " << run.allocations << " times over " << run.arrivals
+        << " arrivals with " << run.admitted << " admissions";
+}
+
+TEST(AllocCount, EngineSteadyStateWithAReservationKeepsTheBudget) {
+#ifdef RMWP_AUDIT
+    GTEST_SKIP() << "allocation budgets are pinned on no-audit builds";
+#endif
+    // One critical reservation on CPU0: every plan and every schedule
+    // rebuild expands its blocks, into buffers that must be reused too.
+    const ReservationTable reservations(
+        {CriticalTask{"ctrl", 0, /*period=*/20.0, /*offset=*/0.0, /*duration=*/2.0, 1.0}});
+    const EngineCount run = count_engine_steady_state(&reservations);
+    ASSERT_GT(run.admitted, 0u);
+
+    // The unreserved budget, unchanged.
+    EXPECT_LE(run.allocations, static_cast<std::uint64_t>(run.admitted) + 8)
+        << "engine allocated " << run.allocations << " times over " << run.arrivals
+        << " arrivals with " << run.admitted << " admissions";
 }
 
 // ---- sharded admission (DESIGN.md §15) ----

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <tuple>
 #include <vector>
@@ -19,13 +21,21 @@ namespace {
 const Resource kCpu(0, ResourceKind::cpu, "CPU");
 const Resource kGpu(1, ResourceKind::gpu, "GPU");
 
-/// The finish time schedule_resource recorded for `uid`; throws when the
-/// task never finished.
-Time completion_at(const CompletionList& completion, TaskUid uid) {
-    const auto it = std::find_if(completion.begin(), completion.end(),
-                                 [uid](const auto& entry) { return entry.first == uid; });
-    if (it == completion.end()) throw std::out_of_range("no completion recorded");
-    return it->second;
+/// EDF on a platform of one resource of `resource`'s kind: the window
+/// schedule of `items`, all mapped to resource 0.
+WindowSchedule schedule_on(const Resource& resource, Time now,
+                           std::span<const ScheduleItem> items) {
+    PlatformBuilder builder;
+    if (resource.preemptable()) builder.add_cpu(resource.name());
+    else builder.add_gpu(resource.name());
+    return build_window_schedule(builder.build(), now, items);
+}
+
+/// The finish time of `uid` in `schedule`; throws when it never finished.
+Time completion_at(const WindowSchedule& schedule, TaskUid uid) {
+    const std::optional<Time> at = schedule.completion_of(uid);
+    if (!at) throw std::out_of_range("no completion recorded");
+    return *at;
 }
 
 ScheduleItem item(TaskUid uid, double duration, Time deadline, Time release = 0.0,
@@ -52,38 +62,36 @@ void expect_well_formed(const ResourceTimeline& timeline, Time now) {
 
 TEST(Edf, SingleTaskRunsImmediately) {
     const std::vector<ScheduleItem> items{item(1, 5.0, 10.0)};
-    CompletionList completion;
-    const auto result = schedule_resource(kCpu, 0.0, items, &completion);
+    const WindowSchedule result = schedule_on(kCpu, 0.0, items);
     EXPECT_TRUE(result.feasible);
-    ASSERT_EQ(result.timeline.segments.size(), 1u);
-    EXPECT_DOUBLE_EQ(result.timeline.segments[0].start, 0.0);
-    EXPECT_DOUBLE_EQ(result.timeline.segments[0].end, 5.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 5.0);
+    ASSERT_EQ(result.per_resource[0].segments.size(), 1u);
+    EXPECT_DOUBLE_EQ(result.per_resource[0].segments[0].start, 0.0);
+    EXPECT_DOUBLE_EQ(result.per_resource[0].segments[0].end, 5.0);
+    EXPECT_DOUBLE_EQ(completion_at(result, 1), 5.0);
 }
 
 TEST(Edf, StartsAtNowNotZero) {
     std::vector<ScheduleItem> items{item(1, 5.0, 110.0, 100.0)};
-    const auto result = schedule_resource(kCpu, 100.0, items);
-    ASSERT_EQ(result.timeline.segments.size(), 1u);
-    EXPECT_DOUBLE_EQ(result.timeline.segments[0].start, 100.0);
+    const WindowSchedule result = schedule_on(kCpu, 100.0, items);
+    ASSERT_EQ(result.per_resource[0].segments.size(), 1u);
+    EXPECT_DOUBLE_EQ(result.per_resource[0].segments[0].start, 100.0);
 }
 
 TEST(Edf, OrdersByDeadline) {
     const std::vector<ScheduleItem> items{item(1, 4.0, 20.0), item(2, 3.0, 5.0),
                                           item(3, 2.0, 12.0)};
-    CompletionList completion;
-    const auto result = schedule_resource(kCpu, 0.0, items, &completion);
+    const WindowSchedule result = schedule_on(kCpu, 0.0, items);
     EXPECT_TRUE(result.feasible);
     // EDF: 2 (d=5), then 3 (d=12), then 1 (d=20).
-    EXPECT_DOUBLE_EQ(completion_at(completion, 2), 3.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 3), 5.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 9.0);
-    expect_well_formed(result.timeline, 0.0);
+    EXPECT_DOUBLE_EQ(completion_at(result, 2), 3.0);
+    EXPECT_DOUBLE_EQ(completion_at(result, 3), 5.0);
+    EXPECT_DOUBLE_EQ(completion_at(result, 1), 9.0);
+    expect_well_formed(result.per_resource[0], 0.0);
 }
 
 TEST(Edf, DetectsDeadlineViolation) {
     const std::vector<ScheduleItem> items{item(1, 4.0, 4.0), item(2, 3.0, 5.0)};
-    const auto result = schedule_resource(kCpu, 0.0, items);
+    const WindowSchedule result = schedule_on(kCpu, 0.0, items);
     // Task 1 finishes at 4 (ok), task 2 at 7 > 5: infeasible.
     EXPECT_FALSE(result.feasible);
     EXPECT_FALSE(resource_feasible(kCpu, 0.0, items));
@@ -96,19 +104,17 @@ TEST(Edf, ExactlyMeetingDeadlineIsFeasible) {
 
 TEST(Edf, DeadlineTieBreaksByUid) {
     const std::vector<ScheduleItem> items{item(7, 2.0, 10.0), item(3, 2.0, 10.0)};
-    CompletionList completion;
-    std::ignore = schedule_resource(kCpu, 0.0, items, &completion);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 3), 2.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 7), 4.0);
+    const WindowSchedule result = schedule_on(kCpu, 0.0, items);
+    EXPECT_DOUBLE_EQ(completion_at(result, 3), 2.0);
+    EXPECT_DOUBLE_EQ(completion_at(result, 7), 4.0);
 }
 
 TEST(Edf, ZeroDurationCompletesInstantly) {
     const std::vector<ScheduleItem> items{item(1, 0.0, 10.0), item(2, 3.0, 5.0)};
-    CompletionList completion;
-    const auto result = schedule_resource(kCpu, 0.0, items, &completion);
+    const WindowSchedule result = schedule_on(kCpu, 0.0, items);
     EXPECT_TRUE(result.feasible);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 0.0);
-    ASSERT_EQ(result.timeline.segments.size(), 1u); // no zero-width segment emitted
+    EXPECT_DOUBLE_EQ(completion_at(result, 1), 0.0);
+    ASSERT_EQ(result.per_resource[0].segments.size(), 1u); // no zero-width segment emitted
 }
 
 // ---- predicted-task semantics (the virtual task has release = s_p) ----
@@ -118,20 +124,18 @@ TEST(EdfPredicted, LaterDeadlineQueuesAfterAll) {
     // max(s_p, q_i) where q_i is when everything else finishes.
     std::vector<ScheduleItem> items{item(1, 6.0, 10.0),
                                     item(kPredictedUid, 3.0, 20.0, /*release=*/2.0)};
-    CompletionList completion;
-    auto result = schedule_resource(kCpu, 0.0, items, &completion);
+    WindowSchedule result = schedule_on(kCpu, 0.0, items);
     EXPECT_TRUE(result.feasible);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 6.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, kPredictedUid), 9.0); // starts at q = 6 > s_p = 2
+    EXPECT_DOUBLE_EQ(completion_at(result, 1), 6.0);
+    EXPECT_DOUBLE_EQ(completion_at(result, kPredictedUid), 9.0); // starts at q = 6 > s_p = 2
 
     // s_p beyond q: starts at s_p.
     items[1].release = 8.0;
-    completion.clear();
-    result = schedule_resource(kCpu, 0.0, items, &completion);
-    EXPECT_DOUBLE_EQ(completion_at(completion, kPredictedUid), 11.0);
+    result = schedule_on(kCpu, 0.0, items);
+    EXPECT_DOUBLE_EQ(completion_at(result, kPredictedUid), 11.0);
     // The resource idles in [6, 8): verify via the segment start.
-    ASSERT_EQ(result.timeline.segments.size(), 2u);
-    EXPECT_DOUBLE_EQ(result.timeline.segments[1].start, 8.0);
+    ASSERT_EQ(result.per_resource[0].segments.size(), 2u);
+    EXPECT_DOUBLE_EQ(result.per_resource[0].segments[1].start, 8.0);
 }
 
 TEST(EdfPredicted, EarlierDeadlineArrivingDuringSl1DoesNotPreempt) {
@@ -142,14 +146,13 @@ TEST(EdfPredicted, EarlierDeadlineArrivingDuringSl1DoesNotPreempt) {
         item(2, 5.0, 30.0),                                  // SL2
         item(kPredictedUid, 2.0, 8.0, /*release=*/1.0),      // d_p = 8
     };
-    CompletionList completion;
-    const auto result = schedule_resource(kCpu, 0.0, items, &completion);
+    const WindowSchedule result = schedule_on(kCpu, 0.0, items);
     EXPECT_TRUE(result.feasible);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 4.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, kPredictedUid), 6.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 2), 11.0);
+    EXPECT_DOUBLE_EQ(completion_at(result, 1), 4.0);
+    EXPECT_DOUBLE_EQ(completion_at(result, kPredictedUid), 6.0);
+    EXPECT_DOUBLE_EQ(completion_at(result, 2), 11.0);
     // Task 1 must not be split.
-    EXPECT_EQ(result.timeline.segments.size(), 3u);
+    EXPECT_EQ(result.per_resource[0].segments.size(), 3u);
 }
 
 TEST(EdfPredicted, ArrivalAfterQPreemptsRunningSl2Task) {
@@ -160,16 +163,15 @@ TEST(EdfPredicted, ArrivalAfterQPreemptsRunningSl2Task) {
         item(2, 8.0, 30.0),                             // SL2, starts at 3
         item(kPredictedUid, 2.0, 10.0, /*release=*/5.0) // preempts task 2 at 5
     };
-    CompletionList completion;
-    const auto result = schedule_resource(kCpu, 0.0, items, &completion);
+    const WindowSchedule result = schedule_on(kCpu, 0.0, items);
     EXPECT_TRUE(result.feasible);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 3.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, kPredictedUid), 7.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 2), 13.0); // 8 units of work + 2 preempted
+    EXPECT_DOUBLE_EQ(completion_at(result, 1), 3.0);
+    EXPECT_DOUBLE_EQ(completion_at(result, kPredictedUid), 7.0);
+    EXPECT_DOUBLE_EQ(completion_at(result, 2), 13.0); // 8 units of work + 2 preempted
 
     // Task 2 must have exactly two chunks: [3, 5) and [7, 13).
     std::vector<Segment> chunks;
-    for (const Segment& segment : result.timeline.segments)
+    for (const Segment& segment : result.per_resource[0].segments)
         if (segment.uid == 2) chunks.push_back(segment);
     ASSERT_EQ(chunks.size(), 2u);
     EXPECT_DOUBLE_EQ(chunks[0].start, 3.0);
@@ -184,11 +186,10 @@ TEST(EdfPredicted, EqualDeadlineDoesNotPreempt) {
         item(1, 6.0, 10.0),
         item(kPredictedUid, 2.0, 10.0, /*release=*/2.0),
     };
-    CompletionList completion;
-    const auto result = schedule_resource(kCpu, 0.0, items, &completion);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 6.0); // not preempted at t=2
-    EXPECT_DOUBLE_EQ(completion_at(completion, kPredictedUid), 8.0);
-    EXPECT_EQ(result.timeline.segments.size(), 2u);
+    const WindowSchedule result = schedule_on(kCpu, 0.0, items);
+    EXPECT_DOUBLE_EQ(completion_at(result, 1), 6.0); // not preempted at t=2
+    EXPECT_DOUBLE_EQ(completion_at(result, kPredictedUid), 8.0);
+    EXPECT_EQ(result.per_resource[0].segments.size(), 2u);
 }
 
 TEST(EdfPredicted, NoPreemptionOnGpu) {
@@ -200,12 +201,11 @@ TEST(EdfPredicted, NoPreemptionOnGpu) {
         item(2, 8.0, 30.0),
         item(kPredictedUid, 2.0, 16.0, /*release=*/5.0),
     };
-    CompletionList completion;
-    const auto result = schedule_resource(kGpu, 0.0, items, &completion);
+    const WindowSchedule result = schedule_on(kGpu, 0.0, items);
     EXPECT_TRUE(result.feasible);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 2), 11.0);              // runs [3, 11) unsplit
-    EXPECT_DOUBLE_EQ(completion_at(completion, kPredictedUid), 13.0);  // boundary dispatch at 11
-    for (const Segment& segment : result.timeline.segments)
+    EXPECT_DOUBLE_EQ(completion_at(result, 2), 11.0);              // runs [3, 11) unsplit
+    EXPECT_DOUBLE_EQ(completion_at(result, kPredictedUid), 13.0);  // boundary dispatch at 11
+    for (const Segment& segment : result.per_resource[0].segments)
         if (segment.uid == 2) {
             EXPECT_DOUBLE_EQ(segment.duration(), 8.0);
         }
@@ -220,13 +220,12 @@ TEST(EdfPredicted, GpuBoundaryDispatchPrefersPredictedWhenReleased) {
         item(3, 5.0, 50.0),
         item(kPredictedUid, 2.0, 12.0, /*release=*/3.0),
     };
-    CompletionList completion;
-    const auto result = schedule_resource(kGpu, 0.0, items, &completion);
+    const WindowSchedule result = schedule_on(kGpu, 0.0, items);
     EXPECT_TRUE(result.feasible);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 4.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, kPredictedUid), 6.0); // boundary at 4 >= s_p = 3
-    EXPECT_DOUBLE_EQ(completion_at(completion, 2), 11.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 3), 16.0);
+    EXPECT_DOUBLE_EQ(completion_at(result, 1), 4.0);
+    EXPECT_DOUBLE_EQ(completion_at(result, kPredictedUid), 6.0); // boundary at 4 >= s_p = 3
+    EXPECT_DOUBLE_EQ(completion_at(result, 2), 11.0);
+    EXPECT_DOUBLE_EQ(completion_at(result, 3), 16.0);
 }
 
 TEST(EdfPredicted, GpuWorkConservingBeforeRelease) {
@@ -237,11 +236,10 @@ TEST(EdfPredicted, GpuWorkConservingBeforeRelease) {
         item(2, 6.0, 40.0),
         item(kPredictedUid, 2.0, 12.0, /*release=*/3.0),
     };
-    CompletionList completion;
-    const auto result = schedule_resource(kGpu, 0.0, items, &completion);
+    const WindowSchedule result = schedule_on(kGpu, 0.0, items);
     // Boundary at t=2 < s_p=3: task 2 dispatches; tau_p must wait until 8.
-    EXPECT_DOUBLE_EQ(completion_at(completion, 2), 8.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, kPredictedUid), 10.0);
+    EXPECT_DOUBLE_EQ(completion_at(result, 2), 8.0);
+    EXPECT_DOUBLE_EQ(completion_at(result, kPredictedUid), 10.0);
     EXPECT_TRUE(result.feasible);
 }
 
@@ -252,11 +250,10 @@ TEST(EdfPinned, PinnedRunsFirstDespiteLaterDeadline) {
         item(1, 5.0, 100.0, 0.0, /*pinned=*/true), // currently executing on the GPU
         item(2, 2.0, 8.0),                         // earlier deadline but must wait
     };
-    CompletionList completion;
-    const auto result = schedule_resource(kGpu, 0.0, items, &completion);
+    const WindowSchedule result = schedule_on(kGpu, 0.0, items);
     EXPECT_TRUE(result.feasible);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 5.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 2), 7.0);
+    EXPECT_DOUBLE_EQ(completion_at(result, 1), 5.0);
+    EXPECT_DOUBLE_EQ(completion_at(result, 2), 7.0);
 }
 
 TEST(EdfPinned, ZeroDurationItemsCompleteAfterThePinnedHeadInAnyInputOrder) {
@@ -266,13 +263,12 @@ TEST(EdfPinned, ZeroDurationItemsCompleteAfterThePinnedHeadInAnyInputOrder) {
     const ScheduleItem head = item(100, 3.0, 50.0, 0.0, /*pinned=*/true);
     const std::vector<ScheduleItem> instant_first{instant, head};
     const std::vector<ScheduleItem> head_first{head, instant};
-    EXPECT_FALSE(schedule_resource(kGpu, 0.0, instant_first).feasible);
-    EXPECT_FALSE(schedule_resource(kGpu, 0.0, head_first).feasible);
+    const WindowSchedule result = schedule_on(kGpu, 0.0, instant_first);
+    EXPECT_FALSE(result.feasible);
+    EXPECT_FALSE(schedule_on(kGpu, 0.0, head_first).feasible);
     EXPECT_FALSE(resource_feasible(kGpu, 0.0, instant_first));
     EXPECT_FALSE(resource_feasible(kGpu, 0.0, head_first));
-    CompletionList completion;
-    std::ignore = schedule_resource(kGpu, 0.0, instant_first, &completion);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 3.0);
+    EXPECT_DOUBLE_EQ(completion_at(result, 1), 3.0);
 }
 
 TEST(EdfPinned, SimulationIsInputOrderIndependent) {
@@ -291,26 +287,24 @@ TEST(EdfPinned, SimulationIsInputOrderIndependent) {
         items.push_back(item(100, rng.uniform(0.0, 4.0), now + rng.uniform(0.5, 8.0), now,
                              /*pinned=*/true));
 
-        CompletionList reference;
-        const bool feasible = schedule_resource(kGpu, now, items, &reference).feasible;
         // Finishing order is not part of the contract (zero-duration items
-        // finish in input order): compare the lists by uid.
-        std::ranges::sort(reference);
+        // finish in input order); the window schedule lists completions by
+        // uid.
+        const WindowSchedule reference = schedule_on(kGpu, now, items);
         for (int shuffle = 0; shuffle < 4; ++shuffle) {
             rng.shuffle(items);
-            CompletionList completion;
-            EXPECT_EQ(schedule_resource(kGpu, now, items, &completion).feasible, feasible)
+            const WindowSchedule shuffled = schedule_on(kGpu, now, items);
+            EXPECT_EQ(shuffled.feasible, reference.feasible) << "round " << round;
+            EXPECT_EQ(shuffled.completion, reference.completion) << "round " << round;
+            EXPECT_EQ(resource_feasible(kGpu, now, items), reference.feasible)
                 << "round " << round;
-            std::ranges::sort(completion);
-            EXPECT_EQ(completion, reference) << "round " << round;
-            EXPECT_EQ(resource_feasible(kGpu, now, items), feasible) << "round " << round;
         }
     }
 }
 
 TEST(EdfPinned, PinnedOnPreemptableResourceThrows) {
     const std::vector<ScheduleItem> items{item(1, 5.0, 100.0, 0.0, /*pinned=*/true)};
-    EXPECT_THROW(std::ignore = schedule_resource(kCpu, 0.0, items), precondition_error);
+    EXPECT_THROW(std::ignore = schedule_on(kCpu, 0.0, items), precondition_error);
 }
 
 // ---- window-level assembly ----
@@ -370,12 +364,11 @@ TEST(EdfMixed, ReservationOutranksPredictedTask) {
         item(kPredictedUid, 3.0, 9.0, /*release=*/4.0),
         reservation,
     };
-    CompletionList completion;
-    const auto result = schedule_resource(kCpu, 0.0, items, &completion);
+    const WindowSchedule result = schedule_on(kCpu, 0.0, items);
     EXPECT_TRUE(result.feasible);
-    EXPECT_DOUBLE_EQ(completion_at(completion, kReservedUidBase + 1), 6.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, kPredictedUid), 9.0); // after the window
-    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 3.0);             // runs [0,3), before the window
+    EXPECT_DOUBLE_EQ(completion_at(result, kReservedUidBase + 1), 6.0);
+    EXPECT_DOUBLE_EQ(completion_at(result, kPredictedUid), 9.0); // after the window
+    EXPECT_DOUBLE_EQ(completion_at(result, 1), 3.0);             // runs [0,3), before the window
 }
 
 TEST(EdfMixed, PredictedPreemptsTaskThenReservationPreemptsPredicted) {
@@ -393,17 +386,16 @@ TEST(EdfMixed, PredictedPreemptsTaskThenReservationPreemptsPredicted) {
         item(kPredictedUid, 3.0, 8.0, /*release=*/2.0),
         reservation,
     };
-    CompletionList completion;
-    const auto result = schedule_resource(kCpu, 0.0, items, &completion);
+    const WindowSchedule result = schedule_on(kCpu, 0.0, items);
     EXPECT_TRUE(result.feasible);
     // Timeline: task1 [0,2), tau_p [2,4), reservation [4,5), tau_p [5,6),
     // task1 [6,10).
-    EXPECT_DOUBLE_EQ(completion_at(completion, kReservedUidBase + 2), 5.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, kPredictedUid), 6.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 10.0);
+    EXPECT_DOUBLE_EQ(completion_at(result, kReservedUidBase + 2), 5.0);
+    EXPECT_DOUBLE_EQ(completion_at(result, kPredictedUid), 6.0);
+    EXPECT_DOUBLE_EQ(completion_at(result, 1), 10.0);
     // tau_p must be split into two chunks around the reservation.
     std::size_t predicted_chunks = 0;
-    for (const Segment& segment : result.timeline.segments)
+    for (const Segment& segment : result.per_resource[0].segments)
         if (segment.uid == kPredictedUid) ++predicted_chunks;
     EXPECT_EQ(predicted_chunks, 2u);
 }
@@ -424,15 +416,13 @@ TEST(EdfProperty, FeasibleOnlyWhenAllCompletionsMeetDeadlines) {
             items.push_back(item(kPredictedUid, rng.uniform(0.5, 6.0), rng.uniform(4.0, 30.0),
                                  rng.uniform(0.0, 10.0)));
 
-        CompletionList completion;
-        const auto result =
-            schedule_resource(gpu ? kGpu : kCpu, 0.0, items, &completion);
+        const WindowSchedule result = schedule_on(gpu ? kGpu : kCpu, 0.0, items);
 
         bool all_met = true;
         double total_work = 0.0;
         for (const ScheduleItem& it : items) {
-            ASSERT_EQ(std::ranges::count(completion, it.uid, &CompletionList::value_type::first), 1);
-            if (completion_at(completion, it.uid) > it.abs_deadline + 1e-6) all_met = false;
+            ASSERT_EQ(std::ranges::count(result.completion, it.uid, &CompletionList::value_type::first), 1);
+            if (completion_at(result, it.uid) > it.abs_deadline + 1e-6) all_met = false;
             total_work += it.duration;
         }
         EXPECT_EQ(result.feasible, all_met);
@@ -440,10 +430,10 @@ TEST(EdfProperty, FeasibleOnlyWhenAllCompletionsMeetDeadlines) {
 
         // Conservation: total segment time equals total work.
         double total_segments = 0.0;
-        for (const Segment& segment : result.timeline.segments)
+        for (const Segment& segment : result.per_resource[0].segments)
             total_segments += segment.duration();
         EXPECT_NEAR(total_segments, total_work, 1e-6);
-        expect_well_formed(result.timeline, 0.0);
+        expect_well_formed(result.per_resource[0], 0.0);
     }
 }
 
@@ -637,8 +627,7 @@ TEST(EdfGolden, SoaInnerLoopReproducesGoldenSegmentOrder) {
         item(kPredictedUid, 2.0, 12.0, /*release=*/3.0), // preempts task 2 at 3
         reservation,                                     // preempts tau_p's tail window
     };
-    CompletionList completion;
-    const auto result = schedule_resource(kCpu, 0.0, items, &completion);
+    const WindowSchedule result = schedule_on(kCpu, 0.0, items);
     EXPECT_TRUE(result.feasible);
 
     // Expected dispatch: 1 [0,2), 2 [2,3), tau_p [3,5), 2 [5,6),
@@ -649,14 +638,14 @@ TEST(EdfGolden, SoaInnerLoopReproducesGoldenSegmentOrder) {
         {kReservedUidBase + 1, 6.0, 7.0}, {2, 7.0, 9.0},
         {5, 9.0, 12.0},
     };
-    ASSERT_EQ(result.timeline.segments.size(), golden.size());
+    ASSERT_EQ(result.per_resource[0].segments.size(), golden.size());
     for (std::size_t k = 0; k < golden.size(); ++k) {
-        EXPECT_EQ(result.timeline.segments[k].uid, std::get<0>(golden[k])) << "segment " << k;
-        EXPECT_DOUBLE_EQ(result.timeline.segments[k].start, std::get<1>(golden[k]));
-        EXPECT_DOUBLE_EQ(result.timeline.segments[k].end, std::get<2>(golden[k]));
+        EXPECT_EQ(result.per_resource[0].segments[k].uid, std::get<0>(golden[k])) << "segment " << k;
+        EXPECT_DOUBLE_EQ(result.per_resource[0].segments[k].start, std::get<1>(golden[k]));
+        EXPECT_DOUBLE_EQ(result.per_resource[0].segments[k].end, std::get<2>(golden[k]));
     }
-    EXPECT_DOUBLE_EQ(completion_at(completion, 2), 9.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 5), 12.0);
+    EXPECT_DOUBLE_EQ(completion_at(result, 2), 9.0);
+    EXPECT_DOUBLE_EQ(completion_at(result, 5), 12.0);
 }
 
 TEST(EdfPrefilterTest, DvfsAnchorScreensTheMergedOperatingPointSet) {
@@ -726,13 +715,12 @@ TEST(EdfPrefilterTest, NonPreemptableReplayEqualsSimulation) {
         }
         if (rng.bernoulli(0.5)) {
             // Pull some deadlines onto the simulated completion times.
-            CompletionList completion;
-            std::ignore = schedule_resource(kGpu, now, items, &completion);
+            const WindowSchedule result = schedule_on(kGpu, now, items);
             for (ScheduleItem& it : items)
-                if (rng.bernoulli(0.5)) it.abs_deadline = completion_at(completion, it.uid) + jitter();
+                if (rng.bernoulli(0.5)) it.abs_deadline = completion_at(result, it.uid) + jitter();
         }
 
-        const bool simulated = schedule_resource(kGpu, now, items).feasible;
+        const bool simulated = schedule_on(kGpu, now, items).feasible;
         std::vector<ScheduleItem> sorted = items;
         std::sort(sorted.begin(), sorted.end(), demand_order);
         rng.shuffle(items);
@@ -752,7 +740,7 @@ TEST(EdfPrefilterTest, DecisiveVerdictsAgreeWithFullSimulation) {
     // non-preemptable resources, pinned heads, future releases, zero
     // durations, now != 0 — a decisive prefilter verdict must match the
     // full EDF simulation, and resource_feasible (which consults the
-    // prefilter first) must always equal schedule_resource's verdict.
+    // prefilter first) must always equal the full simulation's verdict.
     Rng rng(20260806);
     int infeasible_verdicts = 0;
     int feasible_verdicts = 0;
@@ -795,7 +783,7 @@ TEST(EdfPrefilterTest, DecisiveVerdictsAgreeWithFullSimulation) {
         if (gpu || mixed) ++mixed_rounds;
 
         const EdfPrefilter verdict = edf_demand_prefilter(resource, now, items);
-        const bool simulated = schedule_resource(resource, now, items).feasible;
+        const bool simulated = schedule_on(resource, now, items).feasible;
         switch (verdict) {
         case EdfPrefilter::infeasible:
             ++infeasible_verdicts;

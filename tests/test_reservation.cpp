@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <tuple>
 
@@ -23,13 +25,29 @@ namespace {
 const Resource kCpu(0, ResourceKind::cpu, "CPU");
 const Resource kGpu(1, ResourceKind::gpu, "GPU");
 
-/// The finish time schedule_resource recorded for `uid`; throws when the
-/// task never finished.
-Time completion_at(const CompletionList& completion, TaskUid uid) {
-    const auto it = std::find_if(completion.begin(), completion.end(),
-                                 [uid](const auto& entry) { return entry.first == uid; });
-    if (it == completion.end()) throw std::out_of_range("no completion recorded");
-    return it->second;
+/// EDF on a platform of one resource of `resource`'s kind: the window
+/// schedule of `items`, all mapped to resource 0.
+WindowSchedule schedule_on(const Resource& resource, Time now,
+                           std::span<const ScheduleItem> items) {
+    PlatformBuilder builder;
+    if (resource.preemptable()) builder.add_cpu(resource.name());
+    else builder.add_gpu(resource.name());
+    return build_window_schedule(builder.build(), now, items);
+}
+
+/// The finish time of `uid` in `schedule`; throws when it never finished.
+Time completion_at(const WindowSchedule& schedule, TaskUid uid) {
+    const std::optional<Time> at = schedule.completion_of(uid);
+    if (!at) throw std::out_of_range("no completion recorded");
+    return *at;
+}
+
+/// The blocks `table` expands for `resource` over [from, until).
+std::vector<ScheduleItem> blocks_of(const ReservationTable& table, ResourceId resource, Time from,
+                                    Time until) {
+    std::vector<ScheduleItem> blocks;
+    table.blocks_for(resource, from, until, blocks);
+    return blocks;
 }
 
 ScheduleItem adaptive(TaskUid uid, double duration, Time deadline, Time release = 0.0) {
@@ -66,7 +84,7 @@ TEST(ReservedUid, Classification) {
 TEST(ReservationTable, ExpandsPeriodicWindows) {
     const ReservationTable table({CriticalTask{"ctrl", 0, /*period=*/10.0, /*offset=*/2.0,
                                                /*duration=*/3.0, /*energy=*/1.0}});
-    const auto blocks = table.blocks_for(0, 0.0, 25.0);
+    const auto blocks = blocks_of(table, 0, 0.0, 25.0);
     ASSERT_EQ(blocks.size(), 3u);
     EXPECT_DOUBLE_EQ(blocks[0].release, 2.0);
     EXPECT_DOUBLE_EQ(blocks[0].duration, 3.0);
@@ -79,13 +97,22 @@ TEST(ReservationTable, ExpandsPeriodicWindows) {
     }
     // Uids are stable and distinct across instances.
     EXPECT_NE(blocks[0].uid, blocks[1].uid);
-    const auto again = table.blocks_for(0, 0.0, 25.0);
+    const auto again = blocks_of(table, 0, 0.0, 25.0);
     EXPECT_EQ(again[1].uid, blocks[1].uid);
+
+    // blocks_for appends: what the buffer held stays in front.
+    std::vector<ScheduleItem> buffer = blocks;
+    table.blocks_for(0, 0.0, 25.0, buffer);
+    ASSERT_EQ(buffer.size(), 6u);
+    for (std::size_t k = 0; k < 3; ++k) {
+        EXPECT_EQ(buffer[k].uid, blocks[k].uid);
+        EXPECT_EQ(buffer[3 + k].uid, blocks[k].uid);
+    }
 }
 
 TEST(ReservationTable, ClipsInProgressWindow) {
     const ReservationTable table({CriticalTask{"ctrl", 0, 10.0, 0.0, 4.0, 1.0}});
-    const auto blocks = table.blocks_for(0, 1.5, 6.0);
+    const auto blocks = blocks_of(table, 0, 1.5, 6.0);
     ASSERT_EQ(blocks.size(), 1u);
     EXPECT_DOUBLE_EQ(blocks[0].release, 1.5);
     EXPECT_DOUBLE_EQ(blocks[0].duration, 2.5); // remaining part of [0, 4)
@@ -94,8 +121,8 @@ TEST(ReservationTable, ClipsInProgressWindow) {
 
 TEST(ReservationTable, NoBlocksForOtherResources) {
     const ReservationTable table({CriticalTask{"ctrl", 1, 10.0, 0.0, 4.0, 1.0}});
-    EXPECT_TRUE(table.blocks_for(0, 0.0, 100.0).empty());
-    EXPECT_EQ(table.blocks_for(1, 0.0, 100.0).size(), 10u);
+    EXPECT_TRUE(blocks_of(table, 0, 0.0, 100.0).empty());
+    EXPECT_EQ(blocks_of(table, 1, 0.0, 100.0).size(), 10u);
 }
 
 TEST(ReservationTable, UtilizationAndValidation) {
@@ -119,23 +146,21 @@ TEST(ReservedEdf, PreemptsAdaptiveTaskOnCpu) {
     // Adaptive task [0, 8) with a reservation [3, 5): the task splits and
     // finishes at 10.
     const std::vector<ScheduleItem> items{adaptive(1, 8.0, 20.0), block(0, 3.0, 2.0)};
-    CompletionList completion;
-    const auto result = schedule_resource(kCpu, 0.0, items, &completion);
+    const WindowSchedule result = schedule_on(kCpu, 0.0, items);
     EXPECT_TRUE(result.feasible);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 10.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, kReservedUidBase + 0), 5.0);
-    ASSERT_EQ(result.timeline.segments.size(), 3u);
-    EXPECT_DOUBLE_EQ(result.timeline.segments[1].start, 3.0); // reservation exactly on time
-    EXPECT_DOUBLE_EQ(result.timeline.segments[1].end, 5.0);
+    EXPECT_DOUBLE_EQ(completion_at(result, 1), 10.0);
+    EXPECT_DOUBLE_EQ(completion_at(result, kReservedUidBase + 0), 5.0);
+    ASSERT_EQ(result.per_resource[0].segments.size(), 3u);
+    EXPECT_DOUBLE_EQ(result.per_resource[0].segments[1].start, 3.0); // reservation exactly on time
+    EXPECT_DOUBLE_EQ(result.per_resource[0].segments[1].end, 5.0);
 }
 
 TEST(ReservedEdf, ReservationBeatsEarlierDeadlineTask) {
     // Even a tighter-deadline adaptive task cannot displace a reservation.
     const std::vector<ScheduleItem> items{adaptive(1, 4.0, 6.0), block(0, 0.0, 3.0)};
-    CompletionList completion;
-    const auto result = schedule_resource(kCpu, 0.0, items, &completion);
-    EXPECT_DOUBLE_EQ(completion_at(completion, kReservedUidBase + 0), 3.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 7.0);
+    const WindowSchedule result = schedule_on(kCpu, 0.0, items);
+    EXPECT_DOUBLE_EQ(completion_at(result, kReservedUidBase + 0), 3.0);
+    EXPECT_DOUBLE_EQ(completion_at(result, 1), 7.0);
     EXPECT_FALSE(result.feasible); // the adaptive task misses: 7 > 6
 }
 
@@ -145,22 +170,20 @@ TEST(ReservedEdf, NonPreemptableDispatchBlocksOverlappingTask) {
     // window ends.
     const std::vector<ScheduleItem> items{adaptive(1, 6.0, 30.0), adaptive(2, 3.0, 25.0),
                                           block(0, 4.0, 2.0)};
-    CompletionList completion;
-    const auto result = schedule_resource(kGpu, 0.0, items, &completion);
+    const WindowSchedule result = schedule_on(kGpu, 0.0, items);
     EXPECT_TRUE(result.feasible);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 2), 3.0);                     // fits before the window
-    EXPECT_DOUBLE_EQ(completion_at(completion, kReservedUidBase + 0), 6.0);  // on time
-    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 12.0);                    // after the window
+    EXPECT_DOUBLE_EQ(completion_at(result, 2), 3.0);                     // fits before the window
+    EXPECT_DOUBLE_EQ(completion_at(result, kReservedUidBase + 0), 6.0);  // on time
+    EXPECT_DOUBLE_EQ(completion_at(result, 1), 12.0);                    // after the window
 }
 
 TEST(ReservedEdf, NonPreemptableIdlesWhenNothingFits) {
     const std::vector<ScheduleItem> items{adaptive(1, 6.0, 30.0), block(0, 4.0, 2.0)};
-    CompletionList completion;
-    const auto result = schedule_resource(kGpu, 0.0, items, &completion);
+    const WindowSchedule result = schedule_on(kGpu, 0.0, items);
     EXPECT_TRUE(result.feasible);
     // The GPU idles [0, 4), runs the reservation, then the task.
-    EXPECT_DOUBLE_EQ(completion_at(completion, kReservedUidBase + 0), 6.0);
-    EXPECT_DOUBLE_EQ(completion_at(completion, 1), 12.0);
+    EXPECT_DOUBLE_EQ(completion_at(result, kReservedUidBase + 0), 6.0);
+    EXPECT_DOUBLE_EQ(completion_at(result, 1), 12.0);
 }
 
 TEST(ReservedEdf, PinnedOverrunMakesReservationLate) {
@@ -168,7 +191,7 @@ TEST(ReservedEdf, PinnedOverrunMakesReservationLate) {
     // late, so the schedule is infeasible — the caller must handle it.
     std::vector<ScheduleItem> items{adaptive(1, 5.0, 30.0), block(0, 3.0, 2.0)};
     items[0].pinned_first = true;
-    const auto result = schedule_resource(kGpu, 0.0, items);
+    const WindowSchedule result = schedule_on(kGpu, 0.0, items);
     EXPECT_FALSE(result.feasible);
 }
 

@@ -8,8 +8,9 @@
 //     requests, on both decide() and decide_batch();
 //     MilpRM (which documents ignoring the config) rides on a subsample;
 //   * directed cases — a cross-shard tie-break world of byte-identical twin
-//     islands, and the degenerate single-group partition where shards = 8
-//     must fold to one bucket and change nothing;
+//     islands, the degenerate single-group partition where shards = 8
+//     must fold to one bucket and change nothing, and the exact RM's
+//     rejection reasons (proved vs budget-bound) at shards 1 and 4;
 //   * partition properties — groups are the executability components,
 //     rebuilt deterministically, with the bucket folding rules pinned;
 //   * order properties — demand_order is a total order whose per-shard
@@ -371,6 +372,65 @@ TEST(ShardDirected, SingleGroupPartitionFoldsToOneBucket) {
             expect_same_decision(reference->decide(context), sharded->decide(context),
                                  sharded->name().c_str(), seed);
         }
+    }
+}
+
+/// A rejection keeps its reason under sharding: the candidate fits nowhere
+/// in its island of the islands platform, so the exact RM must report
+/// proved_infeasible at any shard count under the default budget, and
+/// solver_infeasible once a one-node budget leaves some failure unproven.
+/// Under that budget the candidate's own bucket still *proves* its
+/// failure (every placement fails at depth 0, on the first node), while
+/// the bucket of the active task on CPU0 runs out of nodes; only the AND
+/// over the failed buckets' proofs reports the budget.
+TEST(ShardDirected, ExactRejectionReasonsSurviveSharding) {
+    const Platform platform = make_islands_platform();
+    const std::size_t n = platform.size();
+    const auto only_on = [&](TaskTypeId id, std::vector<ResourceId> resources) {
+        std::vector<double> wcet(n, kNotExecutable);
+        std::vector<double> energy(n, kNotExecutable);
+        for (const ResourceId r : resources) {
+            wcet[r] = 10.0;
+            energy[r] = 4.0;
+        }
+        const std::vector<std::vector<double>> no_migration(n, std::vector<double>(n, 0.0));
+        return TaskType(id, std::move(wcet), std::move(energy), no_migration, no_migration);
+    };
+    std::vector<TaskType> types;
+    types.push_back(only_on(0, {0}));    // the resident's island: CPU0 alone
+    types.push_back(only_on(1, {1, 5})); // the candidate's island: CPU1 + CPU5
+    const Catalog catalog{std::move(types)};
+
+    ShardPartition partition;
+    partition.rebuild(platform, catalog);
+    ASSERT_EQ(partition.bucket_of_resource(0, 4), 0u);
+    ASSERT_EQ(partition.bucket_of_resource(1, 4), 1u);
+
+    std::vector<ActiveTask> active = {task_of(0, 0, 0.0, 50.0)};
+    active[0].resource = 0;
+    ArrivalContext context;
+    context.now = 5.0;
+    context.platform = &platform;
+    context.catalog = &catalog;
+    context.active = active;
+    // WCET 10 against 5 time units of slack: no resource of its island fits.
+    context.candidate = task_of(100, 1, 5.0, 5.0);
+
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+        const std::string label = "shards " + std::to_string(shards);
+        ExactRM proving;
+        proving.set_shard_config({shards});
+        const Decision proved = proving.decide(context);
+        EXPECT_FALSE(proved.admitted) << label;
+        EXPECT_EQ(proved.reason, RejectReason::proved_infeasible) << label;
+
+        ExactRM::Options tight;
+        tight.node_limit = 1;
+        ExactRM budgeted(tight);
+        budgeted.set_shard_config({shards});
+        const Decision budget = budgeted.decide(context);
+        EXPECT_FALSE(budget.admitted) << label;
+        EXPECT_EQ(budget.reason, RejectReason::solver_infeasible) << label;
     }
 }
 

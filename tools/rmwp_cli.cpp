@@ -108,27 +108,22 @@
 //
 // Exit status: 0 on success, 1 on usage errors, 2 on runtime failures.
 #include <algorithm>
+#include <fstream>
 #include <iostream>
 #include <map>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
-#include <fstream>
-
-#include "core/baseline_rm.hpp"
-#include <sstream>
-
 #include "core/reservation.hpp"
+#include "exp/config.hpp"
 #include "exp/parallel_runner.hpp"
 #include "fault/fault.hpp"
 #include "obs/export.hpp"
 #include "obs/trace_sink.hpp"
 #include "obs/trace_stream.hpp"
-#include "core/exact_rm.hpp"
-#include "core/heuristic_rm.hpp"
-#include "core/milp_rm.hpp"
 #include "predict/predictor.hpp"
 #include "serve/serve.hpp"
 #include "sim/simulator.hpp"
@@ -302,18 +297,20 @@ ReservationTable parse_reservations(const std::optional<std::string>& spec,
     return ReservationTable(std::move(tasks));
 }
 
+/// The --rm choice (default heuristic); an unknown name throws `error`.
+RmKind rm_arg(Args& args, const char* error) {
+    const auto kind = rm_kind_from_string(args.get("rm").value_or("heuristic"));
+    if (!kind) throw std::runtime_error(error);
+    return *kind;
+}
+
 int cmd_run(Args& args) {
     const std::string catalog_path = args.require("catalog");
     const std::string trace_path = args.require("trace");
     const Platform platform = make_cli_platform(args);
 
-    const std::string rm_name = args.get("rm").value_or("heuristic");
-    std::unique_ptr<ResourceManager> rm;
-    if (rm_name == "heuristic") rm = std::make_unique<HeuristicRM>();
-    else if (rm_name == "exact") rm = std::make_unique<ExactRM>();
-    else if (rm_name == "milp") rm = std::make_unique<MilpRM>();
-    else if (rm_name == "baseline") rm = std::make_unique<BaselineRM>();
-    else throw std::runtime_error("--rm must be heuristic, exact, milp, or baseline");
+    const std::unique_ptr<ResourceManager> rm =
+        make_rm(rm_arg(args, "--rm must be heuristic, exact, milp, or baseline"));
 
     PredictorSpec spec;
     const std::string predictor_name = args.get("predictor").value_or("off");
@@ -454,13 +451,8 @@ int cmd_serve(Args& args) {
     const std::string catalog_path = args.require("catalog");
     const Platform platform = make_cli_platform(args);
 
-    const std::string rm_name = args.get("rm").value_or("heuristic");
-    std::unique_ptr<ResourceManager> rm;
-    if (rm_name == "heuristic") rm = std::make_unique<HeuristicRM>();
-    else if (rm_name == "exact") rm = std::make_unique<ExactRM>();
-    else if (rm_name == "milp") rm = std::make_unique<MilpRM>();
-    else if (rm_name == "baseline") rm = std::make_unique<BaselineRM>();
-    else throw std::runtime_error("--rm must be heuristic, exact, milp, or baseline");
+    const std::unique_ptr<ResourceManager> rm =
+        make_rm(rm_arg(args, "--rm must be heuristic, exact, milp, or baseline"));
 
     // Sharded admission (DESIGN.md §15).  Configured once, here, before the
     // RM is handed to the engine — never mid-serve.  Decisions are
@@ -668,14 +660,10 @@ int cmd_experiment(Args& args) {
     const auto jobs = static_cast<std::size_t>(args.integer("jobs", 0));
 
     std::vector<RmKind> rms;
-    const std::string rm_name = args.get("rm").value_or("heuristic");
-    if (rm_name == "heuristic") rms = {RmKind::heuristic};
-    else if (rm_name == "exact") rms = {RmKind::exact};
-    else if (rm_name == "milp") rms = {RmKind::milp};
-    else if (rm_name == "baseline") rms = {RmKind::baseline};
-    else if (rm_name == "all")
+    if (args.get("rm") == "all")
         rms = {RmKind::baseline, RmKind::heuristic, RmKind::exact, RmKind::milp};
-    else throw std::runtime_error("--rm must be heuristic, exact, milp, baseline, or all");
+    else
+        rms = {rm_arg(args, "--rm must be heuristic, exact, milp, baseline, or all")};
 
     PredictorSpec spec;
     const std::string predictor_name = args.get("predictor").value_or("off");
