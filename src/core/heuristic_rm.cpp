@@ -81,81 +81,70 @@ std::optional<std::span<const ResourceId>> HeuristicRM::map_tasks(const PlanInst
         }
     }
 
-    // A task's (best, second-best, feasible-count) triple reads only its
-    // exclusions and the tests cpm > capacity[anchor]; it is recomputed
-    // only when one of those can have changed, so the outer loop's rescan
-    // is O(dirty tasks), not O(all tasks).
+    // A task's regret and best option read only its exclusions and the
+    // tests cpm > capacity[anchor]; they are recomputed only when one of
+    // those can have changed, so each pass refreshes just the dirty list.
+    // The regret is the selection key: the max-regret order's d* (+inf
+    // with a single feasible option), or the ablation orders' key (minus
+    // the deadline, or a constant so the first unmapped task wins).
+    // Returns whether the task still has a feasible option (line 22).
     auto refresh = [&](std::size_t j) {
+        const std::size_t last = s.option_begin[j + 1];
         double best = kInfinity;
         double second = kInfinity;
         std::size_t feasible = 0;
-        for (std::size_t o = s.option_begin[j]; o < s.option_begin[j + 1]; ++o) {
+        std::size_t chosen = last;
+        for (std::size_t o = s.option_begin[j]; o < last; ++o) {
             const PlanScratch::Option& option = s.options[o];
             if (option.excluded || option.cpm > s.capacity[option.anchor]) continue;
             ++feasible;
             if (option.f < best) {
                 second = best;
                 best = option.f;
+                chosen = o;
             } else if (option.f < second) {
                 second = option.f;
             }
         }
-        s.best_f[j] = best;
-        s.second_f[j] = second;
-        s.feasible_count[j] = feasible;
-        s.dirty[j] = 0;
+        s.best_option[j] = chosen;
+        switch (options.order) {
+        case Options::Order::max_regret:
+            s.regret[j] = feasible == 1 ? kInfinity : second - best;
+            break;
+        case Options::Order::edf: s.regret[j] = -instance.tasks[j].abs_deadline; break;
+        case Options::Order::arrival: s.regret[j] = 0.0; break;
+        }
+        return feasible > 0;
     };
 
-    std::size_t unmapped = count;
-    while (unmapped > 0) {
-        // Lines 8-23: pick the task with the maximum regret d* (or, under an
-        // ablation ordering, the next unmapped task by deadline / arrival —
-        // the feasibility bookkeeping stays identical).
+    for (std::size_t j = 0; j < count; ++j)
+        if (!refresh(j)) return std::nullopt; // line 22: no solution
+
+    for (std::size_t unmapped = count; unmapped > 0; --unmapped) {
+        for (const std::size_t j : s.dirty)
+            if (!refresh(j)) return std::nullopt;
+        s.dirty.clear();
+
+        // Lines 8-23: pick the task with the maximum regret d*, the first
+        // on ties; mapped tasks hold -inf and never win.  Nothing beats a
+        // first +inf, so the scan stops there.
         double best_regret = -kInfinity;
         std::size_t best_task = count;
         for (std::size_t j = 0; j < count; ++j) {
-            if (s.mapped[j]) continue;
-            if (s.dirty[j]) refresh(j);
-            if (s.feasible_count[j] == 0) return std::nullopt; // line 22: no solution
-
-            switch (options.order) {
-            case Options::Order::max_regret: {
-                const double regret =
-                    s.feasible_count[j] == 1 ? kInfinity : s.second_f[j] - s.best_f[j];
-                if (regret > best_regret) {
-                    best_regret = regret;
-                    best_task = j;
-                }
-                break;
-            }
-            case Options::Order::edf:
-                if (best_task == count ||
-                    instance.tasks[j].abs_deadline < instance.tasks[best_task].abs_deadline)
-                    best_task = j;
-                break;
-            case Options::Order::arrival:
-                if (best_task == count) best_task = j;
-                break;
+            if (s.regret[j] > best_regret) {
+                best_regret = s.regret[j];
+                best_task = j;
+                if (best_regret == kInfinity) break;
             }
         }
         RMWP_ENSURE(best_task < count);
 
         // Lines 24-34: map the chosen task to its most desirable resource
-        // that passes the schedulability check.
-        const std::size_t first = s.option_begin[best_task];
+        // that passes the schedulability check — the option its last
+        // refresh found; a failed probe excludes it and refreshes again.
         const std::size_t last = s.option_begin[best_task + 1];
-        bool placed = false;
-        while (!placed) {
-            double best_f = kInfinity;
-            std::size_t chosen = last;
-            for (std::size_t o = first; o < last; ++o) {
-                const PlanScratch::Option& option = s.options[o];
-                if (option.excluded || option.cpm > s.capacity[option.anchor]) continue;
-                if (option.f < best_f) {
-                    best_f = option.f;
-                    chosen = o;
-                }
-            }
+        for (;;) {
+            const std::size_t chosen = s.best_option[best_task];
             if (chosen == last) return std::nullopt; // lines 31-32: no more resources
             PlanScratch::Option& target = s.options[chosen];
 
@@ -169,25 +158,25 @@ std::optional<std::span<const ResourceId>> HeuristicRM::map_tasks(const PlanInst
                                          s.assigned[anchor])) {
                 s.mapping[best_task] = target.resource;
                 s.mapped[best_task] = 1;
+                s.regret[best_task] = -kInfinity;
                 const double before = s.capacity[anchor];
                 s.capacity[anchor] -= target.cpm;
                 const double after = s.capacity[anchor];
-                placed = true;
-                --unmapped;
                 // A test cpm > capacity flips only for a cpm in
                 // (after, before]: dirty exactly the unmapped tasks whose
                 // cpm range on this anchor meets that interval.
                 for (std::size_t u = s.user_begin[anchor]; u < s.user_begin[anchor + 1]; ++u) {
                     const PlanScratch::AnchorUser& user = s.users[u];
                     if (s.mapped[user.task]) continue;
-                    if (user.max_cpm > after && user.min_cpm <= before) s.dirty[user.task] = 1;
+                    if (user.max_cpm > after && user.min_cpm <= before)
+                        s.dirty.push_back(user.task);
                 }
-            } else {
-                s.assigned[anchor].erase(s.assigned[anchor].begin() +
-                                         static_cast<std::ptrdiff_t>(pos));
-                target.excluded = true;
-                s.dirty[best_task] = 1;
+                break;
             }
+            s.assigned[anchor].erase(s.assigned[anchor].begin() +
+                                     static_cast<std::ptrdiff_t>(pos));
+            target.excluded = true;
+            refresh(best_task);
         }
     }
 

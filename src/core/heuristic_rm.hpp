@@ -6,7 +6,10 @@
 // decreasing order of regret (gap between the best and second-best
 // desirability); each mapping must pass the EDF IsSchedulable check, falling
 // back to the next-best resource until the candidate list is exhausted.
-// Worst-case complexity O(N * L * log L).
+// Each of the N passes refreshes only the tasks whose options a placement
+// could have changed (O(L) each, L = options per task), then selects by
+// one linear scan over a dense array of the N cached regrets, so selection
+// costs O(N^2) per solve in total, plus the EDF probes.
 #pragma once
 
 #include "core/manager.hpp"

@@ -19,6 +19,7 @@ namespace {
 void fill_real_task(PlanTask& plan, const Platform& platform, const TaskType& type, Time now,
                     const ActiveTask& task, bool is_candidate, const PlatformHealth* health) {
     const std::size_t n = platform.size();
+    RMWP_EXPECT(type.resource_count() == n);
 
     plan.uid = task.uid;
     plan.release = now;
@@ -30,8 +31,9 @@ void fill_real_task(PlanTask& plan, const Platform& platform, const TaskType& ty
     plan.cpm.assign(n, std::numeric_limits<double>::infinity());
     plan.epm.assign(n, std::numeric_limits<double>::infinity());
     plan.executable.clear();
-    for (ResourceId i = 0; i < n; ++i) {
-        if (!type.executable_on(i)) continue;
+    // The type's executable resources, ascending: the same `executable`
+    // order a dense scan over all n resources produces.
+    for (const ResourceId i : type.executable_resources()) {
         if (task.pinned && i != task.resource) continue;
         if (health != nullptr && !health->online(i)) continue; // offline = infeasible
         plan.cpm[i] = occupied_time(task, type, i);
@@ -54,6 +56,7 @@ void fill_predicted_task(PlanTask& plan, const Platform& platform, const Catalog
                          std::size_t step) {
     const TaskType& type = catalog.type(predicted.type);
     const std::size_t n = platform.size();
+    RMWP_EXPECT(type.resource_count() == n);
 
     plan.uid = kPredictedUidBase + step;
     plan.release = std::max(predicted.arrival, now);
@@ -65,8 +68,7 @@ void fill_predicted_task(PlanTask& plan, const Platform& platform, const Catalog
     plan.cpm.assign(n, std::numeric_limits<double>::infinity());
     plan.epm.assign(n, std::numeric_limits<double>::infinity());
     plan.executable.clear();
-    for (ResourceId i = 0; i < n; ++i) {
-        if (!type.executable_on(i)) continue;
+    for (const ResourceId i : type.executable_resources()) {
         if (health != nullptr && !health->online(i)) continue;
         plan.cpm[i] = type.wcet(i);
         if (health != nullptr) plan.cpm[i] *= health->throttle(i);
@@ -465,10 +467,11 @@ void PlanScratch::reset(const PlanInstance& instance) {
     capacity.assign(n, 0.0);
     mapped.assign(count, 0);
     mapping.assign(count, 0);
-    best_f.assign(count, kInfinity);
-    second_f.assign(count, kInfinity);
-    feasible_count.assign(count, 0);
-    dirty.assign(count, 1);
+    regret.assign(count, -kInfinity);
+    best_option.assign(count, 0);
+    // One placement dirties each unmapped task at most once.
+    dirty.clear();
+    dirty.reserve(count);
 
     // The physical anchor of each resource is immutable platform data; the
     // solver's option pass reads it once per option — resolve the
@@ -496,9 +499,9 @@ std::uint64_t PlanScratch::footprint_bytes() const noexcept {
                           capacity.capacity() * sizeof(double) + mapped.capacity() +
                           mapping.capacity() * sizeof(ResourceId) +
                           phys.capacity() * sizeof(ResourceId) +
-                          best_f.capacity() * sizeof(double) +
-                          second_f.capacity() * sizeof(double) +
-                          feasible_count.capacity() * sizeof(std::size_t) + dirty.capacity() +
+                          regret.capacity() * sizeof(double) +
+                          best_option.capacity() * sizeof(std::size_t) +
+                          dirty.capacity() * sizeof(std::size_t) +
                           assigned.capacity() * sizeof(std::vector<ScheduleItem>) +
                           users.capacity() * sizeof(AnchorUser) +
                           user_begin.capacity() * sizeof(std::size_t) +
@@ -594,12 +597,14 @@ RescueDecision run_rescue_ladder(const RescueContext& context, const LadderRM& r
 
 void LadderRM::decide_batch(const BatchArrivalContext& batch, std::vector<Decision>& out) {
     RMWP_EXPECT(batch.platform != nullptr && batch.catalog != nullptr);
-    const std::size_t shards = decomposes() ? shard_config().shards : 1;
+    std::size_t shards = decomposes() ? shard_config().shards : 1;
     BatchPlanner planner(batch);
     ShardedSolver& sharded = ShardedSolver::local();
     // The cross-item cache keys on bucket versions begun here: buckets no
     // admission touches keep their solved verdict across the whole batch.
-    if (shards > 1) sharded.begin_batch(batch, shards);
+    // A catalog that forms one resource group leaves one bucket, whose
+    // sub-instance would only copy the whole instance: solve it directly.
+    if (shards > 1 && sharded.begin_batch(batch, shards) == 1) shards = 1;
     out.clear();
     out.reserve(batch.items.size());
     for (std::size_t m = 0; m < planner.item_count(); ++m) {

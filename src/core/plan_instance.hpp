@@ -131,9 +131,10 @@ private:
 };
 
 /// Reusable scratch arena for Algorithm 1: the per-task option lists,
-/// per-resource schedule buffers, and the cached best/second-best
-/// desirability state of the heuristic's outer loop.  Admission runs
-/// thousands of times per trace; reset() reuses the buffers, so
+/// per-resource schedule buffers, and the cached selection state of the
+/// heuristic's outer loop (each task's regret and best option, and the
+/// dirty list of tasks whose cache a placement invalidated).  Admission
+/// runs thousands of times per trace; reset() reuses the buffers, so
 /// steady-state admission does no heap work at all.  The knapsack state is
 /// sized to the plan, not the platform: one Option per (task, executable
 /// resource) pair, which is all the solver ever reads — a task confined to
@@ -177,14 +178,14 @@ struct PlanScratch {
     std::vector<std::size_t> user_begin; ///< n + 1 offsets
     std::vector<std::size_t> user_next;
 
-    // Per-task desirability cache: a task's best/second-best/feasible-count
-    // triple reads only its exclusions and the tests cpm > capacity, so it
-    // stays valid until one of its options is excluded or an anchor's
-    // capacity crosses one of its cpm values there.
-    std::vector<double> best_f;
-    std::vector<double> second_f;
-    std::vector<std::size_t> feasible_count;
-    std::vector<std::uint8_t> dirty;
+    // Per-task selection cache.  A task's regret and best option read only
+    // its exclusions and the tests cpm > capacity, so they stay valid until
+    // one of its options is excluded or an anchor's capacity crosses one of
+    // its cpm values there; such a task waits on `dirty` for its refresh.
+    std::vector<double> regret;           ///< selection key; -inf once mapped
+    std::vector<std::size_t> best_option; ///< first most desirable feasible
+                                          ///< option, option_begin[j + 1] if none
+    std::vector<std::size_t> dirty;       ///< unmapped tasks awaiting refresh
 
     /// Size every per-task buffer for the instance, empty the option lists
     /// and the invalidation index, and seed the per-resource schedule
@@ -202,9 +203,10 @@ struct PlanScratch {
 /// The driver every solver RM runs on: the Sec 4.1 admission ladder over
 /// a BatchPlanner, the fault-rescue ladder, the proof tracking behind the
 /// rejection reasons, and the sharded solve (DESIGN.md §15).  An RM
-/// supplies only its solver.  With more than one shard configured and a
-/// decomposing solver, every admission rung runs on the thread's
-/// ShardedSolver, which calls `solve` once per resource-group bucket.
+/// supplies only its solver.  With more than one shard configured, a
+/// decomposing solver and a batch that splits into more than one
+/// resource-group bucket, every admission rung runs on the thread's
+/// ShardedSolver, which calls `solve` once per bucket.
 class LadderRM : public ResourceManager {
 public:
     /// What a solve serves: an arrival's admission ladder, or a fault

@@ -63,7 +63,7 @@ void ShardedSolver::ensure_buckets(std::size_t count) {
     if (buckets_.size() < count) buckets_.resize(count);
 }
 
-void ShardedSolver::begin_batch(const BatchArrivalContext& batch, std::size_t shards) {
+std::size_t ShardedSolver::begin_batch(const BatchArrivalContext& batch, std::size_t shards) {
     RMWP_EXPECT(batch.platform != nullptr && batch.catalog != nullptr);
     partition_.rebuild(*batch.platform, *batch.catalog);
     catalog_ = batch.catalog;
@@ -81,6 +81,7 @@ void ShardedSolver::begin_batch(const BatchArrivalContext& batch, std::size_t sh
         tracked_.push_back(
             {task.uid, task.resource, partition_.bucket_of(catalog_->type(task.type), shards)});
     RMWP_ENSURE(tracked_.size() == batch.active.size());
+    return count;
 }
 
 void ShardedSolver::note_admission(const Decision& decision, const ActiveTask& candidate) {

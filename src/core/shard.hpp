@@ -92,8 +92,9 @@ public:
     /// Start a coalesced batch under a `shards` cap: rebuilds the resource
     /// partition, resets bucket versions and the solve cache, and snapshots
     /// the working set's uid -> (resource, bucket) map so note_admission
-    /// can tell which buckets an admission touched.
-    void begin_batch(const BatchArrivalContext& batch, std::size_t shards);
+    /// can tell which buckets an admission touched.  Returns the number
+    /// of solve buckets the batch splits into.
+    std::size_t begin_batch(const BatchArrivalContext& batch, std::size_t shards);
 
     /// Record an admitted decision: the candidate's bucket and the bucket
     /// of every moved task get a new version, invalidating their cached

@@ -15,6 +15,7 @@
 #include <cstdint>
 
 #include "platform/platform.hpp"
+#include "util/check.hpp"
 #include "workload/catalog.hpp"
 #include "workload/trace.hpp"
 
@@ -41,29 +42,53 @@ struct ActiveTask {
     [[nodiscard]] bool finished() const noexcept { return remaining_fraction <= 0.0; }
 };
 
+// The cost functions below are inline: the plan-row fill evaluates them
+// per (task, executable resource) on every admission.
+
 /// cp_{j,i}: worst-case execution time not yet consumed, on resource i.
-[[nodiscard]] double remaining_time(const ActiveTask& task, const TaskType& type, ResourceId i);
+[[nodiscard]] inline double remaining_time(const ActiveTask& task, const TaskType& type,
+                                           ResourceId i) {
+    RMWP_EXPECT(task.type == type.id());
+    return type.wcet(i) * task.remaining_fraction;
+}
 
 /// ep_{j,i}: average energy not yet consumed, on resource i.
-[[nodiscard]] double remaining_energy(const ActiveTask& task, const TaskType& type, ResourceId i);
+[[nodiscard]] inline double remaining_energy(const ActiveTask& task, const TaskType& type,
+                                             ResourceId i) {
+    RMWP_EXPECT(task.type == type.id());
+    return type.energy(i) * task.remaining_fraction;
+}
 
 /// Whether assigning `task` to `to` constitutes a migration (it has started
 /// somewhere else).  Unstarted tasks can be re-mapped freely: there is no
 /// execution state to move yet.
-[[nodiscard]] bool is_migration(const ActiveTask& task, ResourceId to) noexcept;
+[[nodiscard]] inline bool is_migration(const ActiveTask& task, ResourceId to) noexcept {
+    return task.started && to != task.resource;
+}
 
 /// cpm_{j,i}: occupied resource time if `task` ends up on `to` during the
 /// current window — remaining work plus migration time (or the unpaid part
 /// of a previously started migration when staying put).
-[[nodiscard]] double occupied_time(const ActiveTask& task, const TaskType& type, ResourceId to);
+[[nodiscard]] inline double occupied_time(const ActiveTask& task, const TaskType& type,
+                                          ResourceId to) {
+    const double work = remaining_time(task, type, to);
+    if (is_migration(task, to)) return work + type.migration_time(task.resource, to);
+    if (to == task.resource) return work + task.pending_overhead;
+    return work;
+}
+
+/// Migration energy overhead of the assignment (0 when not a migration).
+[[nodiscard]] inline double migration_energy_cost(const ActiveTask& task, const TaskType& type,
+                                                  ResourceId to) {
+    if (!is_migration(task, to)) return 0.0;
+    return type.migration_energy(task.resource, to);
+}
 
 /// epm contribution: remaining energy plus migration-energy overhead if the
 /// assignment relocates a started task.
-[[nodiscard]] double assignment_energy(const ActiveTask& task, const TaskType& type,
-                                       ResourceId to);
-
-/// Migration energy overhead of the assignment (0 when not a migration).
-[[nodiscard]] double migration_energy_cost(const ActiveTask& task, const TaskType& type,
-                                           ResourceId to);
+[[nodiscard]] inline double assignment_energy(const ActiveTask& task, const TaskType& type,
+                                              ResourceId to) {
+    return remaining_energy(task, type, to) + migration_energy_cost(task, type, to);
+}
 
 } // namespace rmwp

@@ -48,31 +48,4 @@ TaskType::TaskType(TaskTypeId id, std::vector<double> wcet, std::vector<double> 
     mean_energy_ /= static_cast<double>(executable_.size());
 }
 
-double TaskType::wcet(ResourceId i) const {
-    RMWP_EXPECT(i < wcet_.size());
-    return wcet_[i];
-}
-
-double TaskType::energy(ResourceId i) const {
-    RMWP_EXPECT(i < energy_.size());
-    return energy_[i];
-}
-
-bool TaskType::executable_on(ResourceId i) const {
-    RMWP_EXPECT(i < wcet_.size());
-    return std::isfinite(wcet_[i]);
-}
-
-double TaskType::migration_time(ResourceId from, ResourceId to) const {
-    RMWP_EXPECT(from < migration_time_.size());
-    RMWP_EXPECT(to < migration_time_.size());
-    return migration_time_[from][to];
-}
-
-double TaskType::migration_energy(ResourceId from, ResourceId to) const {
-    RMWP_EXPECT(from < migration_energy_.size());
-    RMWP_EXPECT(to < migration_energy_.size());
-    return migration_energy_[from][to];
-}
-
 } // namespace rmwp

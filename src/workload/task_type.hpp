@@ -5,11 +5,13 @@
 // that any feasibility comparison naturally rejects them.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <limits>
 #include <vector>
 
 #include "platform/platform.hpp"
+#include "util/check.hpp"
 
 namespace rmwp {
 
@@ -32,16 +34,36 @@ public:
     [[nodiscard]] TaskTypeId id() const noexcept { return id_; }
     [[nodiscard]] std::size_t resource_count() const noexcept { return wcet_.size(); }
 
+    // The accessors below are inline: the plan-row fill calls them per
+    // (task, resource) on every admission.
+
     /// WCET c_{j,i}; +infinity if not executable on i.
-    [[nodiscard]] double wcet(ResourceId i) const;
+    [[nodiscard]] double wcet(ResourceId i) const {
+        RMWP_EXPECT(i < wcet_.size());
+        return wcet_[i];
+    }
     /// Average energy e_{j,i}; +infinity if not executable on i.
-    [[nodiscard]] double energy(ResourceId i) const;
-    [[nodiscard]] bool executable_on(ResourceId i) const;
+    [[nodiscard]] double energy(ResourceId i) const {
+        RMWP_EXPECT(i < energy_.size());
+        return energy_[i];
+    }
+    [[nodiscard]] bool executable_on(ResourceId i) const {
+        RMWP_EXPECT(i < wcet_.size());
+        return std::isfinite(wcet_[i]);
+    }
 
     /// Migration time overhead cm_{j,k,i} for moving from k to i (0 if k==i).
-    [[nodiscard]] double migration_time(ResourceId from, ResourceId to) const;
+    [[nodiscard]] double migration_time(ResourceId from, ResourceId to) const {
+        RMWP_EXPECT(from < migration_time_.size());
+        RMWP_EXPECT(to < migration_time_.size());
+        return migration_time_[from][to];
+    }
     /// Migration energy overhead em_{j,k,i} (0 if k==i).
-    [[nodiscard]] double migration_energy(ResourceId from, ResourceId to) const;
+    [[nodiscard]] double migration_energy(ResourceId from, ResourceId to) const {
+        RMWP_EXPECT(from < migration_energy_.size());
+        RMWP_EXPECT(to < migration_energy_.size());
+        return migration_energy_[from][to];
+    }
 
     /// Mean WCET over the resources the type can execute on.
     [[nodiscard]] double mean_wcet() const noexcept { return mean_wcet_; }

@@ -13,7 +13,15 @@
 // blocks, pinned non-preemptable heads, predicted tails, throttled cores,
 // tight windows (so capacities really cross cpm values — the reference
 // counts the re-scores that changed a task's triple, and each platform
-// must see some), and a platform with more than 64 anchors.
+// must see some), and a platform with more than 64 anchors.  Each platform
+// must also see a failed probe followed by a re-pick on the same task (the
+// production solver places on the option its refresh found) and a
+// selection pass where several tasks tie at an infinite regret (the first
+// one wins).
+//
+// A second reference pins the plan-row fill: a dense loop over every
+// resource, through the task-state cost functions, against the rows
+// PlanInstance::build fills from each type's executable resources.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +35,7 @@
 #include "core/heuristic_rm.hpp"
 #include "core/plan_instance.hpp"
 #include "core/reservation.hpp"
+#include "core/task_state.hpp"
 #include "platform/health.hpp"
 #include "util/rng.hpp"
 #include "workload/catalog.hpp"
@@ -37,11 +46,21 @@ namespace {
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
 constexpr double kBigM = 1e9;
 
-/// The reference solver.  `crossings` counts re-scores whose triple differs
-/// from the one the task held before, i.e. capacity changes that mattered.
+/// What the reference solver saw while solving.
+struct Coverage {
+    /// Re-scores whose triple differs from the one the task held before,
+    /// i.e. capacity changes that mattered.
+    std::size_t crossings = 0;
+    /// Failed probes after which the same task was probed on another option.
+    std::size_t repicks = 0;
+    /// Max-regret selection passes with two or more tasks at +inf regret.
+    std::size_t infinite_ties = 0;
+};
+
+/// The reference solver.
 std::optional<std::vector<ResourceId>> reference_map_tasks(const PlanInstance& instance,
                                                            const HeuristicRM::Options& options,
-                                                           std::size_t& crossings) {
+                                                           Coverage& coverage) {
     using Options = HeuristicRM::Options;
     const std::size_t n = instance.resource_count();
     const std::size_t count = instance.tasks.size();
@@ -100,7 +119,7 @@ std::optional<std::vector<ResourceId>> reference_map_tasks(const PlanInstance& i
         }
         if (scored[j] && (best != best_f[j] || second != second_f[j] ||
                           feasible != feasible_count[j]))
-            ++crossings;
+            ++coverage.crossings;
         scored[j] = 1;
         best_f[j] = best;
         second_f[j] = second;
@@ -112,6 +131,7 @@ std::optional<std::vector<ResourceId>> reference_map_tasks(const PlanInstance& i
     while (unmapped > 0) {
         double best_regret = -kInfinity;
         std::size_t best_task = count;
+        std::size_t infinite = 0;
         for (std::size_t j = 0; j < count; ++j) {
             if (mapped[j]) continue;
             if (dirty[j]) refresh(j);
@@ -120,6 +140,7 @@ std::optional<std::vector<ResourceId>> reference_map_tasks(const PlanInstance& i
             case Options::Order::max_regret: {
                 const double regret =
                     feasible_count[j] == 1 ? kInfinity : second_f[j] - best_f[j];
+                if (regret == kInfinity) ++infinite;
                 if (regret > best_regret) {
                     best_regret = regret;
                     best_task = j;
@@ -136,11 +157,13 @@ std::optional<std::vector<ResourceId>> reference_map_tasks(const PlanInstance& i
                 break;
             }
         }
+        if (infinite > 1) ++coverage.infinite_ties;
 
         const PlanTask& task = instance.tasks[best_task];
         const double* row = f.data() + best_task * n;
         std::uint8_t* row_excluded = excluded.data() + best_task * n;
         bool placed = false;
+        bool failed_probe = false;
         while (!placed) {
             double best = kInfinity;
             ResourceId target = n;
@@ -152,6 +175,7 @@ std::optional<std::vector<ResourceId>> reference_map_tasks(const PlanInstance& i
                 }
             }
             if (target == n) return std::nullopt;
+            if (failed_probe) ++coverage.repicks;
             const ResourceId anchor = phys[target];
             const std::size_t pos =
                 insert_demand_ordered(assigned[anchor], instance.item_for(best_task, target));
@@ -171,6 +195,7 @@ std::optional<std::vector<ResourceId>> reference_map_tasks(const PlanInstance& i
                                        static_cast<std::ptrdiff_t>(pos));
                 row_excluded[target] = 1;
                 dirty[best_task] = 1;
+                failed_probe = true;
             }
         }
     }
@@ -320,7 +345,7 @@ struct Activation {
 struct Tally {
     std::size_t solved = 0;
     std::size_t rejected = 0;
-    std::size_t crossings = 0;
+    Coverage coverage;
 };
 
 /// Solve every ladder rung of one activation under all six option pairs
@@ -334,7 +359,7 @@ void check_activation(const Activation& activation, std::uint64_t seed, Tally& t
             for (const auto desirability :
                  {Options::Desirability::energy, Options::Desirability::energy_density}) {
                 const Options options{order, desirability};
-                const auto reference = reference_map_tasks(instance, options, tally.crossings);
+                const auto reference = reference_map_tasks(instance, options, tally.coverage);
                 const auto solved = HeuristicRM::map_tasks(instance, options);
                 ASSERT_EQ(reference.has_value(), solved.has_value())
                     << "seed " << seed << " rung " << k << " order "
@@ -363,11 +388,15 @@ void run_shape(Shape shape, std::uint64_t seeds) {
                                     seed * 7919 + static_cast<std::uint64_t>(shape));
         ASSERT_NO_FATAL_FAILURE(check_activation(activation, seed, tally));
     }
-    // The instances must exercise both outcomes and real capacity crossings,
-    // or agreement would prove little.
+    // The instances must exercise both outcomes, real capacity crossings,
+    // re-picks after failed probes and ties at infinite regret, or
+    // agreement would prove little.
     EXPECT_GT(tally.solved, seeds);
     EXPECT_GT(tally.rejected, seeds / 4);
-    EXPECT_GT(tally.crossings, seeds);
+    EXPECT_GT(tally.coverage.crossings, seeds);
+    EXPECT_GT(tally.coverage.repicks, 0u);
+    EXPECT_GT(tally.coverage.infinite_ties, 0u);
+
 }
 
 TEST(HeuristicDifferential, PaperPlatformMatchesReference) { run_shape(Shape::paper, 1500); }
@@ -375,6 +404,108 @@ TEST(HeuristicDifferential, PaperPlatformMatchesReference) { run_shape(Shape::pa
 TEST(HeuristicDifferential, DvfsPlatformMatchesReference) { run_shape(Shape::dvfs, 1500); }
 
 TEST(HeuristicDifferential, WidePlatformMatchesReference) { run_shape(Shape::wide, 600); }
+
+/// The row-fill reference: every resource of the platform in turn, through
+/// the task-state cost functions, as the rows were once filled.
+void reference_real_row(const ArrivalContext& context, const ActiveTask& task,
+                        std::vector<double>& cpm, std::vector<double>& epm,
+                        std::vector<ResourceId>& executable) {
+    const std::size_t n = context.platform->size();
+    const TaskType& type = context.type_of(task);
+    cpm.assign(n, kInfinity);
+    epm.assign(n, kInfinity);
+    executable.clear();
+    for (ResourceId i = 0; i < n; ++i) {
+        if (!type.executable_on(i)) continue;
+        if (task.pinned && i != task.resource) continue;
+        if (!context.health->online(i)) continue;
+        cpm[i] = occupied_time(task, type, i) +
+                 (context.health->throttle(i) - 1.0) * remaining_time(task, type, i);
+        epm[i] = assignment_energy(task, type, i);
+        executable.push_back(i);
+    }
+}
+
+void reference_predicted_row(const ArrivalContext& context, const PredictedTask& predicted,
+                             std::vector<double>& cpm, std::vector<double>& epm,
+                             std::vector<ResourceId>& executable) {
+    const std::size_t n = context.platform->size();
+    const TaskType& type = context.catalog->type(predicted.type);
+    cpm.assign(n, kInfinity);
+    epm.assign(n, kInfinity);
+    executable.clear();
+    for (ResourceId i = 0; i < n; ++i) {
+        if (!type.executable_on(i)) continue;
+        if (!context.health->online(i)) continue;
+        cpm[i] = type.wcet(i) * context.health->throttle(i);
+        epm[i] = type.energy(i);
+        executable.push_back(i);
+    }
+}
+
+TEST(HeuristicDifferential, RowFillMatchesDenseReference) {
+    const World world(Shape::dvfs);
+    const Platform& platform = world.platform;
+    // Which states the seeds reached: started, migrating (a started task
+    // with an unpaid migration overhead) and pinned tasks, and rows over a
+    // throttled core, an offline core and a DVFS operating point.
+    std::size_t started = 0, migrating = 0, pinned = 0, throttled = 0, offline = 0, dvfs = 0;
+    std::vector<std::size_t> points(platform.size(), 0); // operating points per anchor
+    for (ResourceId i = 0; i < platform.size(); ++i) ++points[platform.resource(i).physical()];
+    std::vector<double> cpm, epm;
+    std::vector<ResourceId> executable;
+    for (std::uint64_t seed = 0; seed < 400; ++seed) {
+        const Catalog& catalog = seed % 2 == 0 ? world.open : world.islands;
+        Activation activation(world, catalog, seed * 104729 + 5);
+        Rng rng(seed + 77);
+        // A fresh mask per seed: one core offline, another throttled.
+        PlatformHealth& health = activation.health;
+        health = PlatformHealth();
+        const ResourceId down = platform.resource(rng.index(platform.size())).physical();
+        const ResourceId slow = platform.resource(rng.index(platform.size())).physical();
+        health.set_online(platform, down, false);
+        if (slow != down) health.set_throttle(platform, slow, rng.uniform(1.1, 2.0));
+        for (ActiveTask& task : activation.active) {
+            if (task.started && !task.pinned && rng.bernoulli(0.5))
+                task.pending_overhead = rng.uniform(0.1, 3.0);
+        }
+        activation.context.active = activation.active;
+
+        const PlanInstance instance =
+            PlanInstance::build(activation.context, activation.context.predicted.size());
+        const std::size_t real = activation.active.size() + 1;
+        ASSERT_EQ(instance.tasks.size(), real + activation.context.predicted.size());
+        for (std::size_t j = 0; j < instance.tasks.size(); ++j) {
+            const PlanTask& row = instance.tasks[j];
+            if (j < real) {
+                const ActiveTask& task =
+                    j + 1 < real ? activation.active[j] : activation.context.candidate;
+                reference_real_row(activation.context, task, cpm, epm, executable);
+                started += task.started ? 1 : 0;
+                migrating += task.pending_overhead > 0.0 ? 1 : 0;
+                pinned += task.pinned ? 1 : 0;
+                for (const ResourceId i : activation.context.type_of(task).executable_resources()) {
+                    throttled += health.throttle(i) > 1.0 ? 1 : 0;
+                    offline += health.online(i) ? 0 : 1;
+                    dvfs += points[platform.resource(i).physical()] > 1 ? 1 : 0;
+                }
+            } else {
+                reference_predicted_row(activation.context,
+                                        activation.context.predicted[j - real], cpm, epm,
+                                        executable);
+            }
+            ASSERT_EQ(row.cpm, cpm) << "seed " << seed << " task " << j;
+            ASSERT_EQ(row.epm, epm) << "seed " << seed << " task " << j;
+            ASSERT_EQ(row.executable, executable) << "seed " << seed << " task " << j;
+        }
+    }
+    EXPECT_GT(started, 0u);
+    EXPECT_GT(migrating, 0u);
+    EXPECT_GT(pinned, 0u);
+    EXPECT_GT(throttled, 0u);
+    EXPECT_GT(offline, 0u);
+    EXPECT_GT(dvfs, 0u);
+}
 
 } // namespace
 } // namespace rmwp

@@ -665,5 +665,51 @@ TEST(ShardServe, ShardedServiceIsBitIdenticalAndRecordsMergedLatency) {
 #endif
 }
 
+/// A catalog that forms one resource group leaves one solve bucket at any
+/// shard count, so the ladder solves it directly: shards = 4 decides
+/// exactly as shards = 1 and runs no sharded sub-solve.
+TEST(ShardServe, OneGroupCatalogSolvesDirectly) {
+    const Platform platform = make_paper_platform();
+    CatalogParams params;
+    params.type_count = 24;
+    Rng catalog_rng = Rng(3).derive(1);
+    const Catalog catalog = generate_catalog(platform, params, catalog_rng);
+    ShardPartition partition;
+    partition.rebuild(platform, catalog);
+    ASSERT_EQ(partition.bucket_count(4), 1u);
+
+    const auto run_once = [&](const ShardConfig& shard, obs::StageStats* stats) {
+        SyntheticSourceParams source_params;
+        source_params.seed = 11;
+        SyntheticArrivalSource source(catalog, source_params);
+        HeuristicRM rm;
+        rm.set_shard_config(shard);
+        OnlinePredictor predictor(catalog);
+        ServeConfig config;
+        config.monitor = false;
+        config.max_arrivals = 400;
+        config.stage_stats_out = stats;
+        return run_serve(platform, catalog, rm, predictor, nullptr, source, config);
+    };
+
+    obs::StageStats direct_stats;
+    obs::StageStats sharded_stats;
+    const ServeResult direct = run_once({1}, &direct_stats);
+    const ServeResult sharded = run_once({4}, &sharded_stats);
+    EXPECT_EQ(direct.exit_code, 0);
+    EXPECT_EQ(sharded.exit_code, 0);
+    EXPECT_EQ(direct.arrivals, sharded.arrivals);
+    expect_same_trace(direct.result, sharded.result);
+    EXPECT_GT(direct.result.accepted, 0u);
+
+#ifdef RMWP_OBS
+    EXPECT_EQ(sharded_stats.cell(obs::Stage::shard_solve).calls, 0u);
+    EXPECT_EQ(sharded_stats.cell(obs::Stage::shard_merge).calls, 0u);
+    EXPECT_GT(sharded_stats.cell(obs::Stage::solve).calls, 0u);
+    EXPECT_EQ(sharded_stats.cell(obs::Stage::solve).calls,
+              direct_stats.cell(obs::Stage::solve).calls);
+#endif
+}
+
 } // namespace
 } // namespace rmwp

@@ -701,7 +701,11 @@ int cmd_experiment(Args& args) {
             .cell(to_string(outcome.spec.rm))
             .cell(outcome.spec.predictor.label())
             .cell(outcome.mean_rejection_percent())
-            .cell("+/- " + format_fixed(outcome.aggregate.rejection_percent.ci_halfwidth(), 2))
+            // A confidence interval needs at least two traces.
+            .cell(outcome.aggregate.rejection_percent.count() > 1
+                      ? "+/- " +
+                            format_fixed(outcome.aggregate.rejection_percent.ci_halfwidth(), 2)
+                      : std::string("n/a"))
             .cell(outcome.mean_normalized_energy(), 4)
             .cell(outcome.aggregate.migrations.mean(), 1)
             .cell(outcome.aggregate.decision_milliseconds_per_activation.mean(), 4);
