@@ -15,7 +15,8 @@
 // loop under shards {1, 2, 4}, every bucket solved serially on the serve
 // thread.  Decisions are bit-identical by contract, so the acceptance
 // counts must agree across every cell (RMWP_ENSURE) and the sweep isolates
-// the decomposition's solve-side speedup.  Writes BENCH_shard.json.
+// the sharded path's solve-side speedup, which comes from its cross-item
+// bucket cache (EXPERIMENTS.md E20).  Writes BENCH_shard.json.
 //
 // Scaling: RMWP_SERVE_ARRIVALS (default 20000) arrivals per cell,
 // RMWP_SEED for the master seed.  Writes BENCH_admission.json.
@@ -210,10 +211,10 @@ int main() {
     // catalog confines every task type to one island.  The platform is
     // deliberately big: Algorithm 1's refresh loop is superlinear in the
     // active-set size, so the whole-platform solve dominates the decision
-    // and splitting it into bucket-sized solves pays, even one after
-    // another on one thread.  All cells run the batched loop on the same
-    // burst-8 workload — the only variable is the shard config, and the
-    // determinism contract makes every cell's decision stream identical.
+    // and a bucket verdict kept across the burst saves real work.  All
+    // cells run the batched loop on the same burst-8 workload — the only
+    // variable is the shard config, and the determinism contract makes
+    // every cell's decision stream identical.
     PlatformBuilder islands_builder;
     for (int k = 0; k < 24; ++k) islands_builder.add_cpu("CPU" + std::to_string(k));
     for (int k = 0; k < 4; ++k) islands_builder.add_gpu("GPU" + std::to_string(k));
@@ -338,6 +339,6 @@ int main() {
                  "whole-platform plan into bucket-sized plans solved one after another, and\n"
                  "buckets no admission touched keep their verdict for the rest of the burst;\n"
                  "the acceptance counts stay bit-identical across shard configs, so the\n"
-                 "speedup is smaller solves with no behavioural drift.\n";
+                 "speedup, which the kept verdicts pay for, carries no behavioural drift.\n";
     return 0;
 }

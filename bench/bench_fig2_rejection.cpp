@@ -12,6 +12,7 @@
 // the two outcomes are verified bit-identical, and serial_ms / parallel_ms /
 // speedup land in BENCH_fig2_rejection.json.
 #include <iostream>
+#include <string>
 
 #include "bench_common.hpp"
 #include "bench_json.hpp"
@@ -43,24 +44,26 @@ int main() {
             const RunOutcome off = report.run(runner, RunSpec{rm, PredictorSpec::off()}, prefix);
             const RunOutcome on =
                 report.run(runner, RunSpec{rm, PredictorSpec::perfect()}, prefix);
-            const PairedTTest significance =
-                paired_rejection_test(off.per_trace, on.per_trace);
+            // A paired test needs at least two traces.
+            std::string p_value = "n/a";
+            if (off.per_trace.size() >= 2) {
+                const double p = paired_rejection_test(off.per_trace, on.per_trace).p_value;
+                p_value = p < 1e-4 ? std::string("< 1e-4") : format_fixed(p, 4);
+            }
             table.row()
                 .cell(to_string(rm))
                 .cell("off")
                 .cell(off.mean_rejection_percent())
-                .cell("+/- " + format_fixed(off.aggregate.rejection_percent.ci_halfwidth(), 2))
+                .cell(format_ci(off.aggregate.rejection_percent))
                 .cell("-")
                 .cell("-");
             table.row()
                 .cell(to_string(rm))
                 .cell("on")
                 .cell(on.mean_rejection_percent())
-                .cell("+/- " + format_fixed(on.aggregate.rejection_percent.ci_halfwidth(), 2))
+                .cell(format_ci(on.aggregate.rejection_percent))
                 .cell(off.mean_rejection_percent() - on.mean_rejection_percent())
-                .cell(significance.p_value < 1e-4
-                          ? std::string("< 1e-4")
-                          : format_fixed(significance.p_value, 4));
+                .cell(p_value);
         }
         table.print(std::cout);
         std::cout << '\n';

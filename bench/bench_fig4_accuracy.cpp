@@ -38,10 +38,10 @@ int main() {
             spec.type_accuracy = accuracy;
             const RunOutcome outcome = report.run(runner, RunSpec{rm, spec}, "type/");
             type_table.row().cell(accuracy, 2).cell(outcome.mean_rejection_percent()).cell(
-                "+/- " + format_fixed(outcome.aggregate.rejection_percent.ci_halfwidth(), 2));
+                format_ci(outcome.aggregate.rejection_percent));
         }
         type_table.row().cell("off").cell(off.mean_rejection_percent()).cell(
-            "+/- " + format_fixed(off.aggregate.rejection_percent.ci_halfwidth(), 2));
+            format_ci(off.aggregate.rejection_percent));
         type_table.print(std::cout);
 
         std::cout << "\nFig 4b — arrival-time accuracy sweep (" << to_string(rm) << ")\n";
@@ -52,10 +52,10 @@ int main() {
             spec.time_nrmse = 1.0 - accuracy;
             const RunOutcome outcome = report.run(runner, RunSpec{rm, spec}, "time/");
             time_table.row().cell(accuracy, 2).cell(outcome.mean_rejection_percent()).cell(
-                "+/- " + format_fixed(outcome.aggregate.rejection_percent.ci_halfwidth(), 2));
+                format_ci(outcome.aggregate.rejection_percent));
         }
         time_table.row().cell("off").cell(off.mean_rejection_percent()).cell(
-            "+/- " + format_fixed(off.aggregate.rejection_percent.ci_halfwidth(), 2));
+            format_ci(off.aggregate.rejection_percent));
         time_table.print(std::cout);
         std::cout << '\n';
     }

@@ -5,15 +5,14 @@
 //   * MILP acceptance >= heuristic on 88 % of traces (not 100 %: a locally
 //     optimal decision can lose to a lucky suboptimal one on the long run).
 //
-// Both RM cells of each group run through ParallelRunner::run_all, which
-// fans the full (cell x trace) grid across the worker threads — the exact
-// optimiser's slow traces overlap the heuristic's fast ones instead of
+// Both RM cells of each group run through one ExperimentRunner::run_all,
+// which fans the full (cell x trace) grid across the worker threads — the
+// exact optimiser's slow traces overlap the heuristic's fast ones instead of
 // serialising behind them.
 #include <iostream>
 
 #include "bench_common.hpp"
 #include "bench_json.hpp"
-#include "exp/parallel_runner.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -35,24 +34,24 @@ int main() {
             bench::print_header("E2", "exact vs heuristic without prediction (paper Sec 5.2)",
                                 config);
 
-        const ParallelRunner parallel(config);
+        const ExperimentRunner runner(config);
         const RunSpec specs[] = {{RmKind::exact, PredictorSpec::off()},
                                  {RmKind::heuristic, PredictorSpec::off()}};
         const bench::WallTimer timer;
-        const std::vector<RunOutcome> outcomes = parallel.run_all(specs);
+        const std::vector<RunOutcome> outcomes = runner.run_all(specs);
         const double batch_ms = timer.elapsed_ms();
         const RunOutcome& exact = outcomes[0];
         const RunOutcome& heuristic = outcomes[1];
         for (const RunOutcome& outcome : outcomes)
             report.add_cell(std::string(group_name) + "/" + outcome.spec.label(), outcome,
-                            batch_ms, parallel.jobs());
+                            batch_ms, runner.jobs());
 
         for (const RunOutcome* outcome : {&exact, &heuristic}) {
             table.row()
                 .cell(to_string(group))
                 .cell(to_string(outcome->spec.rm))
                 .cell(outcome->mean_rejection_percent())
-                .cell("+/- " + format_fixed(outcome->aggregate.rejection_percent.ci_halfwidth(), 2))
+                .cell(format_ci(outcome->aggregate.rejection_percent))
                 .cell(outcome->mean_normalized_energy(), 3);
         }
         exact_all.insert(exact_all.end(), exact.per_trace.begin(), exact.per_trace.end());

@@ -10,9 +10,10 @@
 // the partition is a pure function of platform + catalog), and
 // ShardedSolver solves the per-group sub-instances one after another on the
 // calling thread, then merges the per-bucket mappings back into instance
-// order.  What pays is the decomposition itself: smaller sub-solves, and a
-// cross-item cache that lets buckets no admission touched keep their
-// verdict for the rest of a batch.
+// order.  What pays is the cross-item cache that lets buckets no admission
+// touched keep their verdict for the rest of a batch: with its lookup
+// disabled, the bucket solves alone run no faster than one whole-plan
+// solve (EXPERIMENTS.md E20).
 //
 // Determinism contract (DESIGN.md §9): the merged decision is bit-identical
 // to the whole-plan solve at any shard count.  An RMWP_AUDIT build re-solves

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <utility>
 
 #include "exec/task_pool.hpp"
 #include "obs/export.hpp"
@@ -50,11 +51,31 @@ ExperimentRunner::ExperimentRunner(ExperimentConfig config, std::size_t jobs)
     obs_.collect_metrics = env_flag("RMWP_OBS_METRICS");
 }
 
+std::vector<RunOutcome> ExperimentRunner::run_all(std::span<const RunSpec> specs) const {
+    const std::size_t traces = traces_.size();
+    std::vector<RunOutcome> outcomes(specs.size());
+    for (std::size_t c = 0; c < specs.size(); ++c) {
+        outcomes[c].spec = specs[c];
+        outcomes[c].per_trace.resize(traces);
+    }
+
+    // Cell-major, so the merge order below is the natural spec order.
+    // Every grid point is self-contained — own RM instance, own predictor,
+    // per-trace RNG streams — so execution order cannot influence any result.
+    parallel_for(jobs_, specs.size() * traces, [&](std::size_t flat) {
+        const std::size_t c = flat / traces;
+        const std::size_t t = flat % traces;
+        const std::unique_ptr<ResourceManager> rm = make_rm(specs[c].rm);
+        outcomes[c].per_trace[t] = run_trace(t, *rm, specs[c].predictor);
+    });
+
+    for (RunOutcome& outcome : outcomes)
+        outcome.aggregate = AggregateResult::over(outcome.per_trace);
+    return outcomes;
+}
+
 RunOutcome ExperimentRunner::run(const RunSpec& spec) const {
-    const std::unique_ptr<ResourceManager> rm = make_rm(spec.rm);
-    RunOutcome outcome = run_with(*rm, spec.predictor);
-    outcome.spec = spec;
-    return outcome;
+    return std::move(run_all(std::span(&spec, 1)).front());
 }
 
 TraceResult ExperimentRunner::run_trace(std::size_t t, ResourceManager& rm,

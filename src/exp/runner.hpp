@@ -8,17 +8,20 @@
 // full study can be reproduced when time allows; the defaults keep every
 // bench within a laptop-minutes budget while preserving the paper's shapes.
 //
-// Parallelism: traces are simulated across `jobs` threads (RMWP_JOBS or the
-// hardware concurrency by default).  Every per-trace random stream is
+// Parallelism: trace cells are simulated across `jobs` threads (RMWP_JOBS or
+// the hardware concurrency by default).  Every per-trace random stream is
 // derived from a fixed (seed, stream, trace-index) tuple and results land in
 // index-addressed slots, so the per-trace results and the aggregate are
 // bit-identical for every jobs value (only the host wall-clock fields of
-// TraceResult differ; tests/test_parallel.cpp pins this).  The RM passed to
-// run_with is shared across threads: its decide_batch()/rescue() must be
-// re-entrant, which holds for every RM in this repository (they are
-// stateless beyond construction-time options).
+// TraceResult differ; tests/test_parallel.cpp pins this).  run_all flattens
+// a whole (spec, trace) grid into one fan-out, so the tail of one spec
+// overlaps the head of the next, and builds its own RM per grid point.  The
+// RM passed to run_with is shared across threads instead: its
+// decide_batch()/rescue() must be re-entrant, which holds for every RM in
+// this repository (they are stateless beyond construction-time options).
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -71,7 +74,13 @@ public:
     /// concurrency); 1 forces serial execution.
     explicit ExperimentRunner(ExperimentConfig config, std::size_t jobs = 0);
 
-    /// Simulate one RM/predictor pairing over every trace.
+    /// Evaluate every spec over every trace in one fan-out over the flat,
+    /// cell-major (spec, trace) grid.  The returned outcomes match `specs`
+    /// in order; each per_trace vector is in trace order, bit-identical at
+    /// any jobs value.
+    [[nodiscard]] std::vector<RunOutcome> run_all(std::span<const RunSpec> specs) const;
+
+    /// Simulate one RM/predictor pairing over every trace: a one-spec run_all.
     [[nodiscard]] RunOutcome run(const RunSpec& spec) const;
 
     /// Same, but with a caller-provided resource manager (e.g. a HeuristicRM
@@ -84,7 +93,8 @@ public:
     [[nodiscard]] TraceResult run_trace(std::size_t t, ResourceManager& rm,
                                         const PredictorSpec& predictor) const;
 
-    /// Enable per-trace observability for subsequent run/run_with calls.
+    /// Enable per-trace observability for subsequent run/run_all/run_with
+    /// calls.
     void set_obs(ObsOptions obs) { obs_ = std::move(obs); }
     [[nodiscard]] const ObsOptions& obs() const noexcept { return obs_; }
 

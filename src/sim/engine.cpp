@@ -588,31 +588,8 @@ void SimEngine::rescue_activation(Time now) {
         ActiveTask* task = find_task(assignment.uid);
         RMWP_ENSURE(task != nullptr);
         if (options_.validate) RMWP_ENSURE(health_.online(assignment.resource));
-        if (assignment.resource != task->resource) {
-            RMWP_ENSURE(!task->pinned);
-            const bool physical_move = platform_.resource(task->resource).physical() !=
-                                       platform_.resource(assignment.resource).physical();
-            if (task->started) {
-                const TaskType& type = catalog_.type(task->type);
-                task->pending_overhead =
-                    type.migration_time(task->resource, assignment.resource);
-                if (physical_move) {
-                    const double energy =
-                        type.migration_energy(task->resource, assignment.resource);
-                    charge_energy(energy);
-                    result_.migration_energy += energy;
-                    ++result_.migrations;
-                    ++result_.rescue_migrations;
-                    RMWP_TRACE(options_.sink, now, obs::EventKind::migrate, task->uid,
-                               static_cast<std::int64_t>(task->resource), energy,
-                               static_cast<std::uint32_t>(assignment.resource));
-#ifdef RMWP_OBS
-                    if (options_.sink != nullptr) ins_.migrate->add();
-#endif
-                }
-            }
-            task->resource = assignment.resource;
-        }
+        if (assignment.resource != task->resource && relocate(*task, assignment.resource, now))
+            ++result_.rescue_migrations;
         if (was_displaced(assignment.uid)) ++result_.rescued;
         RMWP_TRACE(options_.sink, now, obs::EventKind::rescue_keep, assignment.uid,
                    static_cast<std::int64_t>(assignment.resource), 0.0,
@@ -625,8 +602,7 @@ void SimEngine::rescue_activation(Time now) {
     rebuild(now);
 }
 
-void SimEngine::apply(const Decision& decision, const ActiveTask& candidate,
-                      [[maybe_unused]] Time now) {
+void SimEngine::apply(const Decision& decision, const ActiveTask& candidate, Time now) {
     for (std::size_t k = 0; k < decision.assignments.size(); ++k) {
         const TaskAssignment& assignment = decision.assignments[k];
         if (assignment.uid == candidate.uid) {
@@ -647,33 +623,37 @@ void SimEngine::apply(const Decision& decision, const ActiveTask& candidate,
         // walk it in lockstep.
         ActiveTask* task = find_assigned(std::span(active_), k, assignment.uid);
         RMWP_ENSURE(task != nullptr);
-        if (assignment.resource == task->resource) continue;
-        RMWP_ENSURE(!task->pinned); // non-preemptable tasks never move
-        const bool physical_move = platform_.resource(task->resource).physical() !=
-                                   platform_.resource(assignment.resource).physical();
-        if (task->started) {
-            const TaskType& type = catalog_.type(task->type);
-            // Relocation replaces any unpaid migration time with the new
-            // pair's cost — exactly what occupied_time() plans with.  A
-            // level switch on the same core costs nothing and moves no
-            // state, so it is not counted as a migration.
-            task->pending_overhead = type.migration_time(task->resource, assignment.resource);
-            if (physical_move) {
-                const double energy =
-                    type.migration_energy(task->resource, assignment.resource);
-                charge_energy(energy);
-                result_.migration_energy += energy;
-                ++result_.migrations;
-                RMWP_TRACE(options_.sink, now, obs::EventKind::migrate, task->uid,
-                           static_cast<std::int64_t>(task->resource), energy,
-                           static_cast<std::uint32_t>(assignment.resource));
-#ifdef RMWP_OBS
-                if (options_.sink != nullptr) ins_.migrate->add();
-#endif
-            }
-        }
-        task->resource = assignment.resource;
+        if (assignment.resource != task->resource) relocate(*task, assignment.resource, now);
     }
+}
+
+bool SimEngine::relocate(ActiveTask& task, ResourceId to, [[maybe_unused]] Time now) {
+    RMWP_ENSURE(!task.pinned); // non-preemptable tasks never move
+    bool migrated = false;
+    if (task.started) {
+        const TaskType& type = catalog_.type(task.type);
+        // Relocation replaces any unpaid migration time with the new pair's
+        // cost — exactly what occupied_time() plans with.  A level switch on
+        // the same core costs nothing and moves no state, so it is not
+        // counted as a migration.
+        task.pending_overhead = type.migration_time(task.resource, to);
+        migrated = platform_.resource(task.resource).physical() !=
+                   platform_.resource(to).physical();
+        if (migrated) {
+            const double energy = type.migration_energy(task.resource, to);
+            charge_energy(energy);
+            result_.migration_energy += energy;
+            ++result_.migrations;
+            RMWP_TRACE(options_.sink, now, obs::EventKind::migrate, task.uid,
+                       static_cast<std::int64_t>(task.resource), energy,
+                       static_cast<std::uint32_t>(to));
+#ifdef RMWP_OBS
+            if (options_.sink != nullptr) ins_.migrate->add();
+#endif
+        }
+    }
+    task.resource = to;
+    return migrated;
 }
 
 void SimEngine::plan_current(Time now) {

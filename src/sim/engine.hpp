@@ -173,6 +173,10 @@ private:
     void handle_fault(Time event_time, bool onset, std::size_t fault_index);
     void rescue_activation(Time now);
     void apply(const Decision& decision, const ActiveTask& candidate, Time now);
+    /// Move `task` to resource `to` and charge the move: migration time
+    /// when started, plus energy, counters and a `migrate` event when the
+    /// move is physical.  Returns whether it was a physical migration.
+    bool relocate(ActiveTask& task, ResourceId to, Time now);
     /// Plan the active set (plus reservation blocks) at `now` into
     /// plan_items_ and schedule_, reusing their storage.
     void plan_current(Time now);

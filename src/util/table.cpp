@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "util/check.hpp"
+#include "util/stats.hpp"
 
 namespace rmwp {
 
@@ -14,6 +15,11 @@ std::string format_fixed(double value, int precision) {
     os.precision(precision);
     os << value;
     return os.str();
+}
+
+std::string format_ci(const Samples& samples, int precision) {
+    if (samples.count() < 2) return "n/a";
+    return "+/- " + format_fixed(samples.ci_halfwidth(), precision);
 }
 
 Table::Table(std::vector<std::string> headers) : headers_(std::move(headers)) {

@@ -8,6 +8,8 @@
 
 namespace rmwp {
 
+class Samples;
+
 /// Column-aligned text table.  Cells are strings; convenience overloads
 /// format numbers with a fixed precision so benchmark output is stable.
 class Table {
@@ -34,5 +36,9 @@ private:
 
 /// Format a double with fixed precision (helper shared with CSV output).
 [[nodiscard]] std::string format_fixed(double value, int precision);
+
+/// "+/- <95% CI half-width>" of `samples`, or "n/a" below two samples: a
+/// confidence interval needs at least two.
+[[nodiscard]] std::string format_ci(const Samples& samples, int precision = 2);
 
 } // namespace rmwp

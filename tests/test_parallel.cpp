@@ -1,9 +1,10 @@
 // Tests for the parallel experiment engine (src/exec + exp/runner fan-out):
-// the TaskPool primitive, the RMWP_JOBS session default, and the determinism
-// contract of DESIGN.md Sec 9 — running the same experiment at jobs=1 and
-// jobs=8 must produce bit-identical TraceResults (only the host wall-clock
-// fields may differ), across every RM kind, with fault injection and the
-// independent auditor enabled.
+// the one-shot parallel_for loop, the RMWP_JOBS session default, and the
+// determinism contract of DESIGN.md Sec 9 — running the same experiment at
+// jobs=1 and jobs=8 must produce bit-identical TraceResults (only the host
+// wall-clock fields may differ), across every RM kind, through run, run_all
+// and run_with, with fault injection and the independent auditor enabled.
+// No assertion depends on how the threads are scheduled.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,47 +18,42 @@
 
 #include "core/heuristic_rm.hpp"
 #include "exec/task_pool.hpp"
-#include "exp/parallel_runner.hpp"
 #include "exp/runner.hpp"
 
 namespace rmwp {
 namespace {
 
-// ---- TaskPool primitive ----
+// ---- parallel_for primitive ----
 
-TEST(TaskPool, ExecutesEveryIndexExactlyOnce) {
-    TaskPool pool(4);
+TEST(ParallelFor, ExecutesEveryIndexExactlyOnce) {
     constexpr std::size_t kCount = 5000;
     std::vector<std::atomic<int>> hits(kCount);
-    pool.for_each(kCount, [&](std::size_t i) { hits[i].fetch_add(1); });
+    parallel_for(4, kCount, [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < kCount; ++i) EXPECT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
-TEST(TaskPool, ReusableAcrossJobs) {
-    TaskPool pool(3);
-    for (int round = 0; round < 50; ++round) {
-        std::atomic<std::size_t> sum{0};
-        pool.for_each(100, [&](std::size_t i) { sum.fetch_add(i + 1); });
-        EXPECT_EQ(sum.load(), 5050u);
-    }
+TEST(ParallelFor, ZeroCountIsANoOp) {
+    parallel_for(1, 0, [&](std::size_t) { FAIL() << "must not be called"; });
+    parallel_for(4, 0, [&](std::size_t) { FAIL() << "must not be called"; });
 }
 
-TEST(TaskPool, ZeroCountIsANoOp) {
-    TaskPool pool(2);
-    pool.for_each(0, [&](std::size_t) { FAIL() << "must not be called"; });
-}
-
-TEST(TaskPool, PropagatesExceptionAndStaysUsable) {
-    TaskPool pool(4);
-    EXPECT_THROW(pool.for_each(200,
-                               [&](std::size_t i) {
-                                   if (i == 57) throw std::runtime_error("boom");
-                               }),
+TEST(ParallelFor, RethrowsFromThreadedPath) {
+    EXPECT_THROW(parallel_for(4, 200,
+                              [&](std::size_t i) {
+                                  if (i == 57) throw std::runtime_error("boom");
+                              }),
                  std::runtime_error);
-    // The pool must survive a failed job: the next job runs normally.
-    std::atomic<std::size_t> done{0};
-    pool.for_each(64, [&](std::size_t) { done.fetch_add(1); });
-    EXPECT_EQ(done.load(), 64u);
+}
+
+TEST(ParallelFor, RethrowsFromSerialPath) {
+    std::size_t calls = 0;
+    EXPECT_THROW(parallel_for(1, 10,
+                              [&](std::size_t i) {
+                                  ++calls;
+                                  if (i == 3) throw std::runtime_error("boom");
+                              }),
+                 std::runtime_error);
+    EXPECT_EQ(calls, 4u); // the serial loop stops at the throwing index
 }
 
 TEST(ParallelFor, SerialPathRunsInOrderOnCallingThread) {
@@ -205,11 +201,12 @@ TEST(ParallelDeterminism, SharedRmInstanceAcrossThreads) {
                               parallel.run_with(shared_rm, noisy_predictor()));
 }
 
-TEST(ParallelDeterminism, ParallelRunnerMatchesSerialPerSpecRuns) {
-    // The cell-level fan-out (one pool over the whole (spec, trace) grid)
-    // must merge back to exactly what running each spec serially produces.
+TEST(ParallelDeterminism, RunAllMatchesSerialPerSpecRuns) {
+    // The cell-level fan-out (one parallel_for over the whole (spec, trace)
+    // grid) must merge back to exactly what running each spec serially
+    // produces.
     const ExperimentConfig config = test_config(11);
-    const ParallelRunner grid(config, 8);
+    const ExperimentRunner grid(config, 8);
     const ExperimentRunner serial(config, 1);
 
     const std::vector<RunSpec> specs{
@@ -224,6 +221,18 @@ TEST(ParallelDeterminism, ParallelRunnerMatchesSerialPerSpecRuns) {
         EXPECT_EQ(outcomes[c].spec.rm, specs[c].rm);
         expect_outcomes_identical(serial.run(specs[c]), outcomes[c]);
     }
+}
+
+TEST(ParallelDeterminism, RunEqualsSerialRunWithOfItsRm) {
+    // run(spec) builds one RM per grid point; run_with shares the one it is
+    // given.  Both must produce the same results.
+    const ExperimentConfig config = test_config(13);
+    const ExperimentRunner parallel(config, 8);
+    const ExperimentRunner serial(config, 1);
+    const RunSpec spec{RmKind::heuristic, noisy_predictor()};
+    const RunOutcome outcome = parallel.run(spec);
+    EXPECT_EQ(outcome.spec.rm, spec.rm);
+    expect_outcomes_identical(serial.run_with(*make_rm(spec.rm), spec.predictor), outcome);
 }
 
 TEST(ParallelDeterminism, RepeatedParallelRunsAreStable) {

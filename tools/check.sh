@@ -23,7 +23,7 @@ if [ "$mode" = "tsan" ]; then
     cmake -B "$build_dir" -S "$repo_root" -DRMWP_SANITIZE_THREAD=ON
     cmake --build "$build_dir" -j "$(nproc 2>/dev/null || echo 4)"
     # Force multi-threaded execution inside every test so TSan actually sees
-    # the pool: RMWP_JOBS=4 makes parallel_for spawn workers even on a
+    # the fan-out: RMWP_JOBS=4 makes parallel_for start threads even on a
     # single-core host.
     RMWP_JOBS=4 \
     TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \

@@ -119,7 +119,7 @@
 
 #include "core/reservation.hpp"
 #include "exp/config.hpp"
-#include "exp/parallel_runner.hpp"
+#include "exp/runner.hpp"
 #include "fault/fault.hpp"
 #include "obs/export.hpp"
 #include "obs/trace_sink.hpp"
@@ -681,7 +681,7 @@ int cmd_experiment(Args& args) {
     specs.reserve(rms.size());
     for (const RmKind rm : rms) specs.push_back(RunSpec{rm, spec});
 
-    ParallelRunner runner(config, jobs);
+    ExperimentRunner runner(config, jobs);
     if (trace_dir || stats) {
         require_obs_build();
         ObsOptions obs;
@@ -701,11 +701,7 @@ int cmd_experiment(Args& args) {
             .cell(to_string(outcome.spec.rm))
             .cell(outcome.spec.predictor.label())
             .cell(outcome.mean_rejection_percent())
-            // A confidence interval needs at least two traces.
-            .cell(outcome.aggregate.rejection_percent.count() > 1
-                      ? "+/- " +
-                            format_fixed(outcome.aggregate.rejection_percent.ci_halfwidth(), 2)
-                      : std::string("n/a"))
+            .cell(format_ci(outcome.aggregate.rejection_percent))
             .cell(outcome.mean_normalized_energy(), 4)
             .cell(outcome.aggregate.migrations.mean(), 1)
             .cell(outcome.aggregate.decision_milliseconds_per_activation.mean(), 4);
