@@ -400,12 +400,9 @@ struct GoldenWorld {
         Rng rng = Rng(2024).derive(1);
         return generate_catalog(platform, CatalogParams{}, rng);
     }();
-    Trace trace = [this] {
-        TraceGenParams params;
-        params.length = 120;
-        Rng rng = Rng(2024).derive(2);
-        return generate_trace(catalog, params, rng);
-    }();
+    Trace trace = make_trace(DeadlineGroup::very_tight);
+    /// The same arrivals' stream drawn under the less-tight deadlines.
+    Trace lt_trace = make_trace(DeadlineGroup::less_tight);
     FaultSchedule faults = [this] {
         FaultParams params;
         params.outage_rate = 3.0;
@@ -415,12 +412,21 @@ struct GoldenWorld {
                                        trace.request(trace.size() - 1).arrival + 50.0, rng);
     }();
     ReservationTable reservations{{CriticalTask{"ctrl", 0, 10.0, 2.0, 2.0, 1.5}}};
+
+    [[nodiscard]] Trace make_trace(DeadlineGroup group) const {
+        TraceGenParams params;
+        params.length = 120;
+        params.group = group;
+        Rng rng = Rng(2024).derive(2);
+        return generate_trace(catalog, params, rng);
+    }
 };
 
 enum class GoldenPredictor { off, oracle, noisy, online };
 
-PinnedRun run_golden_cell(const GoldenWorld& world, std::string cell, Time activation_period,
-                          GoldenPredictor kind, bool faults, bool reserve, Time overhead) {
+PinnedRun run_golden_cell(const GoldenWorld& world, const Trace& trace, ResourceManager& rm,
+                          std::string cell, Time activation_period, GoldenPredictor kind,
+                          bool faults, bool reserve, Time overhead) {
     SimOptions options;
     options.activation_period = activation_period;
     options.fault_schedule = faults ? &world.faults : nullptr;
@@ -441,12 +447,10 @@ PinnedRun run_golden_cell(const GoldenWorld& world, std::string cell, Time activ
         break;
     }
 
-    HeuristicRM rm;
     const TraceResult r =
-        reserve ? simulate_trace(world.platform, world.catalog, world.trace, rm, *predictor,
+        reserve ? simulate_trace(world.platform, world.catalog, trace, rm, *predictor,
                                  world.reservations, options)
-                : simulate_trace(world.platform, world.catalog, world.trace, rm, *predictor,
-                                 options);
+                : simulate_trace(world.platform, world.catalog, trace, rm, *predictor, options);
     EXPECT_EQ(sink.dropped(), 0u);
     std::ostringstream jsonl;
     const std::vector<obs::TraceEvent> events = sink.events();
@@ -476,17 +480,21 @@ PinnedRun run_golden_cell(const GoldenWorld& world, std::string cell, Time activ
                      fnv1a(jsonl.str())};
 }
 
-// A fixed matrix of whole-trace runs at WCET-exact execution: activation
-// {per arrival, every 4 ms} x predictor {off, oracle, noisy, online with
-// lookahead 3} x faults {none, outages + throttling}, plus a critical
-// reservation and a Fig 5 overhead stall.  Every deterministic result field
-// and the event stream are pinned exactly; a mismatch is a behaviour change
-// of the trace driver or the engine, to be explained, not re-recorded.
+// A fixed matrix of whole-trace runs at WCET-exact execution.  The
+// heuristic RM runs activation {per arrival, every 4 ms} x predictor {off,
+// oracle, noisy, online with lookahead 3} x faults {none, outages +
+// throttling}, plus a critical reservation and a Fig 5 overhead stall.  The
+// exact RM (the paper's optimal RM) runs per arrival x predictor {off,
+// oracle, noisy} x faults on the VT trace, and the same three predictors on
+// the LT trace of the same world.  Every deterministic result field and the
+// event stream are pinned exactly; a mismatch is a behaviour change of the
+// trace driver, the engine or a solver, to be explained, not re-recorded.
 TEST(GoldenTrace, DriverModesPinnedExactly) {
     const GoldenWorld world;
     ASSERT_FALSE(world.faults.empty());
 
     std::vector<PinnedRun> actual;
+    HeuristicRM heuristic;
     const char* const predictor_names[] = {"off", "oracle", "noisy", "online"};
     for (const Time period : {0.0, 4.0})
         for (const GoldenPredictor kind : {GoldenPredictor::off, GoldenPredictor::oracle,
@@ -495,13 +503,29 @@ TEST(GoldenTrace, DriverModesPinnedExactly) {
                 std::string cell = std::string(period > 0.0 ? "period4/" : "per-arrival/") +
                                    predictor_names[static_cast<int>(kind)] +
                                    (faults ? "/faults" : "");
-                actual.push_back(run_golden_cell(world, std::move(cell), period, kind, faults,
-                                                 false, 0.0));
+                actual.push_back(run_golden_cell(world, world.trace, heuristic, std::move(cell),
+                                                 period, kind, faults, false, 0.0));
             }
-    actual.push_back(run_golden_cell(world, "reserve/oracle", 0.0, GoldenPredictor::oracle,
-                                     false, true, 0.0));
-    actual.push_back(run_golden_cell(world, "stall/oracle", 0.0, GoldenPredictor::oracle, false,
-                                     false, 1.5));
+    actual.push_back(run_golden_cell(world, world.trace, heuristic, "reserve/oracle", 0.0,
+                                     GoldenPredictor::oracle, false, true, 0.0));
+    actual.push_back(run_golden_cell(world, world.trace, heuristic, "stall/oracle", 0.0,
+                                     GoldenPredictor::oracle, false, false, 1.5));
+
+    ExactRM exact;
+    const GoldenPredictor exact_kinds[] = {GoldenPredictor::off, GoldenPredictor::oracle,
+                                           GoldenPredictor::noisy};
+    for (const GoldenPredictor kind : exact_kinds)
+        for (const bool faults : {false, true})
+            actual.push_back(run_golden_cell(
+                world, world.trace, exact,
+                std::string("exact/VT/") + predictor_names[static_cast<int>(kind)] +
+                    (faults ? "/faults" : ""),
+                0.0, kind, faults, false, 0.0));
+    for (const GoldenPredictor kind : exact_kinds)
+        actual.push_back(run_golden_cell(
+            world, world.lt_trace, exact,
+            std::string("exact/LT/") + predictor_names[static_cast<int>(kind)], 0.0, kind, false,
+            false, 0.0));
 
     // Recorded before the trace driver became a loop over the engine's
     // stream entry point; they must hold unchanged across that refactor.
@@ -525,6 +549,19 @@ TEST(GoldenTrace, DriverModesPinnedExactly) {
         {"period4/online/faults", 120, 107, 13, 106, 0, 0, 1, 22, 114, 103, 9, 13, 22, 1, 5, 406, 0x1.b54b72a301bcfp+8, 0x1.5e9d8869dfeefp+5, 0x0p+0, 0x1.0b44f920908ebp+8, 0x1.8987c21f5964bp+10, 0x88f788b0298dbc56ull},
         {"reserve/oracle", 120, 113, 7, 113, 0, 0, 0, 9, 120, 105, 0, 0, 0, 0, 0, 353, 0x1.b4f80180216f4p+8, 0x1.26541d57f8356p+4, 0x1.dap+6, 0x0p+0, 0x1.8987c21f5964bp+10, 0xe0d77ba8b7a2b4cull},
         {"stall/oracle", 120, 112, 8, 78, 0, 34, 0, 6, 120, 104, 0, 0, 0, 0, 0, 318, 0x1.41c48ae873881p+8, 0x1.5112d08ec797ap+3, 0x0p+0, 0x0p+0, 0x1.8987c21f5964bp+10, 0x2c277cfb02458153ull},
+        // clang-format on
+        // The exact RM's rows were recorded before its cost table moved into
+        // the plan instance's flat row store; they must hold across that.
+        // clang-format off
+        {"exact/VT/off", 120, 110, 10, 110, 0, 0, 0, 0, 120, 0, 0, 0, 0, 0, 0, 350, 0x1.7b2743ea0ed25p+8, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.8987c21f5964bp+10, 0x30ca265dfacfbbfull},
+        {"exact/VT/off/faults", 120, 110, 10, 109, 0, 0, 1, 1, 120, 0, 9, 13, 22, 1, 1, 415, 0x1.6eb489d5e982p+8, 0x1.1f66d0f15ed55p+1, 0x0p+0, 0x1.df10c10d1a7e4p+7, 0x1.8987c21f5964bp+10, 0xa69ee4eb98e642bull},
+        {"exact/VT/oracle", 120, 113, 7, 113, 0, 0, 0, 7, 120, 107, 0, 0, 0, 0, 0, 353, 0x1.c7a906449807p+8, 0x1.b34cecbeb5898p+3, 0x0p+0, 0x0p+0, 0x1.8987c21f5964bp+10, 0xd6833fb47a090ff6ull},
+        {"exact/VT/oracle/faults", 120, 112, 8, 111, 0, 0, 1, 5, 120, 105, 9, 13, 22, 2, 2, 417, 0x1.9437380b6c2efp+8, 0x1.380e65b6cfafcp+3, 0x0p+0, 0x1.0c41b7738a2cdp+8, 0x1.8987c21f5964bp+10, 0x4300434070e162cbull},
+        {"exact/VT/noisy", 120, 112, 8, 112, 0, 0, 0, 8, 120, 107, 0, 0, 0, 0, 0, 352, 0x1.b013ca202f2afp+8, 0x1.f22d2010faf13p+3, 0x0p+0, 0x0p+0, 0x1.8987c21f5964bp+10, 0x2496ad2edfe5e10full},
+        {"exact/VT/noisy/faults", 120, 112, 8, 111, 0, 0, 1, 7, 120, 107, 9, 13, 22, 2, 3, 417, 0x1.99e1f066f3b1p+8, 0x1.c0be17e9adaf4p+3, 0x0p+0, 0x1.139abe5dbf924p+8, 0x1.8987c21f5964bp+10, 0x9e298fdfd6dbeaa9ull},
+        {"exact/LT/off", 120, 119, 1, 119, 0, 0, 0, 4, 120, 0, 0, 0, 0, 0, 0, 359, 0x1.8c51f9b02d85fp+8, 0x1.bf23cdc2ed4a7p+2, 0x0p+0, 0x0p+0, 0x1.8987c21f5964bp+10, 0x592e906fa15f36f4ull},
+        {"exact/LT/oracle", 120, 120, 0, 120, 0, 0, 0, 2, 120, 119, 0, 0, 0, 0, 0, 360, 0x1.85910638919c9p+8, 0x1.bf23cdc2ed4a7p+1, 0x0p+0, 0x0p+0, 0x1.8987c21f5964bp+10, 0xcbd492361df35be0ull},
+        {"exact/LT/noisy", 120, 120, 0, 120, 0, 0, 0, 0, 120, 119, 0, 0, 0, 0, 0, 360, 0x1.8552cc0775382p+8, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.8987c21f5964bp+10, 0x3ef62f750d7bb250ull},
         // clang-format on
     };
 
