@@ -167,7 +167,7 @@ void BM_ScheduleFeasibility(benchmark::State& state) {
     const PlanInstance instance = PlanInstance::build(fixture.context, true);
     std::vector<ScheduleItem> items;
     for (std::size_t j = 0; j < instance.tasks.size(); ++j)
-        items.push_back(instance.item_for(j, instance.tasks[j].executable.front()));
+        items.push_back(instance.item_for(j, instance.executable(j).front()));
     const Resource& resource = fixture.platform.resource(items.front().resource);
     run_counted(state, [&] {
         bool feasible = resource_feasible(resource, 0.0, items);

@@ -446,7 +446,7 @@ AuditReport ScheduleAuditor::audit_instance(const ArrivalContext& context,
     const std::size_t real = context.active.size() + 1;
 
     if (instance.tasks.size() != real + instance.predicted_count ||
-        instance.predicted_count > context.predicted.size()) {
+        instance.predicted_count > context.predicted.size() || instance.resource_count() != n) {
         report.add(AuditCode::instance_shape,
                    "instance holds " + std::to_string(instance.tasks.size()) + " tasks for " +
                        std::to_string(real) + " real + " +
@@ -465,21 +465,20 @@ AuditReport ScheduleAuditor::audit_instance(const ArrivalContext& context,
                        std::to_string(latest - context.now));
 
     // -- per-task cpm/epm tables vs. first principles.
-    const auto check_real = [&](const PlanTask& plan, const ActiveTask& task, bool candidate) {
+    const auto check_real = [&](std::size_t j, const ActiveTask& task, bool candidate) {
+        const PlanTask& plan = instance.tasks[j];
         const TaskType& type = context.catalog->type(task.type);
-        if (plan.uid != task.uid || plan.is_predicted || plan.is_candidate != candidate ||
-            plan.cpm.size() != n || plan.epm.size() != n) {
+        if (plan.uid != task.uid || plan.is_predicted || plan.is_candidate != candidate) {
             report.add(AuditCode::instance_shape, uid_str(plan.uid) + " malformed plan task");
             return;
         }
+        const auto executable = instance.executable(j);
         for (ResourceId i = 0; i < n; ++i) {
-            const bool listed =
-                std::find(plan.executable.begin(), plan.executable.end(), i) !=
-                plan.executable.end();
+            const bool listed = std::ranges::find(executable, i) != executable.end();
             const bool offline = context.health != nullptr && !context.health->online(i);
             const bool usable =
                 type.executable_on(i) && !offline && (!task.pinned || i == task.resource);
-            if (listed != usable || std::isfinite(plan.cpm[i]) != usable) {
+            if (listed != usable || std::isfinite(instance.cpm(j)[i]) != usable) {
                 report.add(offline && listed ? AuditCode::offline_resource
                                              : AuditCode::instance_shape,
                            uid_str(plan.uid) + " executable set wrong on " +
@@ -490,23 +489,23 @@ AuditReport ScheduleAuditor::audit_instance(const ArrivalContext& context,
             const ExpectedCost cost = expected_cost(task, type, i, context.health);
             ScheduleItem as_item;
             as_item.uid = plan.uid;
-            as_item.duration = plan.cpm[i];
+            as_item.duration = instance.cpm(j)[i];
             diagnose_duration(report, as_item, cost, task.remaining_fraction * type.wcet(i),
                               task.started && i != task.resource
                                   ? type.migration_time(task.resource, i)
                                   : 0.0,
                               tol);
-            if (std::abs(plan.epm[i] - cost.energy) > tol)
+            if (std::abs(instance.epm(j)[i] - cost.energy) > tol)
                 report.add(AuditCode::energy_mismatch,
-                           uid_str(plan.uid) + " epm " + std::to_string(plan.epm[i]) +
+                           uid_str(plan.uid) + " epm " + std::to_string(instance.epm(j)[i]) +
                                " != expected " + std::to_string(cost.energy) + " on " +
                                platform.resource(i).name());
         }
     };
 
     for (std::size_t j = 0; j < context.active.size(); ++j)
-        check_real(instance.tasks[j], context.active[j], false);
-    check_real(instance.tasks[context.active.size()], context.candidate, true);
+        check_real(j, context.active[j], false);
+    check_real(context.active.size(), context.candidate, true);
 
     for (std::size_t k = 0; k < instance.predicted_count; ++k) {
         const PlanTask& plan = instance.tasks[real + k];
@@ -519,14 +518,14 @@ AuditReport ScheduleAuditor::audit_instance(const ArrivalContext& context,
                                                       " misencoded");
             continue;
         }
-        for (const ResourceId i : plan.executable) {
+        for (const ResourceId i : instance.executable(real + k)) {
             double wcet = type.wcet(i);
             if (context.health != nullptr) wcet *= context.health->throttle(i);
-            if (std::abs(plan.cpm[i] - wcet) > tol)
+            if (std::abs(instance.cpm(real + k)[i] - wcet) > tol)
                 report.add(AuditCode::throttle_ignored,
                            "predicted task " + std::to_string(k) + " cpm misses throttle on " +
                                platform.resource(i).name());
-            if (std::abs(plan.epm[i] - type.energy(i)) > tol)
+            if (std::abs(instance.epm(real + k)[i] - type.energy(i)) > tol)
                 report.add(AuditCode::energy_mismatch,
                            "predicted task " + std::to_string(k) + " epm mismatch on " +
                                platform.resource(i).name());
@@ -534,22 +533,23 @@ AuditReport ScheduleAuditor::audit_instance(const ArrivalContext& context,
     }
 
     // -- reservation blocks: per-anchor bookkeeping must agree.
-    if (instance.blocks.size() != n || instance.blocked_time.size() != n) {
+    const auto blocks = instance.blocks();
+    if (blocks.size() != n || instance.blocked_time().size() != n) {
         report.add(AuditCode::block_accounting, "block containers disagree with the platform");
         return report;
     }
     for (ResourceId i = 0; i < n; ++i) {
         double total = 0.0;
-        for (const ScheduleItem& block : instance.blocks[i]) {
+        for (const ScheduleItem& block : blocks[i]) {
             total += block.duration;
             if (!block.reserved || block.release < instance.now - tol)
                 report.add(AuditCode::block_accounting,
                            "malformed reservation block on " + platform.resource(i).name());
         }
-        if (std::abs(total - instance.blocked_time[i]) >
-            tol * (1.0 + static_cast<double>(instance.blocks[i].size())))
+        const double blocked = instance.blocked_time()[i];
+        if (std::abs(total - blocked) > tol * (1.0 + static_cast<double>(blocks[i].size())))
             report.add(AuditCode::block_accounting,
-                       "blocked_time " + std::to_string(instance.blocked_time[i]) +
+                       "blocked_time " + std::to_string(blocked) +
                            " != sum of blocks " + std::to_string(total) + " on " +
                            platform.resource(i).name());
     }
@@ -727,13 +727,13 @@ AuditReport ScheduleAuditor::audit_plan_energy(const PlanInstance& instance,
     }
     double total = 0.0;
     for (std::size_t j = 0; j < instance.tasks.size(); ++j) {
-        const PlanTask& task = instance.tasks[j];
-        if (mapping[j] >= task.epm.size() || !std::isfinite(task.epm[mapping[j]])) {
+        if (mapping[j] >= instance.resource_count() ||
+            !std::isfinite(instance.epm(j)[mapping[j]])) {
             report.add(AuditCode::energy_mismatch,
-                       uid_str(task.uid) + " mapped outside its executable set");
+                       uid_str(instance.tasks[j].uid) + " mapped outside its executable set");
             return report;
         }
-        total += task.epm[mapping[j]];
+        total += instance.epm(j)[mapping[j]];
     }
     const double slack =
         options_.tolerance * (1.0 + static_cast<double>(instance.tasks.size())) +

@@ -11,7 +11,7 @@ namespace rmwp {
 namespace {
 
 /// Greedy frozen placement over a prediction-free instance: existing tasks
-/// stay on their current resources (fill_real_task records them as
+/// stay on their current resources (the plan row fill records them as
 /// pinned_resource), and only the trailing candidate is probed, cheapest
 /// resource first.  Returns the full per-task mapping (frozen homes +
 /// candidate's slot) or nullopt when the candidate fits nowhere.
@@ -30,8 +30,8 @@ std::optional<std::span<const ResourceId>> place_frozen(const PlanInstance& inst
     if (occupied.size() < n) occupied.resize(n);
     for (ResourceId i = 0; i < n; ++i) {
         occupied[i].clear();
-        occupied[i].insert(occupied[i].end(), instance.blocks[i].begin(),
-                           instance.blocks[i].end());
+        occupied[i].insert(occupied[i].end(), instance.blocks()[i].begin(),
+                           instance.blocks()[i].end());
     }
     mapping.assign(instance.tasks.size(), 0);
     for (std::size_t j = 0; j < candidate_index; ++j) {
@@ -43,10 +43,11 @@ std::optional<std::span<const ResourceId>> place_frozen(const PlanInstance& inst
         std::sort(occupied[i].begin(), occupied[i].end(), demand_order);
 
     // Cheapest-first placement of the candidate only.
-    const PlanTask& candidate = instance.tasks[candidate_index];
-    order.assign(candidate.executable.begin(), candidate.executable.end());
+    const auto executable = instance.executable(candidate_index);
+    const auto epm = instance.epm(candidate_index);
+    order.assign(executable.begin(), executable.end());
     std::sort(order.begin(), order.end(),
-              [&](ResourceId a, ResourceId b) { return candidate.epm[a] < candidate.epm[b]; });
+              [&](ResourceId a, ResourceId b) { return epm[a] < epm[b]; });
 
     for (const ResourceId i : order) {
         const ResourceId anchor = platform.resource(i).physical();

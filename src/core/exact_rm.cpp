@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <tuple>
+#include <utility>
 
 #include "core/edf.hpp"
 #include "obs/stage_timer.hpp"
@@ -81,7 +83,7 @@ struct Search {
         if (assigned.size() < n) assigned.resize(n);
         for (ResourceId i = 0; i < n; ++i) {
             assigned[i].clear();
-            assigned[i].insert(assigned[i].end(), inst.blocks[i].begin(), inst.blocks[i].end());
+            assigned[i].insert(assigned[i].end(), inst.blocks()[i].begin(), inst.blocks()[i].end());
             std::sort(assigned[i].begin(), assigned[i].end(), demand_order);
         }
         if (candidates_by_depth.size() < count) candidates_by_depth.resize(count);
@@ -103,19 +105,16 @@ struct Search {
         order.resize(count);
         std::iota(order.begin(), order.end(), std::size_t{0});
         std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-            const PlanTask& ta = inst.tasks[a];
-            const PlanTask& tb = inst.tasks[b];
-            if (ta.executable.size() != tb.executable.size())
-                return ta.executable.size() < tb.executable.size();
-            if (ta.abs_deadline != tb.abs_deadline) return ta.abs_deadline < tb.abs_deadline;
-            return a < b;
+            return std::tuple(inst.executable(a).size(), inst.tasks[a].abs_deadline, a) <
+                   std::tuple(inst.executable(b).size(), inst.tasks[b].abs_deadline, b);
         });
 
         min_cost_suffix.assign(count + 1, ExactSum{});
         for (std::size_t d = count; d-- > 0;) {
-            const PlanTask& task = inst.tasks[order[d]];
+            const auto epm = inst.epm(order[d]);
             double cheapest = kInfinity;
-            for (const ResourceId i : task.executable) cheapest = std::min(cheapest, task.epm[i]);
+            for (const ResourceId i : inst.executable(order[d]))
+                cheapest = std::min(cheapest, epm[i]);
             min_cost_suffix[d] = std::isfinite(cheapest) && std::isfinite(min_cost_suffix[d + 1].hi)
                                      ? min_cost_suffix[d + 1].plus(cheapest)
                                      : ExactSum{kInfinity, 0.0};
@@ -149,7 +148,6 @@ struct Search {
         if (!can_improve(cost, min_cost_suffix[depth])) return; // bound
 
         const std::size_t j = order[depth];
-        const PlanTask& task = instance->tasks[j];
 
         // Cheapest-first exploration finds a good incumbent early.  Each
         // recursion depth owns one pooled candidate buffer.  Resource id
@@ -158,14 +156,15 @@ struct Search {
         // improvement test is then the same whether the task set arrived
         // whole or as a per-shard sub-instance.
         std::vector<ResourceId>& candidates = candidates_by_depth[depth];
-        candidates.assign(task.executable.begin(), task.executable.end());
+        const auto executable = instance->executable(j);
+        const auto epm = instance->epm(j);
+        candidates.assign(executable.begin(), executable.end());
         std::sort(candidates.begin(), candidates.end(), [&](ResourceId a, ResourceId b) {
-            if (task.epm[a] != task.epm[b]) return task.epm[a] < task.epm[b];
-            return a < b;
+            return std::pair(epm[a], a) < std::pair(epm[b], b);
         });
 
         for (const ResourceId i : candidates) {
-            const ExactSum next_cost = cost.plus(task.epm[i]);
+            const ExactSum next_cost = cost.plus(epm[i]);
             if (!can_improve(next_cost, min_cost_suffix[depth + 1])) continue;
 
             // Operating points of a DVFS core share the core's timeline, so
@@ -197,7 +196,7 @@ Search& search_scratch() {
 const Search& run_search(const PlanInstance& instance, const ExactRM::Options& options) {
     RMWP_STAGE_SCOPE(obs::Stage::solve);
     RMWP_EXPECT(instance.platform != nullptr);
-    RMWP_EXPECT(instance.blocks.size() == instance.platform->size());
+    RMWP_EXPECT(instance.blocks().size() == instance.platform->size());
     Search& search = search_scratch();
     search.reset(instance, options);
     search.dfs(0, ExactSum{});

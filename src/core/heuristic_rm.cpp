@@ -35,20 +35,22 @@ std::optional<std::span<const ResourceId>> HeuristicRM::map_tasks(const PlanInst
     // timeline), and critical reservations are carved out up front (Sec 2:
     // the adaptive policy runs "over the remaining set of resources").
     for (ResourceId i = 0; i < n; ++i)
-        s.capacity[i] = instance.window - instance.blocked_time[i];
+        s.capacity[i] = instance.window - instance.blocked_time()[i];
 
     // One option per (task, executable resource), in `executable` order.
     // The same pass counts, per physical anchor, the tasks with options
     // there (user_next holds the last task counted on each anchor).
     for (std::size_t j = 0; j < count; ++j) {
         const PlanTask& task = instance.tasks[j];
+        const auto cpm_row = instance.cpm(j);
+        const auto epm_row = instance.epm(j);
         s.option_begin[j] = s.options.size();
-        for (const ResourceId i : task.executable) {
-            const double cpm = task.cpm[i];
+        for (const ResourceId i : instance.executable(j)) {
+            const double cpm = cpm_row[i];
+            const double epm = epm_row[i];
             const double penalty = cpm > task.time_left(instance.now) ? kBigM : 0.0;
-            const double base = options.desirability == Options::Desirability::energy
-                                    ? task.epm[i]
-                                    : task.epm[i] / cpm;
+            const double base =
+                options.desirability == Options::Desirability::energy ? epm : epm / cpm;
             const ResourceId anchor = s.phys[i];
             s.options.push_back({base + penalty, cpm, i, anchor, false});
             if (s.user_next[anchor] != j) {

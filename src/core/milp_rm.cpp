@@ -58,11 +58,12 @@ struct Encoder {
         // Larger than any feasible completion time in the window: total
         // work plus the latest release plus the window itself.
         double total = instance.window + 1.0;
-        for (const PlanTask& task : instance.tasks) {
+        for (std::size_t j = 0; j < task_count; ++j) {
             double worst = 0.0;
-            for (const ResourceId i : task.executable) worst = std::max(worst, task.cpm[i]);
+            for (const ResourceId i : instance.executable(j))
+                worst = std::max(worst, instance.cpm(j)[i]);
             total += worst;
-            total += std::max(0.0, task.release - instance.now);
+            total += std::max(0.0, instance.tasks[j].release - instance.now);
         }
         big_m = 4.0 * total;
     }
@@ -70,14 +71,13 @@ struct Encoder {
     void make_mapping_variables() {
         x.assign(task_count, std::vector<int>(resource_count, -1));
         for (std::size_t j = 0; j < task_count; ++j) {
-            const PlanTask& task = instance.tasks[j];
-            for (const ResourceId i : task.executable) {
+            for (const ResourceId i : instance.executable(j)) {
                 // Constraint (2): a mapping that cannot meet the deadline is
                 // excluded structurally.  Pinned tasks keep their (single)
                 // variable regardless; their admission was already granted.
-                if (!task.pinned && task.cpm[i] > tleft(j)) continue;
+                if (!instance.tasks[j].pinned && instance.cpm(j)[i] > tleft(j)) continue;
                 x[j][i] = lp.add_binary_variable(tag("x", j, i));
-                lp.set_objective(x[j][i], task.epm[i]);
+                lp.set_objective(x[j][i], instance.epm(j)[i]);
             }
         }
         lp.set_sense(milp::Sense::minimize);
@@ -146,7 +146,7 @@ struct Encoder {
         std::vector<milp::LinearTerm> prefix;
         std::size_t position = 0;
         for (const std::size_t j : order) {
-            prefix.push_back({x[j][i], instance.tasks[j].cpm[i]});
+            prefix.push_back({x[j][i], instance.cpm(j)[i]});
             ++position;
             std::vector<milp::LinearTerm> terms = prefix;
             double rhs = tleft(j);
@@ -161,8 +161,7 @@ struct Encoder {
 
         if (!hosts_predicted) return;
 
-        const PlanTask& predicted = instance.tasks[predicted_index];
-        const double cp_p = predicted.cpm[i];
+        const double cp_p = instance.cpm(predicted_index)[i];
         const double sp = release_rel(predicted_index);
         const double tleft_p = tleft(predicted_index);
         const bool preemptable = instance.platform->resource(i).preemptable();
@@ -171,7 +170,7 @@ struct Encoder {
         const int q = lp.add_variable(tag("q", i), 0.0, kInf);
         {
             std::vector<milp::LinearTerm> terms{{q, -1.0}};
-            for (const std::size_t j : sl1) terms.push_back({x[j][i], instance.tasks[j].cpm[i]});
+            for (const std::size_t j : sl1) terms.push_back({x[j][i], instance.cpm(j)[i]});
             lp.add_constraint(std::move(terms), milp::Relation::equal, 0.0, tag("qdef", i));
         }
 
@@ -209,7 +208,7 @@ struct Encoder {
                               tag("c10", j, i));
             // (11): the chunks cover exactly the remaining work when mapped.
             lp.add_constraint(
-                {{ec1, 1.0}, {sc1, -1.0}, {ec2, 1.0}, {sc2, -1.0}, {x[j][i], -instance.tasks[j].cpm[i]}},
+                {{ec1, 1.0}, {sc1, -1.0}, {ec2, 1.0}, {sc2, -1.0}, {x[j][i], -instance.cpm(j)[i]}},
                 milp::Relation::equal, 0.0, tag("c11", j, i));
             // No preemption on GPUs (Sec 4.1): the second chunk is empty.
             if (!preemptable)
@@ -289,7 +288,7 @@ std::optional<MilpRM::Result> MilpRM::optimize(const PlanInstance& instance,
                                                const milp::MilpOptions& options) {
     // The literal Sec 4.2 formulation has no notion of reserved windows or
     // DVFS operating points; use ExactRM for those extensions.
-    for (const double blocked : instance.blocked_time) RMWP_EXPECT(blocked == 0.0);
+    for (const double blocked : instance.blocked_time()) RMWP_EXPECT(blocked == 0.0);
     RMWP_EXPECT(!instance.platform->has_dvfs());
     Encoder encoder(instance);
     if (!encoder.structurally_feasible()) return std::nullopt;

@@ -13,71 +13,6 @@
 namespace rmwp {
 namespace {
 
-/// Fill one real task's row in place, reusing the PlanTask's vector
-/// capacities.  Every field is (re)assigned — the shell may hold a stale
-/// row from a previous activation.
-void fill_real_task(PlanTask& plan, const Platform& platform, const TaskType& type, Time now,
-                    const ActiveTask& task, bool is_candidate, const PlatformHealth* health) {
-    const std::size_t n = platform.size();
-    RMWP_EXPECT(type.resource_count() == n);
-
-    plan.uid = task.uid;
-    plan.release = now;
-    plan.abs_deadline = task.absolute_deadline;
-    plan.pinned = task.pinned;
-    plan.pinned_resource = task.resource;
-    plan.is_predicted = false;
-    plan.is_candidate = is_candidate;
-    plan.cpm.assign(n, std::numeric_limits<double>::infinity());
-    plan.epm.assign(n, std::numeric_limits<double>::infinity());
-    plan.executable.clear();
-    // The type's executable resources, ascending: the same `executable`
-    // order a dense scan over all n resources produces.
-    for (const ResourceId i : type.executable_resources()) {
-        if (task.pinned && i != task.resource) continue;
-        if (health != nullptr && !health->online(i)) continue; // offline = infeasible
-        plan.cpm[i] = occupied_time(task, type, i);
-        if (health != nullptr)
-            plan.cpm[i] += (health->throttle(i) - 1.0) * remaining_time(task, type, i);
-        plan.epm[i] = assignment_energy(task, type, i);
-        plan.executable.push_back(i);
-    }
-    // Under a degraded platform a task can have no feasible resource left
-    // (e.g. an accelerator-only candidate while the accelerator is offline);
-    // solvers treat it as immediately unsatisfiable and the ladder rejects
-    // (admission) or aborts it (rescue).  On a healthy platform every task
-    // has at least one executable resource by construction.
-    RMWP_ENSURE(health != nullptr || !plan.executable.empty());
-}
-
-/// Fill one predicted (virtual) task's row in place.
-void fill_predicted_task(PlanTask& plan, const Platform& platform, const Catalog& catalog,
-                         const PlatformHealth* health, Time now, const PredictedTask& predicted,
-                         std::size_t step) {
-    const TaskType& type = catalog.type(predicted.type);
-    const std::size_t n = platform.size();
-    RMWP_EXPECT(type.resource_count() == n);
-
-    plan.uid = kPredictedUidBase + step;
-    plan.release = std::max(predicted.arrival, now);
-    plan.abs_deadline = predicted.absolute_deadline();
-    plan.pinned = false;
-    plan.pinned_resource = 0;
-    plan.is_predicted = true;
-    plan.is_candidate = false;
-    plan.cpm.assign(n, std::numeric_limits<double>::infinity());
-    plan.epm.assign(n, std::numeric_limits<double>::infinity());
-    plan.executable.clear();
-    for (const ResourceId i : type.executable_resources()) {
-        if (health != nullptr && !health->online(i)) continue;
-        plan.cpm[i] = type.wcet(i);
-        if (health != nullptr) plan.cpm[i] *= health->throttle(i);
-        plan.epm[i] = type.energy(i);
-        plan.executable.push_back(i);
-    }
-    RMWP_ENSURE(health != nullptr || !plan.executable.empty());
-}
-
 /// Size `per_anchor` to `n` empty lists, keeping every list's capacity.
 void reset_per_anchor(std::vector<std::vector<ScheduleItem>>& per_anchor, std::size_t n) {
     per_anchor.resize(n);
@@ -99,6 +34,80 @@ void expand_blocks(const Platform& platform, const ReservationTable& reservation
     }
 }
 
+/// Fill row j of `rows` for a task of `type`: every cell +inf, then each
+/// executable resource that `allowed` accepts and that is online gets its
+/// cpm and epm from `cost` and is listed, in the type's ascending order —
+/// the order a dense scan over all resources produces.
+template <typename Allowed, typename Cost>
+void fill_row(PlanRows& rows, std::size_t j, const TaskType& type, const PlatformHealth* health,
+              Allowed allowed, Cost cost) {
+    const std::size_t n = rows.stride;
+    RMWP_EXPECT(type.resource_count() == n);
+    double* const cpm = rows.cpm.data() + j * n;
+    double* const epm = rows.epm.data() + j * n;
+    ResourceId* const executable = rows.executable.data() + j * n;
+    std::fill_n(cpm, n, std::numeric_limits<double>::infinity());
+    std::fill_n(epm, n, std::numeric_limits<double>::infinity());
+    std::size_t count = 0;
+    for (const ResourceId i : type.executable_resources()) {
+        if (!allowed(i)) continue;
+        if (health != nullptr && !health->online(i)) continue; // offline = infeasible
+        cost(i, cpm[i], epm[i]);
+        executable[count++] = i;
+    }
+    rows.executable_count[j] = count;
+    // Under a degraded platform a task can have no feasible resource left
+    // (e.g. an accelerator-only candidate while the accelerator is offline);
+    // solvers treat it as immediately unsatisfiable and the ladder rejects
+    // (admission) or aborts it (rescue).  On a healthy platform every task
+    // has at least one executable resource by construction.
+    RMWP_ENSURE(health != nullptr || count > 0);
+}
+
+} // namespace
+
+void PlanInstance::resize(std::size_t count) {
+    RMWP_EXPECT(viewed_ == nullptr);
+    const std::size_t n = platform->size();
+    tasks.resize(count);
+    rows_.stride = n;
+    // The store only grows: rows past `count` are never read, and the
+    // rung-to-rung regrowth would otherwise zero rows the fill overwrites.
+    rows_.cpm.resize(std::max(rows_.cpm.size(), count * n));
+    rows_.epm.resize(std::max(rows_.epm.size(), count * n));
+    rows_.executable.resize(std::max(rows_.executable.size(), count * n));
+    rows_.executable_count.resize(std::max(rows_.executable_count.size(), count));
+}
+
+void PlanInstance::fill_real(std::size_t j, const TaskType& type, const ActiveTask& task,
+                             bool is_candidate, const PlatformHealth* health) {
+    RMWP_EXPECT(viewed_ == nullptr && j < tasks.size());
+    tasks[j] = {.uid = task.uid, .release = now, .abs_deadline = task.absolute_deadline,
+                .pinned = task.pinned, .pinned_resource = task.resource,
+                .is_candidate = is_candidate, .row = j};
+    fill_row(
+        rows_, j, type, health, [&](ResourceId i) { return !task.pinned || i == task.resource; },
+        [&](ResourceId i, double& cpm, double& epm) {
+            cpm = occupied_time(task, type, i);
+            if (health != nullptr)
+                cpm += (health->throttle(i) - 1.0) * remaining_time(task, type, i);
+            epm = assignment_energy(task, type, i);
+        });
+}
+
+void PlanInstance::fill_predicted(std::size_t j, const TaskType& type,
+                                  const PlatformHealth* health, const PredictedTask& predicted,
+                                  std::size_t step) {
+    RMWP_EXPECT(viewed_ == nullptr && j < tasks.size());
+    tasks[j] = {.uid = kPredictedUidBase + step, .release = std::max(predicted.arrival, now),
+                .abs_deadline = predicted.absolute_deadline(), .is_predicted = true, .row = j};
+    fill_row(rows_, j, type, health, [](ResourceId) { return true; },
+             [&](ResourceId i, double& cpm, double& epm) {
+                 cpm = health != nullptr ? type.wcet(i) * health->throttle(i) : type.wcet(i);
+                 epm = type.energy(i);
+             });
+}
+
 /// Reservation blocks intersecting [now, now + window), grouped per
 /// physical core (reservations occupy the core whatever operating point
 /// other work uses), plus the per-core blocked-time capacity reduction.
@@ -112,13 +121,14 @@ void expand_blocks(const Platform& platform, const ReservationTable& reservation
 /// cached for the admission ladder's rungs, which almost always share one
 /// window.  The key uses the table's revision (process-unique, contents
 /// immutable), never its address, so recycled allocations cannot alias.
-void fill_blocks(PlanInstance& instance, const ReservationTable* reservations) {
-    const std::size_t n = instance.platform->size();
-    instance.blocked_time.assign(n, 0.0);
+void PlanInstance::fill_blocks(const ReservationTable* reservations) {
+    RMWP_EXPECT(viewed_ == nullptr);
+    const std::size_t n = platform->size();
+    rows_.blocked_time.assign(n, 0.0);
     if (reservations == nullptr || reservations->empty()) {
         // The instance may be pooled: drop any stale blocks of a previous
         // activation that did have reservations.
-        reset_per_anchor(instance.blocks, n);
+        reset_per_anchor(rows_.blocks, n);
         return;
     }
 
@@ -137,38 +147,38 @@ void fill_blocks(PlanInstance& instance, const ReservationTable* reservations) {
     thread_local BlockCache cache;
 
     const bool base_hit = cache.revision == reservations->revision() &&
-                          cache.now == instance.now && cache.resources == n;
-    if (!base_hit || instance.window > cache.horizon) {
+                          cache.now == now && cache.resources == n;
+    if (!base_hit || window > cache.horizon) {
         RMWP_STAGE_SCOPE(obs::Stage::sorted_refresh);
         cache.revision = reservations->revision();
-        cache.now = instance.now;
+        cache.now = now;
         cache.resources = n;
-        cache.horizon = instance.window;
+        cache.horizon = window;
         reset_per_anchor(cache.raw, n);
         for (ResourceId i = 0; i < n; ++i)
-            reservations->blocks_for(i, instance.now, instance.now + instance.window,
-                                     cache.raw[instance.platform->resource(i).physical()]);
+            reservations->blocks_for(i, now, now + window,
+                                     cache.raw[platform->resource(i).physical()]);
         cache.window = -2.0; // invalidate the derived level
     }
 
-    if (cache.window != instance.window) {
+    if (cache.window != window) {
         RMWP_STAGE_SCOPE(obs::Stage::sorted_refresh);
-        cache.window = instance.window;
+        cache.window = window;
         reset_per_anchor(cache.blocks, n);
         cache.blocked_time.assign(n, 0.0);
-        if (instance.window <= 0.0) {
+        if (window <= 0.0) {
             // Degenerate window: `release` collapses start==now with
             // start<now, which decide inclusion at width zero differently —
             // fall back to a direct query (cold: real admissions always
             // have a positive window).
-            expand_blocks(*instance.platform, *reservations, instance.now,
-                          instance.now + instance.window, cache.blocks, cache.blocked_time);
+            expand_blocks(*platform, *reservations, now,
+                          now + window, cache.blocks, cache.blocked_time);
         } else {
             // A block intersects [now, now + window) iff it starts before
             // the window end; for positive windows that is exactly
             // release < now + window (an in-progress block has
             // release == now < end).
-            const Time until = instance.now + instance.window;
+            const Time until = now + window;
             for (ResourceId anchor = 0; anchor < n; ++anchor) {
                 for (const ScheduleItem& block : cache.raw[anchor]) {
                     if (block.release >= until) continue;
@@ -184,8 +194,8 @@ void fill_blocks(PlanInstance& instance, const ReservationTable* reservations) {
         {
             std::vector<std::vector<ScheduleItem>> direct(n);
             std::vector<double> direct_time(n, 0.0);
-            expand_blocks(*instance.platform, *reservations, instance.now,
-                          instance.now + instance.window, direct, direct_time);
+            expand_blocks(*platform, *reservations, now,
+                          now + window, direct, direct_time);
             for (ResourceId anchor = 0; anchor < n; ++anchor) {
                 RMWP_ENSURE(direct_time[anchor] == cache.blocked_time[anchor]);
                 RMWP_ENSURE(direct[anchor].size() == cache.blocks[anchor].size());
@@ -207,33 +217,20 @@ void fill_blocks(PlanInstance& instance, const ReservationTable* reservations) {
                                                         : a.uid < b.uid;
                       });
     }
-    instance.blocks = cache.blocks;
-    instance.blocked_time = cache.blocked_time;
+    rows_.blocks = cache.blocks;
+    rows_.blocked_time = cache.blocked_time;
 }
 
-} // namespace
-
-namespace plan_detail {
-
-void set_task_count(std::vector<PlanTask>& tasks, std::vector<PlanTask>& spare,
-                    std::size_t count) {
-    while (tasks.size() > count) {
-        spare.push_back(std::move(tasks.back()));
-        tasks.pop_back();
-    }
-    while (tasks.size() < count) {
-        if (spare.empty()) {
-            tasks.emplace_back();
-        } else {
-            tasks.push_back(std::move(spare.back()));
-            spare.pop_back();
-        }
-    }
+void PlanInstance::view(const PlanInstance& parent) {
+    // Viewing itself would leave a self-pointer that a copy dangles.
+    RMWP_EXPECT(&parent != this && parent.platform != nullptr);
+    platform = parent.platform;
+    now = parent.now;
+    window = parent.window;
+    tasks.clear();
+    predicted_count = 0;
+    viewed_ = &parent.rows();
 }
-
-} // namespace plan_detail
-
-using plan_detail::set_task_count;
 
 PlanInstance PlanInstance::build(const ArrivalContext& context, std::size_t predicted_count) {
     RMWP_EXPECT(context.platform != nullptr);
@@ -246,18 +243,18 @@ PlanInstance PlanInstance::build(const ArrivalContext& context, std::size_t pred
     instance.window = planning_window(context, instance.predicted_count);
 
     const std::size_t count = context.active.size() + 1 + instance.predicted_count;
-    instance.tasks.resize(count);
+    instance.resize(count);
     std::size_t j = 0;
     for (const ActiveTask& task : context.active)
-        fill_real_task(instance.tasks[j++], *context.platform, context.type_of(task), context.now,
-                       task, /*is_candidate=*/false, context.health);
-    fill_real_task(instance.tasks[j++], *context.platform, context.type_of(context.candidate),
-                   context.now, context.candidate, /*is_candidate=*/true, context.health);
+        instance.fill_real(j++, context.type_of(task), task, /*is_candidate=*/false,
+                           context.health);
+    instance.fill_real(j++, context.type_of(context.candidate), context.candidate,
+                       /*is_candidate=*/true, context.health);
     for (std::size_t k = 0; k < instance.predicted_count; ++k)
-        fill_predicted_task(instance.tasks[j++], *context.platform, *context.catalog,
-                            context.health, context.now, context.predicted[k], k);
+        instance.fill_predicted(j++, context.catalog->type(context.predicted[k].type),
+                                context.health, context.predicted[k], k);
 
-    fill_blocks(instance, context.reservations);
+    instance.fill_blocks(context.reservations);
     // Instance-shape invariant every solver relies on: active tasks first,
     // then the candidate, then the predicted tail; window covers all of it.
     RMWP_ENSURE(instance.tasks.size() == count);
@@ -277,50 +274,37 @@ PlanInstance PlanInstance::build_rescue(const RescueContext& context,
     for (const ActiveTask& task : tasks)
         instance.window = std::max(instance.window, task.absolute_deadline - context.now);
 
-    instance.tasks.resize(tasks.size());
+    instance.resize(tasks.size());
     for (std::size_t j = 0; j < tasks.size(); ++j)
-        fill_real_task(instance.tasks[j], *context.platform, context.type_of(tasks[j]),
-                       context.now, tasks[j], /*is_candidate=*/false, context.health);
+        instance.fill_real(j, context.type_of(tasks[j]), tasks[j], /*is_candidate=*/false,
+                           context.health);
 
-    fill_blocks(instance, context.reservations);
+    instance.fill_blocks(context.reservations);
     return instance;
 }
 
 namespace {
 
 /// Thread-local backing store for BatchPlanner (see the class comment):
-/// the working active set, the pooled instance, and the parked PlanTask
-/// shells all survive across batches, so their capacities are reused.
-struct BatchArena {
-    std::vector<ActiveTask> working;
-    PlanInstance instance;
-    std::vector<PlanTask> spare;
-
-    static BatchArena& local() {
-        static thread_local BatchArena arena;
-        return arena;
-    }
-};
+/// the working active set and the pooled instance with its row store
+/// survive across batches, so their capacities are reused.
+thread_local std::vector<ActiveTask> batch_working;
+thread_local PlanInstance batch_instance;
 
 } // namespace
 
 BatchPlanner::BatchPlanner(const BatchArrivalContext& batch)
-    : batch_(&batch), working_(BatchArena::local().working),
-      instance_(BatchArena::local().instance), spare_(BatchArena::local().spare) {
+    : batch_(&batch), working_(batch_working), instance_(batch_instance) {
     RMWP_EXPECT(batch.platform != nullptr);
     RMWP_EXPECT(batch.catalog != nullptr);
     working_.assign(batch.active.begin(), batch.active.end());
     base_count_ = working_.size();
     instance_.platform = batch.platform;
     instance_.now = batch.now;
-    // Grow only: every row past the base is rewritten by assemble() before
-    // use, and shrinking here would cycle shells through `spare_` on every
-    // batch.
-    if (instance_.tasks.size() < base_count_)
-        set_task_count(instance_.tasks, spare_, base_count_);
+    instance_.resize(base_count_);
     for (std::size_t j = 0; j < base_count_; ++j)
-        fill_real_task(instance_.tasks[j], *batch.platform, batch.type_of(working_[j]), batch.now,
-                       working_[j], /*is_candidate=*/false, batch.health);
+        instance_.fill_real(j, batch.type_of(working_[j]), working_[j], /*is_candidate=*/false,
+                            batch.health);
 }
 
 const PlanInstance& BatchPlanner::assemble(std::size_t m, std::size_t k) {
@@ -330,16 +314,15 @@ const PlanInstance& BatchPlanner::assemble(std::size_t m, std::size_t k) {
     RMWP_EXPECT(k <= item.predicted.size());
 
     const std::size_t count = base_count_ + 1 + k;
-    set_task_count(instance_.tasks, spare_, count);
+    instance_.resize(count);
     if (candidate_for_ != m) {
-        fill_real_task(instance_.tasks[base_count_], *batch_->platform,
-                       batch_->type_of(item.candidate), batch_->now, item.candidate,
-                       /*is_candidate=*/true, batch_->health);
+        instance_.fill_real(base_count_, batch_->type_of(item.candidate), item.candidate,
+                            /*is_candidate=*/true, batch_->health);
         candidate_for_ = m;
     }
     for (std::size_t p = 0; p < k; ++p)
-        fill_predicted_task(instance_.tasks[base_count_ + 1 + p], *batch_->platform,
-                            *batch_->catalog, batch_->health, batch_->now, item.predicted[p], p);
+        instance_.fill_predicted(base_count_ + 1 + p, batch_->catalog->type(item.predicted[p].type),
+                                 batch_->health, item.predicted[p], p);
     instance_.predicted_count = k;
 
     // K-bar over exactly the included tasks — the same max planning_window
@@ -352,12 +335,13 @@ const PlanInstance& BatchPlanner::assemble(std::size_t m, std::size_t k) {
     RMWP_ENSURE(latest >= batch_->now);
     instance_.window = latest - batch_->now;
 
-    fill_blocks(instance_, batch_->reservations);
+    instance_.fill_blocks(batch_->reservations);
     RMWP_ENSURE(instance_.tasks.size() == count);
 
 #ifdef RMWP_AUDIT
     // The incremental-base drift gate: a from-scratch build of the
-    // equivalent sequential context must agree on every field.
+    // equivalent sequential context must agree on every field and on
+    // every task's whole row.
     {
         ArrivalContext reference;
         reference.now = batch_->now;
@@ -375,14 +359,15 @@ const PlanInstance& BatchPlanner::assemble(std::size_t m, std::size_t k) {
         for (std::size_t j = 0; j < rebuilt.tasks.size(); ++j) {
             const PlanTask& a = rebuilt.tasks[j];
             const PlanTask& b = instance_.tasks[j];
-            RMWP_ENSURE(a.uid == b.uid);
+            RMWP_ENSURE(a.uid == b.uid && a.row == b.row);
             RMWP_ENSURE(a.release == b.release && a.abs_deadline == b.abs_deadline);
             RMWP_ENSURE(a.pinned == b.pinned && a.pinned_resource == b.pinned_resource);
             RMWP_ENSURE(a.is_predicted == b.is_predicted && a.is_candidate == b.is_candidate);
-            RMWP_ENSURE(a.cpm == b.cpm && a.epm == b.epm);
-            RMWP_ENSURE(a.executable == b.executable);
+            RMWP_ENSURE(std::ranges::equal(rebuilt.cpm(j), instance_.cpm(j)));
+            RMWP_ENSURE(std::ranges::equal(rebuilt.epm(j), instance_.epm(j)));
+            RMWP_ENSURE(std::ranges::equal(rebuilt.executable(j), instance_.executable(j)));
         }
-        RMWP_ENSURE(rebuilt.blocked_time == instance_.blocked_time);
+        RMWP_ENSURE(std::ranges::equal(rebuilt.blocked_time(), instance_.blocked_time()));
     }
 #endif
     return instance_;
@@ -421,32 +406,30 @@ Decision BatchPlanner::admit(std::size_t m, std::span<const ResourceId> mapping)
             task.pending_overhead =
                 catalog.type(task.type).migration_time(task.resource, assignment.resource);
         task.resource = assignment.resource;
-        fill_real_task(instance_.tasks[j], *batch_->platform, batch_->type_of(task), batch_->now,
-                       task, /*is_candidate=*/false, batch_->health);
+        instance_.fill_real(j, batch_->type_of(task), task, /*is_candidate=*/false,
+                            batch_->health);
     }
     RMWP_ENSURE(working_.size() == base_count_ + 1);
 
     // The admitted candidate joins the base: its row is recomputed as a
     // plain active task (resource now set, is_candidate cleared).
-    fill_real_task(instance_.tasks[base_count_], *batch_->platform,
-                   batch_->type_of(working_.back()), batch_->now, working_.back(),
-                   /*is_candidate=*/false, batch_->health);
+    instance_.fill_real(base_count_, batch_->type_of(working_.back()), working_.back(),
+                        /*is_candidate=*/false, batch_->health);
     ++base_count_;
     candidate_for_ = kNoItem;
     return decision;
 }
 
 ScheduleItem PlanInstance::item_for(std::size_t index, ResourceId i) const {
-    RMWP_EXPECT(index < tasks.size());
+    RMWP_EXPECT(index < tasks.size() && i < resource_count());
+    RMWP_EXPECT(std::isfinite(cpm(index)[i]));
     const PlanTask& task = tasks[index];
-    RMWP_EXPECT(i < task.cpm.size());
-    RMWP_EXPECT(std::isfinite(task.cpm[i]));
     ScheduleItem item;
     item.uid = task.uid;
     item.resource = i;
     item.release = task.release;
     item.abs_deadline = task.abs_deadline;
-    item.duration = task.cpm[i];
+    item.duration = cpm(index)[i];
     item.pinned_first = task.pinned && i == task.pinned_resource;
     return item;
 }
@@ -454,11 +437,11 @@ ScheduleItem PlanInstance::item_for(std::size_t index, ResourceId i) const {
 void PlanScratch::reset(const PlanInstance& instance) {
     const std::size_t n = instance.resource_count();
     const std::size_t count = instance.tasks.size();
-    RMWP_EXPECT(instance.blocks.size() == n);
+    RMWP_EXPECT(instance.blocks().size() == n);
     constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
     std::size_t option_count = 0;
-    for (const PlanTask& task : instance.tasks) option_count += task.executable.size();
+    for (std::size_t j = 0; j < count; ++j) option_count += instance.executable(j).size();
     options.clear();
     options.reserve(option_count);
     option_begin.assign(count + 1, 0);
@@ -482,8 +465,8 @@ void PlanScratch::reset(const PlanInstance& instance) {
     if (assigned.size() < n) assigned.resize(n);
     for (ResourceId i = 0; i < n; ++i) {
         assigned[i].clear();
-        assigned[i].insert(assigned[i].end(), instance.blocks[i].begin(),
-                           instance.blocks[i].end());
+        assigned[i].insert(assigned[i].end(), instance.blocks()[i].begin(),
+                           instance.blocks()[i].end());
         // Demand order once per reset, so the solver's probe loop can keep
         // the list incrementally sorted (insert_demand_ordered) and skip
         // the prefilter's per-probe sort.
@@ -555,7 +538,7 @@ RescueDecision run_rescue_ladder(const RescueContext& context, const LadderRM& r
 
         bool shed_unsavable = false;
         for (std::size_t j = keep.size(); j-- > 0;) {
-            if (!instance.tasks[j].executable.empty()) continue;
+            if (!instance.executable(j).empty()) continue;
             decision.aborted.push_back(keep[j].uid);
             keep.erase(keep.begin() + static_cast<std::ptrdiff_t>(j));
             shed_unsavable = true;
@@ -572,9 +555,9 @@ RescueDecision run_rescue_ladder(const RescueContext& context, const LadderRM& r
         double worst = -1.0;
         for (std::size_t j = 0; j < keep.size(); ++j) {
             const PlanTask& task = instance.tasks[j];
-            double cheapest = task.cpm[task.executable.front()];
-            for (const ResourceId i : task.executable)
-                cheapest = std::min(cheapest, task.cpm[i]);
+            const auto cpm = instance.cpm(j);
+            double cheapest = cpm[instance.executable(j).front()];
+            for (const ResourceId i : instance.executable(j)) cheapest = std::min(cheapest, cpm[i]);
             const double slack = std::max(task.time_left(context.now), 1e-9);
             const double ratio = cheapest / slack;
             const bool better =

@@ -1,9 +1,10 @@
-// Materialisation of one RM activation's optimisation instance: the task
-// set S-bar (active tasks + new candidate + optionally the predicted task)
-// with per-resource cpm/epm tables, the planning window K-bar, and
-// convenience conversion to ScheduleItems.  Shared by the heuristic, the
-// branch-and-bound exact optimiser, and the MILP encoder so that all three
-// agree on the instance by construction.
+// One RM activation's optimisation instance: the task set S-bar (active
+// tasks + candidate + optionally predicted tasks), the planning window
+// K-bar, and a row store of per-task cpm/epm tables and reservation blocks,
+// read through accessors by the heuristic, the exact optimiser and the MILP
+// encoder so all three agree on the instance by construction.  A whole
+// instance owns its store; a shard bucket's sub-instance copies only its
+// scalar tasks and views the parent's store (DESIGN.md §15).
 #pragma once
 
 #include <cstddef>
@@ -16,7 +17,7 @@
 
 namespace rmwp {
 
-/// One task of the optimisation instance.
+/// One task of the optimisation instance; its costs are in row `row`.
 struct PlanTask {
     TaskUid uid = 0;
     Time release = 0.0;
@@ -25,13 +26,22 @@ struct PlanTask {
     ResourceId pinned_resource = 0;
     bool is_predicted = false;
     bool is_candidate = false;
-    /// cpm_{j,i} / epm_{j,i} indexed by resource; +inf when not executable.
-    std::vector<double> cpm;
-    std::vector<double> epm;
-    /// Resources the task can execute on (respecting pinning).
-    std::vector<ResourceId> executable;
+    std::size_t row = 0; ///< row in the (owned or viewed) store
 
     [[nodiscard]] Time time_left(Time now) const noexcept { return abs_deadline - now; }
+};
+
+/// An instance's row store: per task one fixed-stride row (refilled in
+/// place without shifting the rows after it) of cpm/epm over all resources
+/// and of executable-resource slots, plus the window's reservation data.
+struct PlanRows {
+    std::size_t stride = 0;                        ///< resources per row
+    std::vector<double> cpm;                       ///< rows x stride, row-major
+    std::vector<double> epm;                       ///< rows x stride, row-major
+    std::vector<ResourceId> executable;            ///< rows x stride slots
+    std::vector<std::size_t> executable_count;     ///< used slots per row
+    std::vector<std::vector<ScheduleItem>> blocks; ///< see PlanInstance::blocks()
+    std::vector<double> blocked_time;              ///< see PlanInstance::blocked_time()
 };
 
 /// The full instance for one activation.
@@ -41,10 +51,6 @@ struct PlanInstance {
     Time window = 0.0; ///< K-bar = max_j t_left_j
     std::vector<PlanTask> tasks; ///< candidate and (if any) predicted are last
     std::size_t predicted_count = 0; ///< predicted tasks included (at the tail)
-    /// Critical-reservation blocks intersecting the window, per resource.
-    std::vector<std::vector<ScheduleItem>> blocks;
-    /// Reserved time per resource within the window (capacity reduction).
-    std::vector<double> blocked_time;
 
     [[nodiscard]] bool has_predicted() const noexcept { return predicted_count > 0; }
 
@@ -65,7 +71,27 @@ struct PlanInstance {
     [[nodiscard]] static PlanInstance build_rescue(const RescueContext& context,
                                                    std::span<const ActiveTask> tasks);
 
+    /// Become a view of `parent` (which must outlive its use): the same
+    /// platform, time and window, no tasks, and `parent`'s store.  The
+    /// caller appends copies of parent tasks, which keep their rows.
+    void view(const PlanInstance& parent);
+
     [[nodiscard]] std::size_t resource_count() const noexcept { return platform->size(); }
+
+    /// The rows of tasks[j]: cpm_{j,i} / epm_{j,i} for every resource i
+    /// (+inf where it cannot execute), and the resources it can execute on
+    /// (respecting pinning), ascending.
+    [[nodiscard]] std::span<const double> cpm(std::size_t j) const { return row(rows().cpm, j); }
+    [[nodiscard]] std::span<const double> epm(std::size_t j) const { return row(rows().epm, j); }
+    [[nodiscard]] std::span<const ResourceId> executable(std::size_t j) const {
+        return row(rows().executable, j).first(rows().executable_count[tasks[j].row]);
+    }
+    /// Critical-reservation blocks intersecting the window, per resource.
+    [[nodiscard]] std::span<const std::vector<ScheduleItem>> blocks() const {
+        return rows().blocks;
+    }
+    /// Reserved time per resource within the window (capacity reduction).
+    [[nodiscard]] std::span<const double> blocked_time() const { return rows().blocked_time; }
 
     /// ScheduleItem for assigning tasks[index] to resource i.
     [[nodiscard]] ScheduleItem item_for(std::size_t index, ResourceId i) const;
@@ -74,16 +100,31 @@ struct PlanInstance {
     /// the real tasks (predicted excluded).
     [[nodiscard]] std::vector<TaskAssignment> real_assignments(
         std::span<const ResourceId> mapping) const;
-};
 
-namespace plan_detail {
-/// Resize a pooled task list without destroying PlanTask heap buffers:
-/// surplus shells park in `spare` and return on the next growth, so
-/// rung-to-rung (and per-shard sub-instance) resizes do no steady-state
-/// allocation.  Shared by BatchPlanner and ShardedSolver.
-void set_task_count(std::vector<PlanTask>& tasks, std::vector<PlanTask>& spare,
-                    std::size_t count);
-} // namespace plan_detail
+private:
+    friend class BatchPlanner;
+
+    [[nodiscard]] const PlanRows& rows() const noexcept {
+        return viewed_ != nullptr ? *viewed_ : rows_;
+    }
+    template <typename T>
+    [[nodiscard]] std::span<const T> row(const std::vector<T>& table, std::size_t j) const {
+        return {table.data() + tasks[j].row * rows().stride, rows().stride};
+    }
+
+    // Builders of the owned store: size it for `count` tasks (keeping the
+    // rows below; the store never shrinks), (re)fill tasks[j] and its row,
+    // and fill the window's reservation data.
+    void resize(std::size_t count);
+    void fill_real(std::size_t j, const TaskType& type, const ActiveTask& task, bool is_candidate,
+                   const PlatformHealth* health);
+    void fill_predicted(std::size_t j, const TaskType& type, const PlatformHealth* health,
+                        const PredictedTask& predicted, std::size_t step);
+    void fill_blocks(const ReservationTable* reservations);
+
+    PlanRows rows_;                    ///< the owned store; unused by a view
+    const PlanRows* viewed_ = nullptr; ///< the parent's store, in a view
+};
 
 /// Shared planning state for one coalesced batch of same-instant arrivals:
 /// the working active set (base) is materialised as plan tasks once, and
@@ -96,7 +137,7 @@ void set_task_count(std::vector<PlanTask>& tasks, std::vector<PlanTask>& spare,
 /// incremental base never drifts.
 class BatchPlanner {
 public:
-    /// Buffers (working set, pooled instance, spare task shells) live on a
+    /// Buffers (working set, pooled instance and its row store) live on a
     /// thread-local arena, so a steady stream of batches does no heap work
     /// beyond the Decision outputs (pinned by tests/test_alloc_count.cpp).
     /// Consequently at most one BatchPlanner may be live per thread — the
@@ -127,7 +168,6 @@ private:
     std::size_t base_count_ = 0;        ///< prefix of instance_.tasks mirroring working_
     std::size_t candidate_for_ = kNoItem; ///< item whose candidate row is cached
     PlanInstance& instance_;
-    std::vector<PlanTask>& spare_;
 };
 
 /// Reusable scratch arena for Algorithm 1: the per-task option lists,

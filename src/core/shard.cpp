@@ -57,19 +57,15 @@ void ShardPartition::rebuild(const Platform& platform, const Catalog& catalog) {
     RMWP_ENSURE(group_count_ >= 1 && group_count_ <= n);
 }
 
-void ShardedSolver::ensure_buckets(std::size_t count) {
-    // Never shrink: bucket slots own pooled sub-instances whose capacity
-    // must survive alternating platform sizes on one thread.
-    if (buckets_.size() < count) buckets_.resize(count);
-}
-
 std::size_t ShardedSolver::begin_batch(const BatchArrivalContext& batch, std::size_t shards) {
     RMWP_EXPECT(batch.platform != nullptr && batch.catalog != nullptr);
     partition_.rebuild(*batch.platform, *batch.catalog);
     catalog_ = batch.catalog;
     shards_ = shards;
     const std::size_t count = partition_.bucket_count(shards);
-    ensure_buckets(count);
+    // Never shrink: bucket slots own pooled task lists and result buffers
+    // whose capacity must survive alternating platform sizes on one thread.
+    if (buckets_.size() < count) buckets_.resize(count);
     for (std::size_t b = 0; b < count; ++b) {
         Bucket& bucket = buckets_[b];
         bucket.version = 1;
@@ -78,8 +74,9 @@ std::size_t ShardedSolver::begin_batch(const BatchArrivalContext& batch, std::si
     }
     tracked_.clear();
     for (const ActiveTask& task : batch.active)
-        tracked_.push_back(
-            {task.uid, task.resource, partition_.bucket_of(catalog_->type(task.type), shards)});
+        tracked_.push_back({task.uid, task.resource,
+                            partition_.bucket_of(catalog_->type(task.type).executable_resources(),
+                                                 shards)});
     RMWP_ENSURE(tracked_.size() == batch.active.size());
     return count;
 }
@@ -95,7 +92,8 @@ void ShardedSolver::note_admission(const Decision& decision, const ActiveTask& c
             // First sighting: this is the admitted candidate joining the
             // working set — its bucket gains a task.
             RMWP_ENSURE(assignment.uid == candidate.uid);
-            const std::size_t b = partition_.bucket_of(catalog_->type(candidate.type), shards_);
+            const std::size_t b = partition_.bucket_of(
+                catalog_->type(candidate.type).executable_resources(), shards_);
             tracked_.push_back({assignment.uid, assignment.resource, b});
             if (b < buckets_.size()) ++buckets_[b].version;
         } else if (found->resource != assignment.resource) {
@@ -107,58 +105,43 @@ void ShardedSolver::note_admission(const Decision& decision, const ActiveTask& c
     }
 }
 
-void ShardedSolver::build_sub(Bucket& bucket, const PlanInstance& instance) {
-    RMWP_EXPECT(!bucket.task_index.empty());
-    PlanInstance& sub = bucket.sub;
-    sub.platform = instance.platform;
-    sub.now = instance.now;
-    // The *global* planning window: per-resource capacities
-    // (window - blocked_time) and every demand-bound test must see the
-    // horizon the sequential solve saw.  Other buckets' tasks are absent,
-    // but they have no finite WCET on this bucket's resources, so their
-    // absence cannot change any probe here.
-    sub.window = instance.window;
-    plan_detail::set_task_count(sub.tasks, bucket.spare, bucket.task_index.size());
-    std::size_t predicted = 0;
-    for (std::size_t s = 0; s < bucket.task_index.size(); ++s) {
-        sub.tasks[s] = instance.tasks[bucket.task_index[s]];
-        if (sub.tasks[s].is_predicted) ++predicted;
-    }
-    sub.predicted_count = predicted;
-    sub.blocks = instance.blocks;
-    sub.blocked_time = instance.blocked_time;
-    RMWP_ENSURE(sub.tasks.size() == bucket.task_index.size());
-}
-
 std::optional<std::span<const ResourceId>> ShardedSolver::run(const PlanInstance& instance,
                                                               const LadderRM& rm, bool& proven) {
     RMWP_EXPECT(instance.platform != nullptr);
     RMWP_EXPECT(!instance.tasks.empty());
     RMWP_EXPECT(instance.tasks.size() >= 1 + instance.predicted_count);
     const std::size_t bucket_count = partition_.bucket_count(shards_);
-    ensure_buckets(bucket_count);
+    RMWP_EXPECT(bucket_count <= buckets_.size()); // sized by begin_batch
 
-    // 1. Partition the instance's tasks into buckets, marking those holding
-    // this item's candidate / predicted tail (their state is item-specific,
-    // so they are never served from or stored to the cross-item cache).
+    // 1. Partition the instance's tasks into the buckets' sub-instances,
+    // marking those holding this item's candidate / predicted tail (their
+    // state is item-specific, so they are never served from or stored to
+    // the cross-item cache).  A sub-instance views the instance, *global*
+    // window included: capacities and every demand-bound test must see the
+    // horizon the sequential solve saw, and other buckets' tasks, absent,
+    // have no finite WCET on its resources.  The instance is whole, so a
+    // copied task's row is its index there.
     const std::size_t count = instance.tasks.size();
     const std::size_t item_local_from = count - 1 - instance.predicted_count;
     for (std::size_t b = 0; b < bucket_count; ++b) {
-        buckets_[b].task_index.clear();
+        buckets_[b].sub.view(instance);
         buckets_[b].item_local = false;
     }
     for (std::size_t i = 0; i < count; ++i) {
-        const std::size_t b = partition_.bucket_of(instance.tasks[i], shards_);
+        RMWP_EXPECT(instance.tasks[i].row == i);
+        const std::size_t b = partition_.bucket_of(instance.executable(i), shards_);
         RMWP_EXPECT(b < bucket_count);
-        buckets_[b].task_index.push_back(i);
-        if (i >= item_local_from) buckets_[b].item_local = true;
+        Bucket& bucket = buckets_[b];
+        bucket.sub.tasks.push_back(instance.tasks[i]);
+        if (instance.tasks[i].is_predicted) ++bucket.sub.predicted_count;
+        if (i >= item_local_from) bucket.item_local = true;
     }
 
     // 2. Serve what the cache can; queue the rest for a fresh solve.
     pending_.clear();
     for (std::size_t b = 0; b < bucket_count; ++b) {
         Bucket& bucket = buckets_[b];
-        if (bucket.task_index.empty()) {
+        if (bucket.sub.tasks.empty()) {
             bucket.ok = true;
             bucket.proven = true;
             bucket.mapping.clear();
@@ -181,9 +164,7 @@ std::optional<std::span<const ResourceId>> ShardedSolver::run(const PlanInstance
         pending_.push_back(b);
     }
 
-    // 3. Build the pending sub-instances (pooled) and solve them in bucket
-    // order.
-    for (const std::size_t b : pending_) build_sub(buckets_[b], instance);
+    // 3. Solve the pending sub-instances in bucket order.
     {
         RMWP_STAGE_SCOPE(obs::Stage::shard_solve);
         for (const std::size_t b : pending_) {
@@ -232,8 +213,8 @@ std::optional<std::span<const ResourceId>> ShardedSolver::run(const PlanInstance
             RMWP_ENSURE(direct->size() == count);
             for (std::size_t b = 0; b < bucket_count; ++b) {
                 const Bucket& bucket = buckets_[b];
-                for (std::size_t s = 0; s < bucket.task_index.size(); ++s)
-                    RMWP_ENSURE(bucket.mapping[s] == (*direct)[bucket.task_index[s]]);
+                for (std::size_t s = 0; s < bucket.sub.tasks.size(); ++s)
+                    RMWP_ENSURE(bucket.mapping[s] == (*direct)[bucket.sub.tasks[s].row]);
             }
         }
     }
@@ -245,9 +226,9 @@ std::optional<std::span<const ResourceId>> ShardedSolver::run(const PlanInstance
     merged_.assign(count, ResourceId{0});
     for (std::size_t b = 0; b < bucket_count; ++b) {
         const Bucket& bucket = buckets_[b];
-        RMWP_ENSURE(bucket.mapping.size() == bucket.task_index.size());
-        for (std::size_t s = 0; s < bucket.task_index.size(); ++s)
-            merged_[bucket.task_index[s]] = bucket.mapping[s];
+        RMWP_ENSURE(bucket.mapping.size() == bucket.sub.tasks.size());
+        for (std::size_t s = 0; s < bucket.sub.tasks.size(); ++s)
+            merged_[bucket.sub.tasks[s].row] = bucket.mapping[s];
     }
     return std::span<const ResourceId>(merged_);
 }

@@ -10,10 +10,12 @@
 // the partition is a pure function of platform + catalog), and
 // ShardedSolver solves the per-group sub-instances one after another on the
 // calling thread, then merges the per-bucket mappings back into instance
-// order.  What pays is the cross-item cache that lets buckets no admission
-// touched keep their verdict for the rest of a batch: with its lookup
-// disabled, the bucket solves alone run no faster than one whole-plan
-// solve (EXPERIMENTS.md E20).
+// order.  A sub-instance is a view: it holds copies of its bucket's scalar
+// plan tasks and reads their cost rows and the reservation blocks from the
+// whole instance's row store.  What pays is the cross-item cache that lets
+// buckets no admission touched keep their verdict for the rest of a batch:
+// with its lookup disabled, the bucket solves alone run no faster than one
+// whole-plan solve (EXPERIMENTS.md E20).
 //
 // Determinism contract (DESIGN.md §9): the merged decision is bit-identical
 // to the whole-plan solve at any shard count.  An RMWP_AUDIT build re-solves
@@ -59,19 +61,15 @@ public:
         return group_of(i) % std::max<std::size_t>(shards, 1);
     }
 
-    /// Solve bucket of a plan task.  All of a task's executable resources
-    /// lie in one group by construction; a task with an empty executable
-    /// set (all its resources offline under faults) deterministically lands
-    /// in bucket 0, where it fails feasibility exactly as it would in the
-    /// sequential solve.
-    [[nodiscard]] std::size_t bucket_of(const PlanTask& task, std::size_t shards) const {
-        return task.executable.empty() ? 0 : bucket_of_resource(task.executable.front(), shards);
-    }
-
-    /// Solve bucket of every task of a catalog type.
-    [[nodiscard]] std::size_t bucket_of(const TaskType& type, std::size_t shards) const {
-        const auto& resources = type.executable_resources();
-        return resources.empty() ? 0 : bucket_of_resource(resources.front(), shards);
+    /// Solve bucket of a task that can execute on `executable` (a plan
+    /// task's set, or every executable resource of its catalog type).  All
+    /// of a task's executable resources lie in one group by construction;
+    /// a task with an empty executable set (all its resources offline under
+    /// faults) deterministically lands in bucket 0, where it fails
+    /// feasibility exactly as it would in the sequential solve.
+    [[nodiscard]] std::size_t bucket_of(std::span<const ResourceId> executable,
+                                        std::size_t shards) const {
+        return executable.empty() ? 0 : bucket_of_resource(executable.front(), shards);
     }
 
 private:
@@ -128,11 +126,9 @@ private:
     };
 
     struct Bucket {
-        std::vector<std::size_t> task_index; ///< instance task indices, ascending
-        bool item_local = false;             ///< holds the candidate/predicted tail
-        PlanInstance sub;                    ///< pooled sub-instance
-        std::vector<PlanTask> spare;         ///< shell pool for sub.tasks
-        std::vector<ResourceId> mapping;     ///< solve result, sub task order
+        PlanInstance sub;                ///< view: the bucket's tasks, in instance order
+        bool item_local = false;         ///< holds the candidate/predicted tail
+        std::vector<ResourceId> mapping; ///< solve result, sub task order
         bool ok = false;
         bool proven = true;
         std::uint64_t version = 1; ///< bumped on any admission touching the bucket
@@ -145,9 +141,6 @@ private:
         ResourceId resource = 0;
         std::size_t bucket = 0;
     };
-
-    void ensure_buckets(std::size_t count);
-    void build_sub(Bucket& bucket, const PlanInstance& instance);
 
     ShardPartition partition_;
     const Catalog* catalog_ = nullptr; ///< the current batch's catalog

@@ -178,13 +178,14 @@ std::optional<std::vector<ResourceId>> reference_place_frozen(const PlanInstance
     std::vector<ResourceId> mapping(instance.tasks.size(), 0);
     for (std::size_t j = 0; j < candidate; ++j) mapping[j] = instance.tasks[j].pinned_resource;
 
-    const PlanTask& task = instance.tasks[candidate];
-    std::vector<ResourceId> order(task.executable.begin(), task.executable.end());
-    std::sort(order.begin(), order.end(),
-              [&](ResourceId a, ResourceId b) { return task.epm[a] < task.epm[b]; });
+    const auto executable = instance.executable(candidate);
+    std::vector<ResourceId> order(executable.begin(), executable.end());
+    std::sort(order.begin(), order.end(), [&](ResourceId a, ResourceId b) {
+        return instance.epm(candidate)[a] < instance.epm(candidate)[b];
+    });
     for (const ResourceId i : order) {
         const ResourceId anchor = platform.resource(i).physical();
-        std::vector<ScheduleItem> items = instance.blocks[anchor];
+        std::vector<ScheduleItem> items = instance.blocks()[anchor];
         for (std::size_t j = 0; j < candidate; ++j)
             if (platform.resource(mapping[j]).physical() == anchor)
                 items.push_back(instance.item_for(j, mapping[j]));

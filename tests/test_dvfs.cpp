@@ -303,7 +303,7 @@ TEST(DvfsExact, ExactNeverCostsMoreThanHeuristic) {
         ASSERT_TRUE(exact.has_value());
         double heuristic_energy = 0.0;
         for (std::size_t j = 0; j < instance.tasks.size(); ++j)
-            heuristic_energy += instance.tasks[j].epm[(*heuristic)[j]];
+            heuristic_energy += instance.epm(j)[(*heuristic)[j]];
         EXPECT_LE(exact->energy, heuristic_energy + 1e-9);
     }
 }

@@ -159,11 +159,12 @@ TEST(PlanInstanceHealth, OfflineResourcesExcludedAndThrottleInflatesCpm) {
 
     const PlanInstance instance = PlanInstance::build(context, 0);
     ASSERT_EQ(instance.tasks.size(), 1u);
-    const PlanTask& task = instance.tasks[0];
-    EXPECT_EQ(task.executable, (std::vector<ResourceId>{0, 1}));
-    EXPECT_DOUBLE_EQ(task.cpm[0], 16.0); // 8 x factor 2
-    EXPECT_DOUBLE_EQ(task.cpm[1], 12.0);
-    EXPECT_FALSE(std::isfinite(task.cpm[2]));
+    const auto executable = instance.executable(0);
+    EXPECT_EQ(std::vector<ResourceId>(executable.begin(), executable.end()),
+              (std::vector<ResourceId>{0, 1}));
+    EXPECT_DOUBLE_EQ(instance.cpm(0)[0], 16.0); // 8 x factor 2
+    EXPECT_DOUBLE_EQ(instance.cpm(0)[1], 12.0);
+    EXPECT_FALSE(std::isfinite(instance.cpm(0)[2]));
 }
 
 // ---- the rescue protocol ----

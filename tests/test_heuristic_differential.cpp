@@ -81,34 +81,34 @@ std::optional<std::vector<ResourceId>> reference_map_tasks(const PlanInstance& i
     std::vector<ResourceId> phys(n);
     for (ResourceId i = 0; i < n; ++i) {
         phys[i] = platform.resource(i).physical();
-        assigned[i] = instance.blocks[i];
+        assigned[i] = instance.blocks()[i];
         std::sort(assigned[i].begin(), assigned[i].end(), demand_order);
-        capacity[i] = instance.window - instance.blocked_time[i];
+        capacity[i] = instance.window - instance.blocked_time()[i];
     }
 
     const bool use_masks = n <= 64;
     for (std::size_t j = 0; j < count; ++j) {
         const PlanTask& task = instance.tasks[j];
         double* row = f.data() + j * n;
-        for (const ResourceId i : task.executable) {
-            const double penalty = task.cpm[i] > task.time_left(instance.now) ? kBigM : 0.0;
-            const double base = options.desirability == Options::Desirability::energy
-                                    ? task.epm[i]
-                                    : task.epm[i] / task.cpm[i];
+        for (const ResourceId i : instance.executable(j)) {
+            const double cpm = instance.cpm(j)[i];
+            const double epm = instance.epm(j)[i];
+            const double penalty = cpm > task.time_left(instance.now) ? kBigM : 0.0;
+            const double base =
+                options.desirability == Options::Desirability::energy ? epm : epm / cpm;
             row[i] = base + penalty;
             if (use_masks) anchor_mask[j] |= std::uint64_t{1} << phys[i];
         }
     }
 
     auto refresh = [&](std::size_t j) {
-        const PlanTask& task = instance.tasks[j];
         const double* row = f.data() + j * n;
         const std::uint8_t* row_excluded = excluded.data() + j * n;
         double best = kInfinity;
         double second = kInfinity;
         std::size_t feasible = 0;
-        for (const ResourceId i : task.executable) {
-            if (row_excluded[i] || task.cpm[i] > capacity[phys[i]]) continue;
+        for (const ResourceId i : instance.executable(j)) {
+            if (row_excluded[i] || instance.cpm(j)[i] > capacity[phys[i]]) continue;
             ++feasible;
             if (row[i] < best) {
                 second = best;
@@ -159,7 +159,6 @@ std::optional<std::vector<ResourceId>> reference_map_tasks(const PlanInstance& i
         }
         if (infinite > 1) ++coverage.infinite_ties;
 
-        const PlanTask& task = instance.tasks[best_task];
         const double* row = f.data() + best_task * n;
         std::uint8_t* row_excluded = excluded.data() + best_task * n;
         bool placed = false;
@@ -167,8 +166,8 @@ std::optional<std::vector<ResourceId>> reference_map_tasks(const PlanInstance& i
         while (!placed) {
             double best = kInfinity;
             ResourceId target = n;
-            for (const ResourceId i : task.executable) {
-                if (row_excluded[i] || task.cpm[i] > capacity[phys[i]]) continue;
+            for (const ResourceId i : instance.executable(best_task)) {
+                if (row_excluded[i] || instance.cpm(best_task)[i] > capacity[phys[i]]) continue;
                 if (row[i] < best) {
                     best = row[i];
                     target = i;
@@ -183,7 +182,7 @@ std::optional<std::vector<ResourceId>> reference_map_tasks(const PlanInstance& i
                                          assigned[anchor])) {
                 mapping[best_task] = target;
                 mapped[best_task] = 1;
-                capacity[anchor] -= task.cpm[target];
+                capacity[anchor] -= instance.cpm(best_task)[target];
                 placed = true;
                 --unmapped;
                 for (std::size_t j = 0; j < count; ++j) {
@@ -476,7 +475,6 @@ TEST(HeuristicDifferential, RowFillMatchesDenseReference) {
         const std::size_t real = activation.active.size() + 1;
         ASSERT_EQ(instance.tasks.size(), real + activation.context.predicted.size());
         for (std::size_t j = 0; j < instance.tasks.size(); ++j) {
-            const PlanTask& row = instance.tasks[j];
             if (j < real) {
                 const ActiveTask& task =
                     j + 1 < real ? activation.active[j] : activation.context.candidate;
@@ -494,9 +492,18 @@ TEST(HeuristicDifferential, RowFillMatchesDenseReference) {
                                         activation.context.predicted[j - real], cpm, epm,
                                         executable);
             }
-            ASSERT_EQ(row.cpm, cpm) << "seed " << seed << " task " << j;
-            ASSERT_EQ(row.epm, epm) << "seed " << seed << " task " << j;
-            ASSERT_EQ(row.executable, executable) << "seed " << seed << " task " << j;
+            // Whole rows, every resource's cell included.
+            const auto row_cpm = instance.cpm(j);
+            const auto row_epm = instance.epm(j);
+            const auto row_executable = instance.executable(j);
+            ASSERT_EQ(instance.tasks[j].row, j) << "seed " << seed << " task " << j;
+            ASSERT_EQ(std::vector<double>(row_cpm.begin(), row_cpm.end()), cpm)
+                << "seed " << seed << " task " << j;
+            ASSERT_EQ(std::vector<double>(row_epm.begin(), row_epm.end()), epm)
+                << "seed " << seed << " task " << j;
+            ASSERT_EQ(std::vector<ResourceId>(row_executable.begin(), row_executable.end()),
+                      executable)
+                << "seed " << seed << " task " << j;
         }
     }
     EXPECT_GT(started, 0u);

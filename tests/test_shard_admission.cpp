@@ -33,12 +33,14 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/baseline_rm.hpp"
 #include "core/exact_rm.hpp"
 #include "core/heuristic_rm.hpp"
 #include "core/milp_rm.hpp"
+#include "core/reservation.hpp"
 #include "core/shard.hpp"
 #include "platform/health.hpp"
 #include "predict/online.hpp"
@@ -371,6 +373,55 @@ TEST(ShardDirected, SingleGroupPartitionFoldsToOneBucket) {
             sharded->set_shard_config({8});
             expect_same_decision(reference->decide(context), sharded->decide(context),
                                  sharded->name().c_str(), seed);
+        }
+    }
+}
+
+/// A bucket sub-instance is a view of the whole instance's row store: the
+/// tasks it copies keep their parent rows, so every cost cell, executable
+/// set, reservation block and blocked time it reads is the parent's, and a
+/// copy of the view reads the same store.
+TEST(ShardDirected, BucketViewReadsTheParentStore) {
+    const Platform platform = make_motivational_platform();
+    CatalogParams params;
+    params.type_count = 8;
+    Rng catalog_rng = Rng(3).derive(1);
+    const Catalog catalog = generate_catalog(platform, params, catalog_rng);
+    const ReservationTable reservations({CriticalTask{"ctrl", 0, 20.0, 0.0, 2.0, 1.0}});
+    std::vector<ActiveTask> active;
+    for (TaskUid uid = 0; uid < 4; ++uid) {
+        ActiveTask task = task_of(uid, uid, 0.0, 80.0 + 10.0 * static_cast<double>(uid));
+        task.resource = catalog.type(task.type).executable_resources().front();
+        active.push_back(task);
+    }
+    ArrivalContext context;
+    context.now = 5.0;
+    context.platform = &platform;
+    context.catalog = &catalog;
+    context.active = active;
+    context.candidate = task_of(100, 5, 5.0, 60.0);
+    context.predicted = {PredictedTask{6, 9.0, 50.0}};
+    context.reservations = &reservations;
+    const PlanInstance parent = PlanInstance::build(context, 1);
+    ASSERT_FALSE(parent.blocks()[0].empty());
+
+    const std::vector<std::size_t> picked = {1, 3, parent.tasks.size() - 1};
+    PlanInstance view;
+    view.view(parent);
+    for (const std::size_t j : picked) view.tasks.push_back(parent.tasks[j]);
+    const PlanInstance copy = view;
+    for (const PlanInstance* sub : {&std::as_const(view), &copy}) {
+        EXPECT_EQ(sub->window, parent.window);
+        ASSERT_EQ(sub->blocks().size(), platform.size());
+        for (ResourceId i = 0; i < platform.size(); ++i) {
+            EXPECT_EQ(sub->blocks()[i].size(), parent.blocks()[i].size());
+            EXPECT_EQ(sub->blocked_time()[i], parent.blocked_time()[i]);
+        }
+        for (std::size_t s = 0; s < picked.size(); ++s) {
+            EXPECT_EQ(sub->tasks[s].row, picked[s]);
+            EXPECT_TRUE(std::ranges::equal(sub->cpm(s), parent.cpm(picked[s])));
+            EXPECT_TRUE(std::ranges::equal(sub->epm(s), parent.epm(picked[s])));
+            EXPECT_TRUE(std::ranges::equal(sub->executable(s), parent.executable(picked[s])));
         }
     }
 }
