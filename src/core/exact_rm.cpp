@@ -139,10 +139,12 @@ struct Search {
         ++nodes;
 
         if (depth == order.size()) {
-            if (cost.less_than(best_cost)) {
-                best_cost = cost;
-                best = current;
-            }
+            // The bound let this leaf through only on a strict improvement
+            // (the suffix past the last depth is zero), so it is the new
+            // incumbent; a bound that admitted ties would trip this.
+            RMWP_ENSURE(cost.less_than(best_cost));
+            best_cost = cost;
+            best = current;
             return;
         }
         if (!can_improve(cost, min_cost_suffix[depth])) return; // bound

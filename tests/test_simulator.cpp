@@ -485,10 +485,12 @@ PinnedRun run_golden_cell(const GoldenWorld& world, const Trace& trace, Resource
 // oracle, noisy, online with lookahead 3} x faults {none, outages +
 // throttling}, plus a critical reservation and a Fig 5 overhead stall.  The
 // exact RM (the paper's optimal RM) runs per arrival x predictor {off,
-// oracle, noisy} x faults on the VT trace, and the same three predictors on
-// the LT trace of the same world.  Every deterministic result field and the
-// event stream are pinned exactly; a mismatch is a behaviour change of the
-// trace driver, the engine or a solver, to be explained, not re-recorded.
+// oracle, noisy} x faults on the VT trace.  Both RMs run the same three
+// predictors on the LT trace of the same world, so the matrix covers both
+// solvers on both deadline groups of E2-E7.  Every deterministic result
+// field and the event stream are pinned exactly; a mismatch is a behaviour
+// change of the trace driver, the engine or a solver, to be explained, not
+// re-recorded.
 TEST(GoldenTrace, DriverModesPinnedExactly) {
     const GoldenWorld world;
     ASSERT_FALSE(world.faults.empty());
@@ -510,18 +512,23 @@ TEST(GoldenTrace, DriverModesPinnedExactly) {
                                      GoldenPredictor::oracle, false, true, 0.0));
     actual.push_back(run_golden_cell(world, world.trace, heuristic, "stall/oracle", 0.0,
                                      GoldenPredictor::oracle, false, false, 1.5));
+    const GoldenPredictor paper_kinds[] = {GoldenPredictor::off, GoldenPredictor::oracle,
+                                           GoldenPredictor::noisy};
+    for (const GoldenPredictor kind : paper_kinds)
+        actual.push_back(run_golden_cell(
+            world, world.lt_trace, heuristic,
+            std::string("heuristic/LT/") + predictor_names[static_cast<int>(kind)], 0.0, kind,
+            false, false, 0.0));
 
     ExactRM exact;
-    const GoldenPredictor exact_kinds[] = {GoldenPredictor::off, GoldenPredictor::oracle,
-                                           GoldenPredictor::noisy};
-    for (const GoldenPredictor kind : exact_kinds)
+    for (const GoldenPredictor kind : paper_kinds)
         for (const bool faults : {false, true})
             actual.push_back(run_golden_cell(
                 world, world.trace, exact,
                 std::string("exact/VT/") + predictor_names[static_cast<int>(kind)] +
                     (faults ? "/faults" : ""),
                 0.0, kind, faults, false, 0.0));
-    for (const GoldenPredictor kind : exact_kinds)
+    for (const GoldenPredictor kind : paper_kinds)
         actual.push_back(run_golden_cell(
             world, world.lt_trace, exact,
             std::string("exact/LT/") + predictor_names[static_cast<int>(kind)], 0.0, kind, false,
@@ -549,6 +556,10 @@ TEST(GoldenTrace, DriverModesPinnedExactly) {
         {"period4/online/faults", 120, 107, 13, 106, 0, 0, 1, 22, 114, 103, 9, 13, 22, 1, 5, 406, 0x1.b54b72a301bcfp+8, 0x1.5e9d8869dfeefp+5, 0x0p+0, 0x1.0b44f920908ebp+8, 0x1.8987c21f5964bp+10, 0x88f788b0298dbc56ull},
         {"reserve/oracle", 120, 113, 7, 113, 0, 0, 0, 9, 120, 105, 0, 0, 0, 0, 0, 353, 0x1.b4f80180216f4p+8, 0x1.26541d57f8356p+4, 0x1.dap+6, 0x0p+0, 0x1.8987c21f5964bp+10, 0xe0d77ba8b7a2b4cull},
         {"stall/oracle", 120, 112, 8, 78, 0, 34, 0, 6, 120, 104, 0, 0, 0, 0, 0, 318, 0x1.41c48ae873881p+8, 0x1.5112d08ec797ap+3, 0x0p+0, 0x0p+0, 0x1.8987c21f5964bp+10, 0x2c277cfb02458153ull},
+        // Algorithm 1 on the loose deadline group.
+        {"heuristic/LT/off", 120, 119, 1, 119, 0, 0, 0, 4, 120, 0, 0, 0, 0, 0, 0, 359, 0x1.8c51f9b02d85fp+8, 0x1.bf23cdc2ed4a7p+2, 0x0p+0, 0x0p+0, 0x1.8987c21f5964bp+10, 0x979fa365b56fdc3dull},
+        {"heuristic/LT/oracle", 120, 120, 0, 120, 0, 0, 0, 10, 120, 119, 0, 0, 0, 0, 0, 360, 0x1.a679307fdac61p+8, 0x1.2b1596c948157p+4, 0x0p+0, 0x0p+0, 0x1.8987c21f5964bp+10, 0x1b49eec9de79174cull},
+        {"heuristic/LT/noisy", 120, 119, 1, 119, 0, 0, 0, 18, 120, 118, 0, 0, 0, 0, 0, 359, 0x1.ba61a820ffd19p+8, 0x1.32d951f824b76p+5, 0x0p+0, 0x0p+0, 0x1.8987c21f5964bp+10, 0x3523eeced14f327full},
         // clang-format on
         // The exact RM's rows were recorded before its cost table moved into
         // the plan instance's flat row store; they must hold across that.
