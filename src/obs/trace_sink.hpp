@@ -13,11 +13,11 @@
 // path, and the tail of a run — completions, rescues, final rebuilds — is
 // exactly what post-mortem debugging needs.
 //
-// Recording hooks compile to nothing when the build disables the
-// observability layer (-DRMWP_OBS=OFF): RMWP_TRACE expands to a no-op and
-// no tracer symbol is referenced from the simulator.  When compiled in but
-// no sink is attached (the default), each hook costs one null-pointer
-// branch.
+// The engine's recording hook (RMWP_RECORD, src/sim/engine.cpp) compiles
+// to nothing when the build disables the observability layer
+// (-DRMWP_OBS=OFF), so no tracer symbol is referenced from the simulator.
+// When compiled in but no sink is attached (the default), each hook costs
+// one null-pointer branch.
 #pragma once
 
 #include <chrono>
@@ -82,16 +82,3 @@ private:
 };
 
 } // namespace rmwp::obs
-
-/// Record an event through a nullable sink pointer.  Compiled out entirely
-/// (arguments unevaluated) when the observability layer is disabled.
-#ifdef RMWP_OBS
-#define RMWP_TRACE(sink, ...)                          \
-    do {                                               \
-        if ((sink) != nullptr) (sink)->emit(__VA_ARGS__); \
-    } while (false)
-#else
-#define RMWP_TRACE(sink, ...) \
-    do {                      \
-    } while (false)
-#endif

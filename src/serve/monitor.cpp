@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -10,25 +9,9 @@
 
 namespace rmwp {
 
-void LatencyHdr::record(double microseconds) noexcept {
-    // NaN and negatives clamp to zero; the *1000 ns conversion keeps
-    // sub-microsecond latencies distinguishable in the HDR linear range.
-    // Clamp to the trackable ceiling BEFORE llround: llround on a value
-    // outside long long's range is UB, and +inf must land in the top
-    // bucket rather than poison sum_ with an arbitrary cast result.
-    const double us = microseconds > 0.0 ? microseconds : 0.0;
-    constexpr double kCapNs = static_cast<double>(obs::hdr_detail::kMaxTrackable);
-    const double ns = us * 1000.0; // NaN already excluded by the clamp above
-    hdr_.record(ns >= kCapNs ? obs::hdr_detail::kMaxTrackable
-                             : static_cast<std::uint64_t>(std::llround(ns)));
+double latency_quantile_us(const obs::AtomicHdrHistogram& latency, double q) noexcept {
+    return static_cast<double>(latency.quantile(q)) / kLatencyTicksPerUs;
 }
-
-double LatencyHdr::quantile_us(double q) const noexcept {
-    if (hdr_.count() == 0) return 0.0;
-    return static_cast<double>(hdr_.quantile(q)) / 1000.0;
-}
-
-std::uint64_t LatencyHdr::count() const noexcept { return hdr_.count(); }
 
 std::uint64_t read_rss_kb() {
     std::ifstream status("/proc/self/status");
@@ -57,7 +40,7 @@ BoardSample sample_board(const HealthBoard& board) {
     sample.active = board.active.load(std::memory_order_relaxed);
     sample.ring_occupancy = board.ring_occupancy.load(std::memory_order_relaxed);
     sample.sim_clock = board.sim_clock.load(std::memory_order_relaxed);
-    sample.latency_p99_us = board.latency.quantile_us(0.99);
+    sample.latency_p99_us = latency_quantile_us(board.latency, 0.99);
     sample.latency_count = board.latency.count();
     sample.rss_kb = read_rss_kb();
     return sample;

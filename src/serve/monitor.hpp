@@ -35,24 +35,16 @@
 
 namespace rmwp {
 
-/// Lock-free HDR latency histogram (microseconds in, nanosecond ticks
-/// stored).  record() is three relaxed fetch_adds; quantiles are exact to
-/// the HDR bucket resolution (~3% relative error), a large upgrade over the
-/// previous within-2x log2 buckets and good enough to expose p50/p90/p99/
-/// p99.9 on /metrics directly.
-class LatencyHdr {
-public:
-    void record(double microseconds) noexcept;
-    /// Upper bound of the HDR bucket holding quantile `q` in [0, 1]; 0 when
-    /// empty.
-    [[nodiscard]] double quantile_us(double q) const noexcept;
-    [[nodiscard]] std::uint64_t count() const noexcept;
-    /// Consistent-enough copy for rendering (nanosecond ticks).
-    [[nodiscard]] obs::HdrHistogram snapshot() const { return hdr_.snapshot(); }
+/// HealthBoard::latency ticks (nanoseconds) per reported microsecond.
+inline constexpr double kLatencyTicksPerUs = 1000.0;
 
-private:
-    obs::AtomicHdrHistogram hdr_;
-};
+/// Quantile `q` of a nanosecond-tick latency histogram, in microseconds:
+/// the upper bound of the HDR bucket holding it (~3 % relative error), 0
+/// when empty.  The one reading of HealthBoard::latency for ServeResult,
+/// the window line and sample_board; `/metrics` renders the same ticks
+/// with kLatencyTicksPerUs.
+[[nodiscard]] double latency_quantile_us(const obs::AtomicHdrHistogram& latency,
+                                         double q) noexcept;
 
 /// Shared between the serve loop (writer) and the monitor thread (reader).
 struct HealthBoard {
@@ -70,7 +62,8 @@ struct HealthBoard {
     std::atomic<std::uint64_t> predictor_predictions{0}; ///< resolved predictions
     std::atomic<std::uint64_t> predictor_hits{0};        ///< ... that were correct
     std::atomic<double> sim_clock{0.0};
-    LatencyHdr latency; ///< wall-clock per-arrival service latency
+    /// Wall-clock service latency per backlog flush, in nanosecond ticks.
+    obs::AtomicHdrHistogram latency;
 };
 
 /// One consistent-enough read of the board (fields are sampled

@@ -367,7 +367,7 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
             // HDR (nanosecond ticks, rendered in microseconds).
             text.summary("rmwp_serve_latency_us",
                          "wall-clock service latency per backlog flush (microseconds)",
-                         board.latency.snapshot(), 1000.0);
+                         board.latency.snapshot(), kLatencyTicksPerUs);
 
             gauge("rmwp_serve_healthy",
                   "1 while no invariant violation has been latched",
@@ -408,7 +408,7 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
                 window_out << line;
             }
             std::snprintf(line, sizeof line, " p99=%.0fus",
-                          board.latency.quantile_us(0.99));
+                          latency_quantile_us(board.latency, 0.99));
             window_out << line;
             const std::size_t predictions =
                 online != nullptr ? online->type_predictions() : 0;
@@ -460,8 +460,8 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
         engine.stream_arrival_batch(group, wake);
         // RMWP_LINT_ALLOW(R1): host-scope admission-latency metric; never feeds sim state
         const auto ended = std::chrono::steady_clock::now();
-        board.latency.record(
-            std::chrono::duration<double, std::micro>(ended - begun).count());
+        board.latency.record(static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(ended - begun).count()));
         publish_engine_state();
         emit_windows();
     };
@@ -607,10 +607,10 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
     out.wall_seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                                      wall_begin)
                            .count();
-    out.latency_p50_us = board.latency.quantile_us(0.50);
-    out.latency_p90_us = board.latency.quantile_us(0.90);
-    out.latency_p99_us = board.latency.quantile_us(0.99);
-    out.latency_p999_us = board.latency.quantile_us(0.999);
+    out.latency_p50_us = latency_quantile_us(board.latency, 0.50);
+    out.latency_p90_us = latency_quantile_us(board.latency, 0.90);
+    out.latency_p99_us = latency_quantile_us(board.latency, 0.99);
+    out.latency_p999_us = latency_quantile_us(board.latency, 0.999);
     if (config.sim.sink != nullptr) {
         out.ring_occupancy = config.sim.sink->occupancy();
         out.ring_dropped = config.sim.sink->dropped();

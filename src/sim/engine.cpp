@@ -8,6 +8,7 @@
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "obs/stage_timer.hpp"
 #include "obs/trace_sink.hpp"
@@ -28,6 +29,59 @@ constexpr const char* kCheckpointContext = "engine checkpoint";
 
 } // namespace
 
+// The engine's one recording path: RMWP_RECORD emits an event and updates
+// the metric it maps to (SimEngine::record).  Compiled out entirely,
+// arguments unevaluated, when observability is disabled.
+#ifdef RMWP_OBS
+namespace {
+
+/// The counted event kinds and their counter names, in registration
+/// order.  `reject` registers one counter per RejectReason ("reject.<r>");
+/// `exec` feeds the busy_time.<resource> gauges instead.
+constexpr std::pair<obs::EventKind, const char*> kEventCounters[] = {
+    {obs::EventKind::admit, "admit"},
+    {obs::EventKind::reject, "reject."},
+    {obs::EventKind::preempt, "preempt"},
+    {obs::EventKind::migrate, "migrate"},
+    {obs::EventKind::complete, "complete"},
+    {obs::EventKind::abort_overhead, "abort_overhead"},
+    {obs::EventKind::plan_rebuild, "plan_rebuild"},
+    {obs::EventKind::rescue_begin, "rescue.activation"},
+    {obs::EventKind::rescue_keep, "rescue.keep"},
+    {obs::EventKind::rescue_abort, "rescue.abort"},
+    {obs::EventKind::fault_onset, "fault.onset"},
+    {obs::EventKind::fault_recovery, "fault.recovery"},
+};
+
+/// The resource the decision maps `uid` to (kNoResource if none).
+std::int64_t mapped_resource(const Decision& decision, TaskUid uid) {
+    std::int64_t mapped = obs::kNoResource;
+    for (const TaskAssignment& assignment : decision.assignments)
+        if (assignment.uid == uid) mapped = static_cast<std::int64_t>(assignment.resource);
+    return mapped;
+}
+
+} // namespace
+
+#define RMWP_RECORD(...)                                   \
+    do {                                                   \
+        if (options_.sink != nullptr) record(__VA_ARGS__); \
+    } while (false)
+
+void SimEngine::record(Time t, obs::EventKind kind, std::uint64_t task, std::int64_t resource,
+                       double detail, std::uint32_t aux) {
+    options_.sink->emit(t, kind, task, resource, detail, aux);
+    if (kind == obs::EventKind::reject) ins_.reject[aux]->add();
+    else if (kind == obs::EventKind::exec)
+        ins_.busy_time[static_cast<std::size_t>(resource)]->add(detail);
+    else if (obs::Counter* counter = ins_.count[static_cast<std::size_t>(kind)]) counter->add();
+}
+#else
+#define RMWP_RECORD(...) \
+    do {                 \
+    } while (false)
+#endif
+
 SimEngine::SimEngine(const Platform& platform, const Catalog& catalog, ResourceManager& rm,
                      Predictor& predictor, const ReservationTable* reservations,
                      const SimOptions& options)
@@ -42,20 +96,15 @@ SimEngine::SimEngine(const Platform& platform, const Catalog& catalog, ResourceM
 #ifdef RMWP_OBS
     if (options_.sink == nullptr) return;
     obs::MetricsRegistry& m = options_.sink->metrics();
-    ins_.admit = &m.counter("admit");
-    for (std::size_t r = 0; r < kRejectReasonCount; ++r)
-        ins_.reject[r] =
-            &m.counter(std::string("reject.") + to_string(static_cast<RejectReason>(r)));
-    ins_.preempt = &m.counter("preempt");
-    ins_.migrate = &m.counter("migrate");
-    ins_.complete = &m.counter("complete");
-    ins_.abort_overhead = &m.counter("abort_overhead");
-    ins_.plan_rebuild = &m.counter("plan_rebuild");
-    ins_.rescue_activation = &m.counter("rescue.activation");
-    ins_.rescue_keep = &m.counter("rescue.keep");
-    ins_.rescue_abort = &m.counter("rescue.abort");
-    ins_.fault_onset = &m.counter("fault.onset");
-    ins_.fault_recovery = &m.counter("fault.recovery");
+    for (const auto& [kind, name] : kEventCounters) {
+        if (kind != obs::EventKind::reject) {
+            ins_.count[static_cast<std::size_t>(kind)] = &m.counter(name);
+            continue;
+        }
+        for (std::size_t r = 0; r < kRejectReasonCount; ++r)
+            ins_.reject[r] =
+                &m.counter(name + std::string(to_string(static_cast<RejectReason>(r))));
+    }
     // Sink self-accounting: how much of the event stream survived the
     // ring.  Filled in once at the end of the run — the values are
     // functions of the (deterministic) event count and the configured
@@ -86,8 +135,8 @@ Time SimEngine::stream_arrival_batch(std::span<const StreamArrival> arrivals, Ti
         // Events before the member's arrival happen first, so its arrival
         // event takes its place in time order even when the wake is later.
         drain_until(arrival.request.arrival);
-        RMWP_TRACE(options_.sink, arrival.request.arrival, obs::EventKind::arrival, arrival.uid,
-                   obs::kNoResource, arrival.request.absolute_deadline());
+        RMWP_RECORD(arrival.request.arrival, obs::EventKind::arrival, arrival.uid,
+                    obs::kNoResource, arrival.request.absolute_deadline());
         ++result_.requests;
         result_.reference_energy += catalog_.type(arrival.request.type).mean_energy();
         BatchEntry entry;
@@ -108,12 +157,8 @@ void SimEngine::stream_shed(const Request& request, [[maybe_unused]] TaskUid uid
     ++result_.requests;
     result_.reference_energy += catalog_.type(request.type).mean_energy();
     ++result_.rejected;
-    RMWP_TRACE(options_.sink, request.arrival, obs::EventKind::reject, uid, obs::kNoResource,
-               0.0, static_cast<std::uint32_t>(RejectReason::overload));
-#ifdef RMWP_OBS
-    if (options_.sink != nullptr)
-        ins_.reject[static_cast<std::size_t>(RejectReason::overload)]->add();
-#endif
+    RMWP_RECORD(request.arrival, obs::EventKind::reject, uid, obs::kNoResource, 0.0,
+                static_cast<std::uint32_t>(RejectReason::overload));
 }
 
 void SimEngine::drain_until(Time t) {
@@ -225,11 +270,8 @@ void SimEngine::advance(Time to) {
             // One exec slice per executed span; repeated advances over
             // one segment yield adjacent slices, never overlaps, so the
             // per-resource busy time is the plain sum of slice durations.
-            RMWP_TRACE(options_.sink, begin, obs::EventKind::exec, segment.uid,
-                       static_cast<std::int64_t>(i), duration);
-#ifdef RMWP_OBS
-            if (options_.sink != nullptr) ins_.busy_time[i]->add(duration);
-#endif
+            RMWP_RECORD(begin, obs::EventKind::exec, segment.uid, static_cast<std::int64_t>(i),
+                        duration);
 
             const double overhead = std::min(task->pending_overhead, duration);
             task->pending_overhead -= overhead;
@@ -275,11 +317,8 @@ void SimEngine::advance(Time to) {
                 if (schedule_.completion_of(task->uid).value_or(executed_until) >
                     executed_until)
                     plan_stale_ = true;
-                RMWP_TRACE(options_.sink, completed_at, obs::EventKind::complete, segment.uid,
-                           static_cast<std::int64_t>(i));
-#ifdef RMWP_OBS
-                if (options_.sink != nullptr) ins_.complete->add();
-#endif
+                RMWP_RECORD(completed_at, obs::EventKind::complete, segment.uid,
+                            static_cast<std::int64_t>(i));
                 if (completed_at > task->absolute_deadline + kTimeEps) {
                     ++result_.deadline_misses;
                     if (options_.validate) RMWP_ENSURE(false); // firm guarantee violated
@@ -288,11 +327,8 @@ void SimEngine::advance(Time to) {
                        task->remaining_fraction > kFractionEps) {
                 // The planned slice closed with work left: the task is
                 // preempted here and resumes in a later slice.
-                RMWP_TRACE(options_.sink, segment.end, obs::EventKind::preempt, segment.uid,
-                           static_cast<std::int64_t>(i));
-#ifdef RMWP_OBS
-                if (options_.sink != nullptr) ins_.preempt->add();
-#endif
+                RMWP_RECORD(segment.end, obs::EventKind::preempt, segment.uid,
+                            static_cast<std::int64_t>(i));
             }
         }
     }
@@ -334,12 +370,8 @@ Time SimEngine::wake_up(Time wake) {
 
 void SimEngine::reject_doomed([[maybe_unused]] TaskUid uid, [[maybe_unused]] Time decision_time) {
     ++result_.rejected;
-    RMWP_TRACE(options_.sink, decision_time, obs::EventKind::reject, uid, obs::kNoResource, 0.0,
-               static_cast<std::uint32_t>(RejectReason::deadline_passed));
-#ifdef RMWP_OBS
-    if (options_.sink != nullptr)
-        ins_.reject[static_cast<std::size_t>(RejectReason::deadline_passed)]->add();
-#endif
+    RMWP_RECORD(decision_time, obs::EventKind::reject, uid, obs::kNoResource, 0.0,
+                static_cast<std::uint32_t>(RejectReason::deadline_passed));
 }
 
 /// Everything downstream of the RM verdict — the audit, the observability
@@ -375,26 +407,14 @@ void SimEngine::commit_decision(const ArrivalContext& context, const Decision& d
     if (decision.admitted) {
         ++result_.accepted;
         if (decision.used_prediction) ++result_.plans_with_prediction;
-#ifdef RMWP_OBS
-        if (options_.sink != nullptr) {
-            std::int64_t mapped = obs::kNoResource;
-            for (const TaskAssignment& assignment : decision.assignments)
-                if (assignment.uid == candidate.uid)
-                    mapped = static_cast<std::int64_t>(assignment.resource);
-            options_.sink->emit(decision_time, obs::EventKind::admit, candidate.uid, mapped,
-                                0.0, decision.used_prediction ? 1u : 0u);
-            ins_.admit->add();
-        }
-#endif
+        RMWP_RECORD(decision_time, obs::EventKind::admit, candidate.uid,
+                    mapped_resource(decision, candidate.uid), 0.0,
+                    decision.used_prediction ? 1u : 0u);
         apply(decision, candidate, decision_time);
     } else {
         ++result_.rejected;
-        RMWP_TRACE(options_.sink, decision_time, obs::EventKind::reject, candidate.uid,
-                   obs::kNoResource, 0.0, static_cast<std::uint32_t>(decision.reason));
-#ifdef RMWP_OBS
-        if (options_.sink != nullptr)
-            ins_.reject[static_cast<std::size_t>(decision.reason)]->add();
-#endif
+        RMWP_RECORD(decision_time, obs::EventKind::reject, candidate.uid, obs::kNoResource, 0.0,
+                    static_cast<std::uint32_t>(decision.reason));
     }
 }
 
@@ -500,20 +520,14 @@ void SimEngine::handle_fault(Time event_time, bool onset, std::size_t fault_inde
     if (onset) {
         if (fault.takes_offline()) ++result_.resource_outages;
         else ++result_.throttle_events;
-        RMWP_TRACE(options_.sink, now, obs::EventKind::fault_onset, obs::kNoTask,
-                   static_cast<std::int64_t>(fault.resource), fault.factor,
-                   static_cast<std::uint32_t>(fault.kind));
-#ifdef RMWP_OBS
-        if (options_.sink != nullptr) ins_.fault_onset->add();
-#endif
+        RMWP_RECORD(now, obs::EventKind::fault_onset, obs::kNoTask,
+                    static_cast<std::int64_t>(fault.resource), fault.factor,
+                    static_cast<std::uint32_t>(fault.kind));
         rescue_activation(now);
     } else {
-        RMWP_TRACE(options_.sink, now, obs::EventKind::fault_recovery, obs::kNoTask,
-                   static_cast<std::int64_t>(fault.resource), 1.0,
-                   static_cast<std::uint32_t>(fault.kind));
-#ifdef RMWP_OBS
-        if (options_.sink != nullptr) ins_.fault_recovery->add();
-#endif
+        RMWP_RECORD(now, obs::EventKind::fault_recovery, obs::kNoTask,
+                    static_cast<std::int64_t>(fault.resource), 1.0,
+                    static_cast<std::uint32_t>(fault.kind));
         // Capacity restored (or a throttle relaxed): the current set is
         // still feasible, so only the schedule needs refreshing.
         rebuild(now);
@@ -522,11 +536,8 @@ void SimEngine::handle_fault(Time event_time, bool onset, std::size_t fault_inde
 
 void SimEngine::rescue_activation(Time now) {
     ++result_.rescue_activations;
-    RMWP_TRACE(options_.sink, now, obs::EventKind::rescue_begin, obs::kNoTask, obs::kNoResource,
-               static_cast<double>(active_.size()));
-#ifdef RMWP_OBS
-    if (options_.sink != nullptr) ins_.rescue_activation->add();
-#endif
+    RMWP_RECORD(now, obs::EventKind::rescue_begin, obs::kNoTask, obs::kNoResource,
+                static_cast<double>(active_.size()));
 
     // Interrupt displaced tasks (their resource went offline).  On a
     // preemptable resource the saved context survives the fault and the
@@ -575,10 +586,7 @@ void SimEngine::rescue_activation(Time now) {
         RMWP_ENSURE(active_.size() + 1 == before);
         actual_work_.erase(uid);
         ++result_.fault_aborted;
-        RMWP_TRACE(options_.sink, now, obs::EventKind::rescue_abort, uid);
-#ifdef RMWP_OBS
-        if (options_.sink != nullptr) ins_.rescue_abort->add();
-#endif
+        RMWP_RECORD(now, obs::EventKind::rescue_abort, uid);
     }
 
     const auto was_displaced = [&](TaskUid uid) {
@@ -591,12 +599,9 @@ void SimEngine::rescue_activation(Time now) {
         if (assignment.resource != task->resource && relocate(*task, assignment.resource, now))
             ++result_.rescue_migrations;
         if (was_displaced(assignment.uid)) ++result_.rescued;
-        RMWP_TRACE(options_.sink, now, obs::EventKind::rescue_keep, assignment.uid,
-                   static_cast<std::int64_t>(assignment.resource), 0.0,
-                   was_displaced(assignment.uid) ? 1u : 0u);
-#ifdef RMWP_OBS
-        if (options_.sink != nullptr) ins_.rescue_keep->add();
-#endif
+        RMWP_RECORD(now, obs::EventKind::rescue_keep, assignment.uid,
+                    static_cast<std::int64_t>(assignment.resource), 0.0,
+                    was_displaced(assignment.uid) ? 1u : 0u);
     }
 
     rebuild(now);
@@ -644,12 +649,9 @@ bool SimEngine::relocate(ActiveTask& task, ResourceId to, [[maybe_unused]] Time 
             charge_energy(energy);
             result_.migration_energy += energy;
             ++result_.migrations;
-            RMWP_TRACE(options_.sink, now, obs::EventKind::migrate, task.uid,
-                       static_cast<std::int64_t>(task.resource), energy,
-                       static_cast<std::uint32_t>(to));
-#ifdef RMWP_OBS
-            if (options_.sink != nullptr) ins_.migrate->add();
-#endif
+            RMWP_RECORD(now, obs::EventKind::migrate, task.uid,
+                        static_cast<std::int64_t>(task.resource), energy,
+                        static_cast<std::uint32_t>(to));
         }
     }
     task.resource = to;
@@ -703,16 +705,11 @@ void SimEngine::abort_doomed(Time now) {
             }
             RMWP_ENSURE(active_.size() < before);
         }
-        for (const TaskUid uid : doomed) actual_work_.erase(uid);
-        result_.aborted += before - active_.size();
-#ifdef RMWP_OBS
-        if (options_.sink != nullptr) {
-            for (const TaskUid uid : doomed) {
-                options_.sink->emit(now, obs::EventKind::abort_overhead, uid);
-                ins_.abort_overhead->add();
-            }
+        for (const TaskUid uid : doomed) {
+            actual_work_.erase(uid);
+            RMWP_RECORD(now, obs::EventKind::abort_overhead, uid);
         }
-#endif
+        result_.aborted += before - active_.size();
     }
 }
 
@@ -740,11 +737,8 @@ Time SimEngine::actual_completion(const ActiveTask& task, Time planned) const {
 
 void SimEngine::rebuild(Time now) {
     RMWP_STAGE_SCOPE(obs::Stage::rebuild);
-    RMWP_TRACE(options_.sink, now, obs::EventKind::plan_rebuild, obs::kNoTask, obs::kNoResource,
-               static_cast<double>(active_.size()));
-#ifdef RMWP_OBS
-    if (options_.sink != nullptr) ins_.plan_rebuild->add();
-#endif
+    RMWP_RECORD(now, obs::EventKind::plan_rebuild, obs::kNoTask, obs::kNoResource,
+                static_cast<double>(active_.size()));
     plan_current(now);
 #ifdef RMWP_AUDIT
     if (options_.audit) run_audit(audit_schedule());

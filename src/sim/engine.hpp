@@ -31,6 +31,7 @@
 #include "core/reservation.hpp"
 #include "fault/fault.hpp"
 #include "metrics/trace_result.hpp"
+#include "obs/event.hpp"
 #include "predict/predictor.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
@@ -133,30 +134,31 @@ public:
 
 private:
 #ifdef RMWP_OBS
-    /// Cached instrument handles (DESIGN.md §10).  Registered once per run,
-    /// in a fixed order, so hot-path sites update through pointers instead
-    /// of name lookups and the snapshot layout never depends on which
-    /// events the run happens to hit.
+    /// The event -> metric table (DESIGN.md §10), registered once when the
+    /// sink is attached and in a fixed order, so the snapshot layout never
+    /// depends on which events the run happens to hit.
     struct Instruments {
-        obs::Counter* admit = nullptr;
+        /// Counter of each event kind; null for kinds counted below or not
+        /// at all.
+        std::array<obs::Counter*, obs::kEventKindCount> count{};
+        /// `reject`: one counter per RejectReason (the event's aux).
         std::array<obs::Counter*, kRejectReasonCount> reject{};
-        obs::Counter* preempt = nullptr;
-        obs::Counter* migrate = nullptr;
-        obs::Counter* complete = nullptr;
-        obs::Counter* abort_overhead = nullptr;
-        obs::Counter* plan_rebuild = nullptr;
-        obs::Counter* rescue_activation = nullptr;
-        obs::Counter* rescue_keep = nullptr;
-        obs::Counter* rescue_abort = nullptr;
-        obs::Counter* fault_onset = nullptr;
-        obs::Counter* fault_recovery = nullptr;
+        /// `exec`: the slice duration (detail), summed per resource.
+        std::vector<obs::Gauge*> busy_time;
+        // What no event carries: sink self-accounting and the histograms.
         obs::Counter* sink_events_total = nullptr;
         obs::Counter* sink_dropped = nullptr;
         obs::Gauge* sink_ring_occupancy = nullptr;
-        std::vector<obs::Gauge*> busy_time; ///< indexed by ResourceId
         obs::HdrHistogram* plan_size = nullptr;
         obs::HdrHistogram* admission_latency_ns = nullptr;
     };
+
+    /// Emit one event to the attached sink and update the metric the table
+    /// maps it to.  Called through RMWP_RECORD, which skips it (arguments
+    /// unevaluated) when no sink is attached.
+    void record(Time t, obs::EventKind kind, std::uint64_t task = obs::kNoTask,
+                std::int64_t resource = obs::kNoResource, double detail = 0.0,
+                std::uint32_t aux = 0);
 #endif
 
     [[nodiscard]] ActiveTask* find_task(TaskUid uid);

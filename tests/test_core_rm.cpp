@@ -185,6 +185,34 @@ TEST(HeuristicRM, AssignmentsCoverActiveSetPlusCandidate) {
     EXPECT_TRUE(schedule.feasible);
 }
 
+TEST(HeuristicRM, RegretTieGoesToTheFirstTaskInInstanceOrder) {
+    // Lines 8-23 pick the maximum regret, the first task on ties.  Two
+    // identical tau_1 instances tie at regret 7.3 - 2.0 (CPU2 misses the
+    // deadline).  The GPU fits only one of them before the shared deadline,
+    // so the first in instance order (the active set, then the candidate)
+    // takes it and the other falls back to CPU1.  Both mappings cost the
+    // same energy: only the tie rule tells them apart.
+    const Platform platform = make_motivational_platform();
+    const Catalog catalog = table1_catalog();
+    std::vector<ActiveTask> active{task_of(0, 0, 0.0, 8.0)};
+    active[0].resource = 0;
+    ArrivalContext context;
+    context.now = 0.0;
+    context.platform = &platform;
+    context.catalog = &catalog;
+    context.active = active;
+    context.candidate = task_of(1, 0, 0.0, 8.0);
+
+    HeuristicRM rm;
+    const Decision decision = rm.decide(context);
+    ASSERT_TRUE(decision.admitted);
+    ASSERT_EQ(decision.assignments.size(), 2u);
+    EXPECT_EQ(decision.assignments[0].uid, 0u);
+    EXPECT_EQ(decision.assignments[0].resource, 2u); // first of the tie: GPU
+    EXPECT_EQ(decision.assignments[1].uid, 1u);
+    EXPECT_EQ(decision.assignments[1].resource, 0u); // CPU1
+}
+
 TEST(ExactRM, MatchesPaperObjectiveOnTable1) {
     const Platform platform = make_motivational_platform();
     const Catalog catalog = table1_catalog();

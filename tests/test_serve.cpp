@@ -486,23 +486,23 @@ TEST(Monitor, CheckInvariantsCatchesEachViolationClass) {
 }
 
 TEST(Monitor, LatencyHdrQuantiles) {
-    LatencyHdr latency;
-    for (int k = 0; k < 99; ++k) latency.record(10.0);
-    latency.record(100000.0);
+    obs::AtomicHdrHistogram latency; // nanosecond ticks, as HealthBoard::latency
+    for (int k = 0; k < 99; ++k) latency.record(10'000);
+    latency.record(100'000'000);
     EXPECT_EQ(latency.count(), 100u);
     // HDR buckets: answers are upper bucket bounds within ~3.1 % of the
-    // truth (a large upgrade over the old within-2x log2 buckets); the
-    // outlier only surfaces at q = 1.
-    EXPECT_GE(latency.quantile_us(0.5), 10.0);
-    EXPECT_LE(latency.quantile_us(0.5), 10.4);
-    EXPECT_LE(latency.quantile_us(0.99), 10.4);
-    EXPECT_GE(latency.quantile_us(1.0), 100000.0);
-    EXPECT_LE(latency.quantile_us(1.0), 103200.0);
+    // truth; the outlier only surfaces at q = 1.
+    EXPECT_GE(latency_quantile_us(latency, 0.5), 10.0);
+    EXPECT_LE(latency_quantile_us(latency, 0.5), 10.4);
+    EXPECT_LE(latency_quantile_us(latency, 0.99), 10.4);
+    EXPECT_GE(latency_quantile_us(latency, 1.0), 100000.0);
+    EXPECT_LE(latency_quantile_us(latency, 1.0), 103200.0);
     // Sub-microsecond samples stay distinguishable (nanosecond ticks).
-    LatencyHdr fine;
-    fine.record(0.05); // 50 ns
-    EXPECT_GE(fine.quantile_us(1.0), 0.05);
-    EXPECT_LE(fine.quantile_us(1.0), 0.06);
+    obs::AtomicHdrHistogram fine;
+    fine.record(50);
+    EXPECT_GE(latency_quantile_us(fine, 1.0), 0.05);
+    EXPECT_LE(latency_quantile_us(fine, 1.0), 0.06);
+    EXPECT_EQ(latency_quantile_us(obs::AtomicHdrHistogram{}, 0.5), 0.0);
 }
 
 TEST(Serve, MonitorCatchesInjectedViolation) {
