@@ -9,18 +9,6 @@ using hdr_detail::bucket_index;
 using hdr_detail::bucket_upper;
 using hdr_detail::kBucketCount;
 
-namespace {
-
-/// Rank of the sample a quantile selects: ceil(q * count), at least 1.
-[[nodiscard]] std::uint64_t quantile_rank(double q, std::uint64_t count) noexcept {
-    if (q < 0.0) q = 0.0;
-    if (q > 1.0) q = 1.0;
-    const auto rank = static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(count)));
-    return rank == 0 ? 1 : rank;
-}
-
-} // namespace
-
 void HdrHistogram::record(std::uint64_t value) noexcept { record_n(value, 1); }
 
 void HdrHistogram::record_n(std::uint64_t value, std::uint64_t times) noexcept {
@@ -34,7 +22,10 @@ void HdrHistogram::record_n(std::uint64_t value, std::uint64_t times) noexcept {
 
 std::uint64_t HdrHistogram::quantile(double q) const noexcept {
     if (count_ == 0) return 0;
-    const std::uint64_t rank = quantile_rank(q, count_);
+    // Rank of the sample the quantile selects: ceil(q * count), at least 1.
+    const auto ceil_rank = static_cast<std::uint64_t>(
+        std::ceil(std::clamp(q, 0.0, 1.0) * static_cast<double>(count_)));
+    const std::uint64_t rank = std::max<std::uint64_t>(ceil_rank, 1);
     std::uint64_t seen = 0;
     for (std::size_t i = 0; i < kBucketCount; ++i) {
         seen += counts_[i];
@@ -78,40 +69,6 @@ void HdrHistogram::load(const std::vector<HdrCell>& cells, std::uint64_t sum,
     sum_ = sum;
     min_ = count_ == 0 ? ~0ull : min;
     max_ = max;
-}
-
-std::uint64_t AtomicHdrHistogram::quantile(double q) const noexcept {
-    const std::uint64_t total = count();
-    if (total == 0) return 0;
-    const std::uint64_t rank = quantile_rank(q, total);
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < kBucketCount; ++i) {
-        seen += counts_[i].load(std::memory_order_relaxed);
-        if (seen >= rank) return bucket_upper(i);
-    }
-    return bucket_upper(kBucketCount - 1);
-}
-
-HdrHistogram AtomicHdrHistogram::snapshot() const {
-    std::vector<HdrCell> cells;
-    std::size_t lo = kBucketCount;
-    std::size_t hi = 0;
-    for (std::size_t i = 0; i < kBucketCount; ++i) {
-        const std::uint64_t n = counts_[i].load(std::memory_order_relaxed);
-        if (n == 0) continue;
-        cells.push_back({static_cast<std::uint32_t>(i), n});
-        if (lo == kBucketCount) lo = i;
-        hi = i;
-    }
-    HdrHistogram out;
-    if (cells.empty()) return out;
-    // Carry the exact atomic sum into the snapshot instead of re-deriving it
-    // from bucket upper bounds (which would bias it up to ~3 % high and make
-    // snapshot().sum() drift from the live sum()).  Extrema stay at bucket
-    // resolution: the atomic variant deliberately tracks none.
-    out.load(cells, sum_.load(std::memory_order_relaxed), bucket_upper(lo),
-             bucket_upper(hi));
-    return out;
 }
 
 } // namespace rmwp::obs

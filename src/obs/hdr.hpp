@@ -5,21 +5,18 @@
 // into 2^kSubBits sub-buckets, so the bucket width is always <= value /
 // 2^kSubBits and every quantile is exact to within ~3.1 % relative error —
 // at a fixed memory footprint (one u64 per bucket, no per-sample storage).
-// This replaces the coarse log2 LatencyBuckets quantiles in serve's window
-// stats and backs the `/metrics` latency summaries (DESIGN.md §14).
+// It is the repository's one histogram type: the engine's registry metrics,
+// serve's latency and the `/metrics` summaries all use it (DESIGN.md §14).
 //
-// Two variants share the same constexpr bucket geometry:
-//  - HdrHistogram: single-threaded, mergeable, value-semantic.  Safe for
-//    sim-scope metrics: identical sample multisets give identical state, so
-//    obs::deterministic_equal can compare them bit-for-bit.
-//  - AtomicHdrHistogram: relaxed-atomic recording for cross-thread boards
-//    (serve's HealthBoard latency; the monitor thread reads quantiles live).
+// HdrHistogram is single-threaded, mergeable and value-semantic.  Safe for
+// sim-scope metrics: identical sample multisets give identical state, so
+// obs::deterministic_equal can compare them bit-for-bit.  Readers on other
+// threads take a copy under their own lock.
 //
 // Ticks are caller-defined units; serve records nanoseconds.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -84,7 +81,7 @@ struct HdrCell {
     friend bool operator==(const HdrCell&, const HdrCell&) = default;
 };
 
-/// Single-threaded HDR histogram (see file comment).
+/// HDR histogram (see file comment).
 class HdrHistogram {
 public:
     void record(std::uint64_t value) noexcept;
@@ -125,38 +122,6 @@ private:
     std::uint64_t sum_ = 0;
     std::uint64_t min_ = ~0ull;
     std::uint64_t max_ = 0;
-};
-
-/// Cross-thread HDR histogram: writers use relaxed fetch_add (the serve
-/// thread), readers (monitor / telemetry thread) see a consistent-enough
-/// live view — quantiles over a monotone stream need no stronger ordering.
-/// No min/max (a CAS loop on the hot path buys nothing the quantiles don't
-/// already give).
-class AtomicHdrHistogram {
-public:
-    void record(std::uint64_t value) noexcept {
-        counts_[hdr_detail::bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
-        count_.fetch_add(1, std::memory_order_relaxed);
-        sum_.fetch_add(value, std::memory_order_relaxed);
-    }
-
-    [[nodiscard]] std::uint64_t count() const noexcept {
-        return count_.load(std::memory_order_relaxed);
-    }
-    [[nodiscard]] std::uint64_t sum() const noexcept {
-        return sum_.load(std::memory_order_relaxed);
-    }
-    /// Same contract as HdrHistogram::quantile (without the max() clamp).
-    [[nodiscard]] std::uint64_t quantile(double q) const noexcept;
-
-    /// Copy the live counters into a value-semantic histogram (for window
-    /// deltas and `/metrics` rendering off the serving thread).
-    [[nodiscard]] HdrHistogram snapshot() const;
-
-private:
-    std::array<std::atomic<std::uint64_t>, hdr_detail::kBucketCount> counts_{};
-    std::atomic<std::uint64_t> count_{0};
-    std::atomic<std::uint64_t> sum_{0};
 };
 
 } // namespace rmwp::obs

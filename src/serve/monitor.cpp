@@ -1,7 +1,5 @@
 #include "serve/monitor.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -9,7 +7,7 @@
 
 namespace rmwp {
 
-double latency_quantile_us(const obs::AtomicHdrHistogram& latency, double q) noexcept {
+double latency_quantile_us(const obs::HdrHistogram& latency, double q) noexcept {
     return static_cast<double>(latency.quantile(q)) / kLatencyTicksPerUs;
 }
 
@@ -25,25 +23,6 @@ std::uint64_t read_rss_kb() {
         return kb;
     }
     return 0;
-}
-
-BoardSample sample_board(const HealthBoard& board) {
-    BoardSample sample;
-    sample.arrivals = board.arrivals.load(std::memory_order_relaxed);
-    sample.decided = board.decided.load(std::memory_order_relaxed);
-    sample.shed = board.shed.load(std::memory_order_relaxed);
-    sample.queued = board.queued.load(std::memory_order_relaxed);
-    sample.completed = board.completed.load(std::memory_order_relaxed);
-    sample.deadline_misses = board.deadline_misses.load(std::memory_order_relaxed);
-    sample.parse_errors = board.parse_errors.load(std::memory_order_relaxed);
-    sample.audit_checks = board.audit_checks.load(std::memory_order_relaxed);
-    sample.active = board.active.load(std::memory_order_relaxed);
-    sample.ring_occupancy = board.ring_occupancy.load(std::memory_order_relaxed);
-    sample.sim_clock = board.sim_clock.load(std::memory_order_relaxed);
-    sample.latency_p99_us = latency_quantile_us(board.latency, 0.99);
-    sample.latency_count = board.latency.count();
-    sample.rss_kb = read_rss_kb();
-    return sample;
 }
 
 namespace {
@@ -65,8 +44,8 @@ std::optional<HealthReport> check_invariants(const BoardSample& previous,
         return HealthReport{std::move(invariant), std::move(detail), current};
     };
 
-    // Monotone counters.  The board is written by one thread with relaxed
-    // stores, so any regression means corruption, not reordering.
+    // Monotone counters.  Both samples come from the serve thread, so any
+    // regression means corruption, not reordering.
     struct Pair {
         const char* name;
         std::uint64_t prev, cur;
@@ -90,8 +69,7 @@ std::optional<HealthReport> check_invariants(const BoardSample& previous,
         return violation("monotone_clock", "simulation clock moved backwards");
 
     // Accounting closes: every consumed arrival is decided, shed, or still
-    // queued.  (decided/shed/queued are sampled after arrivals, so the skew
-    // only makes the right side larger — the inequality is skew-safe.)
+    // queued.
     if (current.decided + current.shed > current.arrivals + current.queued)
         return violation("accounting",
                          with_numbers("decided+shed exceeds arrivals+queued",
@@ -145,78 +123,6 @@ std::string HealthReport::to_string() const {
                   static_cast<unsigned long long>(sample.rss_kb), sample.latency_p99_us,
                   sample.sim_clock);
     return buffer;
-}
-
-RuntimeMonitor::RuntimeMonitor(const HealthBoard& board, const MonitorLimits& limits,
-                               double period_seconds, Callback on_violation)
-    : board_(board),
-      limits_(limits),
-      period_seconds_(period_seconds),
-      on_violation_(std::move(on_violation)) {}
-
-RuntimeMonitor::~RuntimeMonitor() { stop(); }
-
-void RuntimeMonitor::start() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (started_) return;
-    started_ = true;
-    stop_requested_ = false;
-    thread_ = std::thread([this] { run(); });
-}
-
-void RuntimeMonitor::stop() {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!started_) return;
-        stop_requested_ = true;
-    }
-    cv_.notify_all();
-    if (thread_.joinable()) thread_.join();
-    std::lock_guard<std::mutex> lock(mutex_);
-    started_ = false;
-}
-
-void RuntimeMonitor::check_now() {
-    std::optional<HealthReport> fresh;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const bool had = violation_.has_value();
-        check_locked();
-        if (!had && violation_.has_value()) fresh = violation_;
-    }
-    if (fresh && on_violation_) on_violation_(*fresh);
-}
-
-void RuntimeMonitor::check_locked() {
-    const BoardSample current = sample_board(board_);
-    checks_.fetch_add(1, std::memory_order_relaxed);
-    if (!violation_.has_value()) {
-        const BoardSample& baseline = have_previous_ ? previous_ : current;
-        violation_ = check_invariants(baseline, current, limits_);
-    }
-    previous_ = current;
-    have_previous_ = true;
-}
-
-void RuntimeMonitor::run() {
-    const auto period = std::chrono::duration<double>(period_seconds_);
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (!stop_requested_) {
-        if (cv_.wait_for(lock, period, [this] { return stop_requested_; })) break;
-        const bool had = violation_.has_value();
-        check_locked();
-        if (!had && violation_.has_value() && on_violation_) {
-            const HealthReport report = *violation_;
-            lock.unlock();
-            on_violation_(report);
-            lock.lock();
-        }
-    }
-}
-
-std::optional<HealthReport> RuntimeMonitor::violation() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return violation_;
 }
 
 } // namespace rmwp

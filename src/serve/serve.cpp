@@ -210,22 +210,37 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
         engine.set_fault_schedule(&*chunk, 0.0, /*include_events_at_from=*/true);
     }
 
-    // --- monitor ---
-    HealthBoard board;
-    board.arrivals.store(consumed, std::memory_order_relaxed);
-    board.shed.store(shed, std::memory_order_relaxed);
-    board.decided.store(consumed - shed - backlog.size(), std::memory_order_relaxed);
-    board.queued.store(backlog.size(), std::memory_order_relaxed);
+    // --- runtime monitor (serve/monitor.hpp) ---
+    // The loop checks its own invariants: after a backlog flush once
+    // monitor_period_seconds of wall time have passed since the last check,
+    // and once more after the drain.  Checks only read state.
     std::uint64_t chaos_extra_misses = 0;
+    obs::HdrHistogram latency; ///< wall-clock service latency per flush, ns ticks
+    std::optional<HealthReport> violation;
+    std::optional<BoardSample> last_checked;
+    std::uint64_t monitor_checks = 0;
 
-    std::atomic<bool> violation_flagged{false};
-    RuntimeMonitor monitor(board, config.limits, config.monitor_period_seconds,
-                           [&violation_flagged](const HealthReport& report) {
-                               std::cerr << "[serve] INVARIANT VIOLATION: "
-                                         << report.to_string() << '\n';
-                               violation_flagged.store(true, std::memory_order_relaxed);
-                           });
-    if (config.monitor) monitor.start();
+    const auto sample_now = [&](std::uint64_t rss_kb) {
+        const TraceResult& r = engine.result();
+        BoardSample sample;
+        sample.arrivals = consumed;
+        // Engine `requests` counts both flushed and shed arrivals; `decided`
+        // is the flushed-only share.
+        sample.decided = r.requests - shed;
+        sample.shed = shed;
+        sample.queued = backlog.size();
+        sample.completed = r.completed;
+        sample.deadline_misses = r.deadline_misses + chaos_extra_misses;
+        sample.parse_errors = source.parse_errors();
+        sample.audit_checks = r.audit_checks;
+        sample.active = engine.active_count();
+        if (config.sim.sink != nullptr) sample.ring_occupancy = config.sim.sink->occupancy();
+        sample.sim_clock = engine.clock();
+        sample.latency_p99_us = latency_quantile_us(latency, 0.99);
+        sample.latency_count = latency.count();
+        sample.rss_kb = rss_kb;
+        return sample;
+    };
 
     // --- rolling window stats ---
     std::ostream& window_out = config.window_out != nullptr ? *config.window_out : std::cerr;
@@ -245,35 +260,12 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
                            : std::numeric_limits<Time>::infinity();
     std::uint64_t windows_emitted = 0;
 
-    const auto publish_engine_state = [&] {
-        const TraceResult& r = engine.result();
-        // Engine `requests` counts both flushed and shed arrivals; `decided`
-        // on the board is the flushed-only share.
-        board.decided.store(r.requests - shed, std::memory_order_relaxed);
-        board.completed.store(r.completed, std::memory_order_relaxed);
-        board.deadline_misses.store(r.deadline_misses + chaos_extra_misses,
-                                    std::memory_order_relaxed);
-        board.audit_checks.store(r.audit_checks, std::memory_order_relaxed);
-        board.active.store(engine.active_count(), std::memory_order_relaxed);
-        board.queued.store(backlog.size(), std::memory_order_relaxed);
-        board.sim_clock.store(engine.clock(), std::memory_order_relaxed);
-        if (config.sim.sink != nullptr) {
-            board.ring_occupancy.store(config.sim.sink->occupancy(),
-                                       std::memory_order_relaxed);
-            board.ring_dropped.store(config.sim.sink->dropped(), std::memory_order_relaxed);
-        }
-        if (online != nullptr) {
-            board.predictor_predictions.store(online->type_predictions(),
-                                              std::memory_order_relaxed);
-            board.predictor_hits.store(online->type_hits(), std::memory_order_relaxed);
-        }
-    };
-
     // --- per-stage profile + live telemetry (DESIGN.md §14) ---
-    // The profile block is serve-thread-owned; the telemetry thread only
-    // ever reads the mutex-protected Published copy, the board's atomics,
-    // and the monitor's latched violation — the admission loop never blocks
-    // on a socket and TSan sees no unsynchronised sharing.
+    // The profile block, the latency histogram and the monitor state are
+    // serve-thread-owned; the telemetry thread only ever reads the
+    // mutex-protected Published copy (and the process RSS, live) — the
+    // admission loop never blocks on a socket and TSan sees no
+    // unsynchronised sharing.
     obs::StageStats stage_stats;
     const bool profile_stages =
         config.telemetry_port >= 0 || config.stage_stats_out != nullptr;
@@ -287,31 +279,46 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
         obs::MetricsSnapshot metrics;
         obs::StageStats stages;
         bool have = false;
+        BoardSample sample;
+        std::uint64_t ring_dropped = 0;
+        std::uint64_t predictor_predictions = 0;
+        std::uint64_t predictor_hits = 0;
+        obs::HdrHistogram latency;
+        std::optional<HealthReport> violation;
     };
     Published published;
 
     std::optional<obs::TelemetryServer> telemetry;
     const auto publish_telemetry = [&] {
         if (!telemetry.has_value()) return;
+        const BoardSample sample = sample_now(0); // RSS is read at scrape time
         std::lock_guard<std::mutex> lock(published.mutex);
-        if (config.sim.sink != nullptr)
+        if (config.sim.sink != nullptr) {
             published.metrics = config.sim.sink->metrics().snapshot();
+            published.ring_dropped = config.sim.sink->dropped();
+        }
         published.stages = stage_stats;
         published.have = true;
+        published.sample = sample;
+        if (online != nullptr) {
+            published.predictor_predictions = online->type_predictions();
+            published.predictor_hits = online->type_hits();
+        }
+        published.latency = latency;
+        published.violation = violation;
     };
 
     if (config.telemetry_port >= 0) {
         obs::TelemetryHandlers handlers;
-        handlers.metrics = [&board, &published, &monitor, &rm, profile_stages] {
+        handlers.metrics = [&published, &rm, profile_stages] {
+            const std::uint64_t rss_kb = read_rss_kb();
             obs::PrometheusText text;
-            {
-                std::lock_guard<std::mutex> lock(published.mutex);
-                if (published.have) {
-                    obs::render_metrics(text, published.metrics, "rmwp_engine_");
-                    if (profile_stages) obs::render_stage_stats(text, published.stages, "rmwp_");
-                }
+            std::lock_guard<std::mutex> lock(published.mutex);
+            if (published.have) {
+                obs::render_metrics(text, published.metrics, "rmwp_engine_");
+                if (profile_stages) obs::render_stage_stats(text, published.stages, "rmwp_");
             }
-            const BoardSample sample = sample_board(board);
+            const BoardSample& sample = published.sample;
             const auto gauge = [&text](const char* name, const char* help,
                                        std::uint64_t value) {
                 text.family(name, help, "gauge");
@@ -338,15 +345,13 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
                   sample.ring_occupancy);
             text.family("rmwp_serve_ring_dropped_total",
                         "observability ring events lost to wraparound", "counter");
-            text.sample("rmwp_serve_ring_dropped_total", "",
-                        board.ring_dropped.load(std::memory_order_relaxed));
-            gauge("rmwp_serve_rss_kb", "process resident set size (kB)", sample.rss_kb);
+            text.sample("rmwp_serve_ring_dropped_total", "", published.ring_dropped);
+            gauge("rmwp_serve_rss_kb", "process resident set size (kB)", rss_kb);
             text.family("rmwp_serve_sim_clock_seconds", "simulation clock", "gauge");
             text.sample("rmwp_serve_sim_clock_seconds", "", sample.sim_clock);
 
-            const std::uint64_t predictions =
-                board.predictor_predictions.load(std::memory_order_relaxed);
-            const std::uint64_t hits = board.predictor_hits.load(std::memory_order_relaxed);
+            const std::uint64_t predictions = published.predictor_predictions;
+            const std::uint64_t hits = published.predictor_hits;
             text.family("rmwp_serve_predictor_hit_ratio",
                         "online-predictor hit rate over the whole run (NaN before the "
                         "first scored prediction)",
@@ -363,20 +368,21 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
             gauge("rmwp_serve_shards", "sharded-admission solve buckets cap (--shards)",
                   rm.shard_config().shards);
 
-            // Service latency as a summary off a snapshot of the board's live
+            // Service latency as a summary off the published copy of the
             // HDR (nanosecond ticks, rendered in microseconds).
             text.summary("rmwp_serve_latency_us",
                          "wall-clock service latency per backlog flush (microseconds)",
-                         board.latency.snapshot(), kLatencyTicksPerUs);
+                         published.latency, kLatencyTicksPerUs);
 
             gauge("rmwp_serve_healthy",
                   "1 while no invariant violation has been latched",
-                  monitor.violation().has_value() ? 0u : 1u);
+                  published.violation.has_value() ? 0u : 1u);
             return text.take();
         };
-        handlers.health = [&monitor] {
-            const auto violation = monitor.violation();
-            return violation.has_value() ? violation->to_string() : std::string();
+        handlers.health = [&published] {
+            std::lock_guard<std::mutex> lock(published.mutex);
+            return published.violation.has_value() ? published.violation->to_string()
+                                                    : std::string();
         };
         telemetry.emplace(config.telemetry_port, std::move(handlers));
         if (config.telemetry_port_out != nullptr)
@@ -408,7 +414,7 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
                 window_out << line;
             }
             std::snprintf(line, sizeof line, " p99=%.0fus",
-                          latency_quantile_us(board.latency, 0.99));
+                          latency_quantile_us(latency, 0.99));
             window_out << line;
             const std::size_t predictions =
                 online != nullptr ? online->type_predictions() : 0;
@@ -435,6 +441,24 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
         }
     };
 
+    const auto check_now = [&] {
+        const BoardSample current = sample_now(read_rss_kb());
+        ++monitor_checks;
+        if (!violation.has_value()) {
+            violation = check_invariants(last_checked.value_or(current), current, config.limits);
+            if (violation.has_value()) {
+                std::cerr << "[serve] INVARIANT VIOLATION: " << violation->to_string() << '\n';
+                publish_telemetry();
+            }
+        }
+        last_checked = current;
+    };
+
+    // RMWP_LINT_ALLOW(R1): wall_seconds and monitor cadence only; never feeds sim state
+    const auto wall_begin = std::chrono::steady_clock::now();
+    auto last_check_at = wall_begin;
+    const std::chrono::duration<double> monitor_period(config.monitor_period_seconds);
+
     /// One backlog flush.  Batching off (batch_window < 0): decide the
     /// front request alone, as a group of one.  Batching on: greedily
     /// extend the group with further queued requests whose wakes fall
@@ -458,11 +482,15 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
         } while (config.batch_window >= 0.0 && !backlog.empty() &&
                  backlog.front().wake <= window_end && eligible(backlog.front().wake));
         engine.stream_arrival_batch(group, wake);
-        // RMWP_LINT_ALLOW(R1): host-scope admission-latency metric; never feeds sim state
+        // RMWP_LINT_ALLOW(R1): host-scope latency metric and monitor cadence; never feeds sim state
         const auto ended = std::chrono::steady_clock::now();
-        board.latency.record(static_cast<std::uint64_t>(
+        latency.record(static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(ended - begun).count()));
-        publish_engine_state();
+        // A period <= 0 checks after every flush.
+        if (config.monitor && ended - last_check_at >= monitor_period) {
+            last_check_at = ended;
+            check_now();
+        }
         emit_windows();
     };
 
@@ -527,8 +555,6 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
     };
 
     // --- main loop ---
-    // RMWP_LINT_ALLOW(R1): wall_seconds reporting only, excluded from determinism checks
-    const auto wall_begin = std::chrono::steady_clock::now();
     ServeResult out;
     bool stopped_by_signal = false;
 
@@ -537,7 +563,7 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
             stopped_by_signal = true;
             break;
         }
-        if (violation_flagged.load(std::memory_order_relaxed)) break;
+        if (violation.has_value()) break;
         if (config.max_arrivals != 0 && consumed >= config.max_arrivals) break;
 
         const std::optional<Request> request = source.next();
@@ -551,7 +577,6 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
         if (config.max_pending != 0 && backlog.size() >= config.max_pending) {
             engine.stream_shed(*request, uid);
             ++shed;
-            board.shed.store(shed, std::memory_order_relaxed);
         } else {
             // Deterministic admission decider in simulation time: one
             // request at a time, `decision_cost` each.  cost = 0 degrades
@@ -560,18 +585,13 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
             decider_free = wake;
             backlog.push_back({*request, uid, wake});
         }
-        board.arrivals.store(consumed, std::memory_order_relaxed);
-        board.parse_errors.store(source.parse_errors(), std::memory_order_relaxed);
-        publish_engine_state();
         // Refresh the telemetry snapshot every 256 consumed arrivals: a
         // registry snapshot copies every counter, too dear per arrival and
         // plenty fresh for a scrape endpoint (windows also refresh it).
         if (telemetry.has_value() && consumed % 256 == 0) publish_telemetry();
 
-        if (config.chaos_fake_miss_at != 0 && consumed == config.chaos_fake_miss_at) {
+        if (config.chaos_fake_miss_at != 0 && consumed == config.chaos_fake_miss_at)
             chaos_extra_misses = 1;
-            publish_engine_state();
-        }
 
         if (checkpointing && consumed % config.checkpoint_every == 0) {
             write_checkpoint();
@@ -588,29 +608,24 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
         }
     }
     out.result = engine.finish_stream();
-    publish_engine_state();
+    if (config.monitor) check_now();
     publish_telemetry();
-
-    if (config.monitor) {
-        monitor.check_now();
-        monitor.stop();
-    }
     emit_windows();
 
     out.arrivals = consumed;
     out.shed = shed;
     out.parse_errors = source.parse_errors();
-    out.monitor_checks = monitor.checks();
+    out.monitor_checks = monitor_checks;
     out.windows_emitted = windows_emitted;
     out.stopped_by_signal = stopped_by_signal;
     // RMWP_LINT_ALLOW(R1): wall_seconds reporting only, excluded from determinism checks
     out.wall_seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                                      wall_begin)
                            .count();
-    out.latency_p50_us = latency_quantile_us(board.latency, 0.50);
-    out.latency_p90_us = latency_quantile_us(board.latency, 0.90);
-    out.latency_p99_us = latency_quantile_us(board.latency, 0.99);
-    out.latency_p999_us = latency_quantile_us(board.latency, 0.999);
+    out.latency_p50_us = latency_quantile_us(latency, 0.50);
+    out.latency_p90_us = latency_quantile_us(latency, 0.90);
+    out.latency_p99_us = latency_quantile_us(latency, 0.99);
+    out.latency_p999_us = latency_quantile_us(latency, 0.999);
     if (config.sim.sink != nullptr) {
         out.ring_occupancy = config.sim.sink->occupancy();
         out.ring_dropped = config.sim.sink->dropped();
@@ -627,7 +642,7 @@ ServeResult run_serve(const Platform& platform, const Catalog& catalog, Resource
         out.telemetry_requests = telemetry->requests_served();
         telemetry->stop();
     }
-    if (const auto violation = monitor.violation(); violation.has_value()) {
+    if (violation.has_value()) {
         out.exit_code = 3;
         out.violation = violation->to_string();
     }

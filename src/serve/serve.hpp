@@ -16,9 +16,9 @@
 //   * injected faults are generated in bounded chunks (one seeded schedule
 //     per `fault_chunk` of simulation time) so an endless run never
 //     materialises an unbounded schedule;
-//   * a RuntimeMonitor thread (serve/monitor.hpp) re-checks liveness and
-//     soundness invariants; a violation drains the service and returns
-//     exit status 3;
+//   * the loop re-checks liveness and soundness invariants itself
+//     (serve/monitor.hpp) after backlog flushes; a violation drains the
+//     service and returns exit status 3;
 //   * crash safety: every `checkpoint_every` consumed arrivals the full
 //     service state — engine, admission backlog, online-predictor model,
 //     source cursor — is written atomically (tmp + rename) as a versioned
@@ -86,6 +86,10 @@ struct ServeConfig {
     std::string restore_path;           ///< resume from this snapshot first
 
     // --- monitor ---
+    /// Re-check the invariants of serve/monitor.hpp on the serve thread:
+    /// after a backlog flush once `monitor_period_seconds` of wall time have
+    /// passed since the last check (a period <= 0 checks after every
+    /// flush), and once more after the drain.
     bool monitor = true;
     double monitor_period_seconds = 0.5;
     MonitorLimits limits;
@@ -108,8 +112,9 @@ struct ServeConfig {
     obs::StageStats* stage_stats_out = nullptr;
 
     /// Test hook (chaos): after this many consumed arrivals, fake a
-    /// deadline-miss on the health board (the engine result is untouched)
-    /// to prove the monitor catches violations end to end.  0 = off.
+    /// deadline-miss in the monitor's samples (the engine result is
+    /// untouched) to prove the monitor catches violations end to end.
+    /// 0 = off.
     std::uint64_t chaos_fake_miss_at = 0;
 
     /// Extra caller context folded into the checkpoint's config digest

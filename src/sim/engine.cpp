@@ -205,7 +205,7 @@ void SimEngine::dispatch(const Event& event) {
         advance(event.time);
         // Every rebuild re-arms the completions of the current plan, so the
         // task must really be gone by now.
-        if (options_.validate) RMWP_ENSURE(find_task(event.payload) == nullptr);
+        RMWP_ENSURE(find_task(event.payload) == nullptr);
 #ifdef RMWP_AUDIT
         // Completion audit: the executed window must still satisfy
         // every structural invariant it satisfied when planned.
@@ -321,7 +321,7 @@ void SimEngine::advance(Time to) {
                             static_cast<std::int64_t>(i));
                 if (completed_at > task->absolute_deadline + kTimeEps) {
                     ++result_.deadline_misses;
-                    if (options_.validate) RMWP_ENSURE(false); // firm guarantee violated
+                    RMWP_ENSURE(false); // firm guarantee violated
                 }
             } else if (executed_until >= segment.end &&
                        task->remaining_fraction > kFractionEps) {
@@ -577,8 +577,7 @@ void SimEngine::rescue_activation(Time now) {
     if (options_.audit) run_audit(auditor_.audit_rescue(context, decision));
 #endif
 
-    if (options_.validate)
-        RMWP_ENSURE(decision.kept.size() + decision.aborted.size() == active_.size());
+    RMWP_ENSURE(decision.kept.size() + decision.aborted.size() == active_.size());
 
     for (const TaskUid uid : decision.aborted) {
         const std::size_t before = active_.size();
@@ -595,7 +594,7 @@ void SimEngine::rescue_activation(Time now) {
     for (const TaskAssignment& assignment : decision.kept) {
         ActiveTask* task = find_task(assignment.uid);
         RMWP_ENSURE(task != nullptr);
-        if (options_.validate) RMWP_ENSURE(health_.online(assignment.resource));
+        RMWP_ENSURE(health_.online(assignment.resource));
         if (assignment.resource != task->resource && relocate(*task, assignment.resource, now))
             ++result_.rescue_migrations;
         if (was_displaced(assignment.uid)) ++result_.rescued;
@@ -743,7 +742,7 @@ void SimEngine::rebuild(Time now) {
 #ifdef RMWP_AUDIT
     if (options_.audit) run_audit(audit_schedule());
 #endif
-    if (options_.validate) RMWP_ENSURE(schedule_.feasible);
+    RMWP_ENSURE(schedule_.feasible);
     plan_stale_ = false;
 
     events_.clear_armed();

@@ -35,10 +35,6 @@ class TraceSink;
 namespace rmwp {
 
 struct SimOptions {
-    /// Re-verify every accepted plan and every completed task against the
-    /// firm-deadline guarantee (cheap; on by default — a violation is a bug
-    /// in an RM, not a property of the workload).
-    bool validate = true;
     /// Independent invariant auditing (src/audit).  Only compiled in under
     /// the RMWP_AUDIT build option; with both on, every admission decision,
     /// fault rescue, rebuilt execution schedule, and completion is

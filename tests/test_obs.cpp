@@ -633,142 +633,147 @@ TEST(ObsDeterminism, ArtefactFilesAreByteIdenticalAcrossJobsCounts) {
 }
 
 #ifdef RMWP_OBS
+/// The ObsDifferential world: VT paper platform, faults, noisy predictor at
+/// 0.2 overhead, two 60-request traces per seed.  `busier` raises the
+/// outage and throttle rates and adds a critical reservation on resource 0,
+/// so faults also recover and planned preemptions occur.
+struct DifferentialWorld {
+    DifferentialWorld(std::uint64_t world_seed, bool busier)
+        : seed(world_seed),
+          config([&] {
+              ExperimentConfig c = ExperimentConfig::paper(DeadlineGroup::very_tight, world_seed);
+              c.trace.length = 60;
+              c.fault.outage_rate = busier ? 0.5 : 0.006;
+              c.fault.throttle_rate = busier ? 0.5 : 0.004;
+              c.fault.permanent_prob = 0.3;
+              return c;
+          }()),
+          platform(config.make_platform()),
+          catalog([&] {
+              Rng catalog_rng = Rng(world_seed).derive(100);
+              return generate_catalog(platform, config.catalog, catalog_rng);
+          }()),
+          traces(generate_traces(catalog, config.trace, 2, Rng(world_seed).derive(101))),
+          reservations(busier
+                           ? std::vector<CriticalTask>{CriticalTask{"ctrl", 0, 50.0, 2.0, 3.0, 1.0}}
+                           : std::vector<CriticalTask>{}) {}
+
+    /// Simulate trace `t` with faults over its horizon, recording into `sink`.
+    [[nodiscard]] TraceResult run(std::size_t t, obs::TraceSink& sink) const {
+        const Trace& trace = traces.at(t);
+        Time horizon = 0.0;
+        for (const Request& request : trace)
+            horizon = std::max(horizon, request.absolute_deadline());
+        Rng fault_rng = Rng(seed).derive(200 + t);
+        const FaultSchedule faults =
+            generate_fault_schedule(platform, config.fault, horizon, fault_rng);
+        HeuristicRM rm;
+        PredictorSpec spec = noisy_predictor();
+        spec.overhead = 0.2; // overhead stalls make aborts reachable
+        const std::unique_ptr<Predictor> predictor =
+            make_predictor(spec, catalog, Rng(seed).derive(300 + t));
+        SimOptions options;
+        options.fault_schedule = &faults;
+        options.sink = &sink;
+        return simulate_trace(platform, catalog, trace, rm, *predictor, reservations, options);
+    }
+
+    std::uint64_t seed;
+    ExperimentConfig config;
+    Platform platform;
+    Catalog catalog;
+    std::vector<Trace> traces;
+    ReservationTable reservations;
+};
+
 TEST(ObsDifferential, EventStreamRecomputesTraceResultFigures) {
     // Randomised seeded scenarios with faults and rescue: everything the
-    // TraceResult reports about admissions, completions, aborts, and
-    // migrations must be recomputable from the event stream alone, and the
+    // TraceResult reports about admissions, completions, aborts, migrations
+    // and faults must be recomputable from the event stream alone, and the
     // counters must agree with both.
-    for (const std::uint64_t seed : {1u, 2u, 3u}) {
-        SCOPED_TRACE("seed " + std::to_string(seed));
-        ExperimentConfig config = ExperimentConfig::paper(DeadlineGroup::very_tight, seed);
-        config.trace.length = 60;
-        config.fault.outage_rate = 0.006;
-        config.fault.throttle_rate = 0.004;
-        config.fault.permanent_prob = 0.3;
+    std::uint64_t busier_recoveries = 0;
+    for (const bool busier : {false, true}) {
+        for (const std::uint64_t seed : {1u, 2u, 3u}) {
+            SCOPED_TRACE(std::string(busier ? "busier " : "") + "seed " + std::to_string(seed));
+            const DifferentialWorld world(seed, busier);
+            const Platform& platform = world.platform;
 
-        const Platform platform = config.make_platform();
-        Rng catalog_rng = Rng(seed).derive(100);
-        const Catalog catalog = generate_catalog(platform, config.catalog, catalog_rng);
-        const std::vector<Trace> traces =
-            generate_traces(catalog, config.trace, 2, Rng(seed).derive(101));
+            for (std::size_t t = 0; t < world.traces.size(); ++t) {
+                SCOPED_TRACE("trace " + std::to_string(t));
+                obs::TraceSink sink; // default 65536-slot ring
+                const TraceResult result = world.run(t, sink);
+                ASSERT_EQ(sink.dropped(), 0u) << "ring too small for a differential check";
+                const std::vector<obs::TraceEvent> events = sink.events();
+                const obs::MetricsSnapshot& metrics = result.obs_metrics;
 
-        for (std::size_t t = 0; t < traces.size(); ++t) {
-            SCOPED_TRACE("trace " + std::to_string(t));
-            const Trace& trace = traces[t];
-            Time horizon = 0.0;
-            for (const Request& request : trace)
-                horizon = std::max(horizon, request.absolute_deadline());
-            Rng fault_rng = Rng(seed).derive(200 + t);
-            const FaultSchedule faults =
-                generate_fault_schedule(platform, config.fault, horizon, fault_rng);
+                // Admission outcomes: events == counters == TraceResult.
+                EXPECT_EQ(count_kind(events, obs::EventKind::admit), result.accepted);
+                EXPECT_EQ(count_kind(events, obs::EventKind::reject), result.rejected);
+                EXPECT_EQ(count_kind(events, obs::EventKind::complete), result.completed);
+                EXPECT_EQ(count_kind(events, obs::EventKind::abort_overhead), result.aborted);
+                EXPECT_EQ(count_kind(events, obs::EventKind::rescue_abort), result.fault_aborted);
+                EXPECT_EQ(count_kind(events, obs::EventKind::migrate), result.migrations);
+                EXPECT_EQ(count_kind(events, obs::EventKind::rescue_begin),
+                          result.rescue_activations);
+                EXPECT_EQ(count_kind(events, obs::EventKind::fault_onset),
+                          result.resource_outages + result.throttle_events);
+                const std::size_t recoveries = count_kind(events, obs::EventKind::fault_recovery);
+                EXPECT_EQ(recoveries, metrics.counter_value("fault.recovery"));
+                if (busier) busier_recoveries += recoveries;
+                EXPECT_EQ(metrics.counter_value("admit"), result.accepted);
+                EXPECT_EQ(metrics.counter_value("complete"), result.completed);
+                EXPECT_EQ(metrics.counter_value("abort_overhead"), result.aborted);
+                EXPECT_EQ(metrics.counter_value("rescue.abort"), result.fault_aborted);
+                EXPECT_EQ(metrics.counter_value("migrate"), result.migrations);
+                EXPECT_EQ(metrics.counter_value("rescue.activation"), result.rescue_activations);
 
-            HeuristicRM rm;
-            PredictorSpec spec = noisy_predictor();
-            spec.overhead = 0.2; // overhead stalls make aborts reachable
-            const std::unique_ptr<Predictor> predictor =
-                make_predictor(spec, catalog, Rng(seed).derive(300 + t));
+                // Rejection reasons: the per-reason counters partition the total.
+                std::uint64_t reject_total = 0;
+                for (std::size_t r = 0; r < kRejectReasonCount; ++r)
+                    reject_total += metrics.counter_value(
+                        std::string("reject.") + to_string(static_cast<RejectReason>(r)));
+                EXPECT_EQ(reject_total, result.rejected);
 
-            obs::TraceSink sink; // default 65536-slot ring
-            SimOptions options;
-            options.fault_schedule = &faults;
-            options.sink = &sink;
-            const TraceResult result =
-                simulate_trace(platform, catalog, trace, rm, *predictor, options);
-            ASSERT_EQ(sink.dropped(), 0u) << "ring too small for a differential check";
-            const std::vector<obs::TraceEvent> events = sink.events();
-            const obs::MetricsSnapshot& metrics = result.obs_metrics;
+                // Rescued = tasks a rescue kept after displacement (aux flag).
+                std::size_t rescued = 0;
+                for (const obs::TraceEvent& event : events)
+                    if (event.kind == obs::EventKind::rescue_keep && event.aux == 1u) ++rescued;
+                EXPECT_EQ(rescued, result.rescued);
 
-            // Admission outcomes: events == counters == TraceResult.
-            EXPECT_EQ(count_kind(events, obs::EventKind::admit), result.accepted);
-            EXPECT_EQ(count_kind(events, obs::EventKind::reject), result.rejected);
-            EXPECT_EQ(count_kind(events, obs::EventKind::complete), result.completed);
-            EXPECT_EQ(count_kind(events, obs::EventKind::abort_overhead), result.aborted);
-            EXPECT_EQ(count_kind(events, obs::EventKind::rescue_abort), result.fault_aborted);
-            EXPECT_EQ(count_kind(events, obs::EventKind::migrate), result.migrations);
-            EXPECT_EQ(count_kind(events, obs::EventKind::rescue_begin),
-                      result.rescue_activations);
-            EXPECT_EQ(count_kind(events, obs::EventKind::fault_onset),
-                      result.resource_outages + result.throttle_events);
-            EXPECT_EQ(metrics.counter_value("admit"), result.accepted);
-            EXPECT_EQ(metrics.counter_value("complete"), result.completed);
-            EXPECT_EQ(metrics.counter_value("abort_overhead"), result.aborted);
-            EXPECT_EQ(metrics.counter_value("rescue.abort"), result.fault_aborted);
-            EXPECT_EQ(metrics.counter_value("migrate"), result.migrations);
-            EXPECT_EQ(metrics.counter_value("rescue.activation"), result.rescue_activations);
+                // Per-resource busy time: the gauges add exactly the slice
+                // durations the exec events carry, in the same order, so the
+                // recomputed sums are bit-identical (not just close).
+                std::vector<double> busy(platform.size(), 0.0);
+                for (const obs::TraceEvent& event : events)
+                    if (event.kind == obs::EventKind::exec)
+                        busy[static_cast<std::size_t>(event.resource)] += event.detail;
+                for (ResourceId i = 0; i < platform.size(); ++i) {
+                    const obs::MetricsSnapshot::GaugeValue* gauge =
+                        metrics.find_gauge("busy_time." + std::to_string(i));
+                    ASSERT_NE(gauge, nullptr);
+                    EXPECT_EQ(busy[i], gauge->value) << "resource " << i;
+                }
 
-            // Rejection reasons: the per-reason counters partition the total.
-            std::uint64_t reject_total = 0;
-            for (std::size_t r = 0; r < kRejectReasonCount; ++r)
-                reject_total += metrics.counter_value(
-                    std::string("reject.") + to_string(static_cast<RejectReason>(r)));
-            EXPECT_EQ(reject_total, result.rejected);
-
-            // Rescued = tasks a rescue kept after displacement (aux flag).
-            std::size_t rescued = 0;
-            for (const obs::TraceEvent& event : events)
-                if (event.kind == obs::EventKind::rescue_keep && event.aux == 1u) ++rescued;
-            EXPECT_EQ(rescued, result.rescued);
-
-            // Per-resource busy time: the gauges add exactly the slice
-            // durations the exec events carry, in the same order, so the
-            // recomputed sums are bit-identical (not just close).
-            std::vector<double> busy(platform.size(), 0.0);
-            for (const obs::TraceEvent& event : events)
-                if (event.kind == obs::EventKind::exec)
-                    busy[static_cast<std::size_t>(event.resource)] += event.detail;
-            for (ResourceId i = 0; i < platform.size(); ++i) {
-                const obs::MetricsSnapshot::GaugeValue* gauge =
-                    metrics.find_gauge("busy_time." + std::to_string(i));
-                ASSERT_NE(gauge, nullptr);
-                EXPECT_EQ(busy[i], gauge->value) << "resource " << i;
+                // The plan-size histogram saw exactly one sample per RM decision
+                // that reached the RM (deadline-passed pre-checks never do).
+                const obs::MetricsSnapshot::HdrValue* plan = metrics.find_hdr("plan_size");
+                ASSERT_NE(plan, nullptr);
+                const std::uint64_t deadline_rejects =
+                    metrics.counter_value("reject.deadline_passed");
+                EXPECT_EQ(plan->count + deadline_rejects, result.requests);
             }
-
-            // The plan-size histogram saw exactly one sample per RM decision
-            // that reached the RM (deadline-passed pre-checks never do).
-            const obs::MetricsSnapshot::HdrValue* plan = metrics.find_hdr("plan_size");
-            ASSERT_NE(plan, nullptr);
-            const std::uint64_t deadline_rejects =
-                metrics.counter_value("reject.deadline_passed");
-            EXPECT_EQ(plan->count + deadline_rejects, result.requests);
         }
     }
+    // The busier world exercises fault recovery, not only onsets.
+    EXPECT_GT(busier_recoveries, 0u);
 }
 
 // ---- golden registry layout: names, scopes, order and sim counter values ----
 
-/// One run of the ObsDifferential world (VT, faults, noisy predictor at
-/// 0.2 overhead).  `busier` raises the outage and throttle rates and adds a
-/// critical reservation on resource 0, so faults also recover and planned
-/// preemptions occur.
+/// One run of the ObsDifferential world (see DifferentialWorld).
 obs::MetricsSnapshot differential_world_metrics(std::uint64_t seed, std::size_t t, bool busier) {
-    ExperimentConfig config = ExperimentConfig::paper(DeadlineGroup::very_tight, seed);
-    config.trace.length = 60;
-    config.fault.outage_rate = busier ? 0.5 : 0.006;
-    config.fault.throttle_rate = busier ? 0.5 : 0.004;
-    config.fault.permanent_prob = 0.3;
-    const Platform platform = config.make_platform();
-    Rng catalog_rng = Rng(seed).derive(100);
-    const Catalog catalog = generate_catalog(platform, config.catalog, catalog_rng);
-    const Trace trace = generate_traces(catalog, config.trace, 2, Rng(seed).derive(101)).at(t);
-    Time horizon = 0.0;
-    for (const Request& request : trace) horizon = std::max(horizon, request.absolute_deadline());
-    Rng fault_rng = Rng(seed).derive(200 + t);
-    const FaultSchedule faults =
-        generate_fault_schedule(platform, config.fault, horizon, fault_rng);
-    HeuristicRM rm;
-    PredictorSpec spec = noisy_predictor();
-    spec.overhead = 0.2;
-    const std::unique_ptr<Predictor> predictor =
-        make_predictor(spec, catalog, Rng(seed).derive(300 + t));
-    const ReservationTable reservations(
-        busier ? std::vector<CriticalTask>{CriticalTask{"ctrl", 0, 50.0, 2.0, 3.0, 1.0}}
-               : std::vector<CriticalTask>{});
     obs::TraceSink sink;
-    SimOptions options;
-    options.fault_schedule = &faults;
-    options.sink = &sink;
-    return simulate_trace(platform, catalog, trace, rm, *predictor, reservations, options)
-        .obs_metrics;
+    return DifferentialWorld(seed, busier).run(t, sink).obs_metrics;
 }
 
 /// The two rejections no trace run produces: one request shed by serve

@@ -437,6 +437,7 @@ TEST(Monitor, CheckInvariantsCatchesEachViolationClass) {
     ok.shed = 5;
     ok.queued = 5;
     ok.completed = 80;
+    ok.sim_clock = 10.0;
     EXPECT_FALSE(check_invariants(ok, ok, limits).has_value());
 
     BoardSample regressed = ok;
@@ -445,11 +446,24 @@ TEST(Monitor, CheckInvariantsCatchesEachViolationClass) {
     ASSERT_TRUE(monotone.has_value());
     EXPECT_EQ(monotone->invariant, "monotone_counter");
 
+    BoardSample rewound = ok;
+    rewound.sim_clock = 5.0; // simulation clock moved backwards
+    const auto clock = check_invariants(ok, rewound, limits);
+    ASSERT_TRUE(clock.has_value());
+    EXPECT_EQ(clock->invariant, "monotone_clock");
+
     BoardSample leaking = ok;
     leaking.decided = 200; // decided more than ever arrived
     const auto accounting = check_invariants(ok, leaking, limits);
     ASSERT_TRUE(accounting.has_value());
     EXPECT_EQ(accounting->invariant, "accounting");
+
+    BoardSample overdone = ok;
+    overdone.completed = 91; // completed more than were decided
+    const auto completed = check_invariants(ok, overdone, limits);
+    ASSERT_TRUE(completed.has_value());
+    EXPECT_EQ(completed->invariant, "accounting");
+    EXPECT_NE(completed->detail.find("completed exceeds decided"), std::string::npos);
 
     MonitorLimits strict = limits;
     strict.expect_no_misses = true;
@@ -475,6 +489,14 @@ TEST(Monitor, CheckInvariantsCatchesEachViolationClass) {
     ASSERT_TRUE(active.has_value());
     EXPECT_EQ(active->invariant, "active_budget");
 
+    MonitorLimits small_ring = limits;
+    small_ring.ring_capacity = 8;
+    BoardSample overflowing = ok;
+    overflowing.ring_occupancy = 9;
+    const auto ring = check_invariants(ok, overflowing, small_ring);
+    ASSERT_TRUE(ring.has_value());
+    EXPECT_EQ(ring->invariant, "ring_capacity");
+
     MonitorLimits tight_latency = limits;
     tight_latency.latency_p99_budget_us = 100.0;
     BoardSample slow = ok;
@@ -486,7 +508,7 @@ TEST(Monitor, CheckInvariantsCatchesEachViolationClass) {
 }
 
 TEST(Monitor, LatencyHdrQuantiles) {
-    obs::AtomicHdrHistogram latency; // nanosecond ticks, as HealthBoard::latency
+    obs::HdrHistogram latency; // nanosecond ticks, as serve records them
     for (int k = 0; k < 99; ++k) latency.record(10'000);
     latency.record(100'000'000);
     EXPECT_EQ(latency.count(), 100u);
@@ -498,11 +520,11 @@ TEST(Monitor, LatencyHdrQuantiles) {
     EXPECT_GE(latency_quantile_us(latency, 1.0), 100000.0);
     EXPECT_LE(latency_quantile_us(latency, 1.0), 103200.0);
     // Sub-microsecond samples stay distinguishable (nanosecond ticks).
-    obs::AtomicHdrHistogram fine;
+    obs::HdrHistogram fine;
     fine.record(50);
     EXPECT_GE(latency_quantile_us(fine, 1.0), 0.05);
     EXPECT_LE(latency_quantile_us(fine, 1.0), 0.06);
-    EXPECT_EQ(latency_quantile_us(obs::AtomicHdrHistogram{}, 0.5), 0.0);
+    EXPECT_EQ(latency_quantile_us(obs::HdrHistogram{}, 0.5), 0.0);
 }
 
 TEST(Serve, MonitorCatchesInjectedViolation) {
@@ -515,15 +537,19 @@ TEST(Serve, MonitorCatchesInjectedViolation) {
     ServeConfig config;
     config.max_arrivals = 300;
     config.monitor = true;
-    config.monitor_period_seconds = 0.01;
+    config.monitor_period_seconds = 0.0; // check after every flush
     config.limits.expect_no_misses = true;
-    config.chaos_fake_miss_at = 50; // chaos: board lies about a miss
+    config.chaos_fake_miss_at = 50; // chaos: the samples claim a miss
     const ServeResult serve =
         run_serve(world.platform, world.catalog, rm, predictor, nullptr, source, config);
 
     EXPECT_EQ(serve.exit_code, 3);
     EXPECT_NE(serve.violation.find("deadline_guarantee"), std::string::npos);
-    // The engine itself was healthy: the fake miss lived only on the board.
+    // Detected mid-run, not at the final check: arrival 50's flush runs
+    // (and is checked) when arrival 51 is consumed, and the loop stops
+    // before consuming another.
+    EXPECT_EQ(serve.arrivals, 51u);
+    // The engine itself was healthy: the fake miss lived only in the samples.
     EXPECT_EQ(serve.result.deadline_misses, 0u);
     // Even after the violation the service drained gracefully.
     EXPECT_EQ(serve.result.completed, serve.result.accepted);
@@ -539,13 +565,15 @@ TEST(Serve, CleanRunPassesTheMonitor) {
     ServeConfig config;
     config.max_arrivals = 300;
     config.monitor = true;
-    config.monitor_period_seconds = 0.01;
+    config.monitor_period_seconds = 0.0; // check after every flush
     config.limits.expect_no_misses = true;
     config.limits.rss_budget_kb = 4u * 1024u * 1024u; // 4 GB: generous but finite
     const ServeResult serve =
         run_serve(world.platform, world.catalog, rm, predictor, nullptr, source, config);
     EXPECT_EQ(serve.exit_code, 0);
-    EXPECT_GE(serve.monitor_checks, 1u);
+    // One check per flush (one activation each, batching off) plus the
+    // final check after the drain.
+    EXPECT_EQ(serve.monitor_checks, serve.result.activations + 1);
     EXPECT_TRUE(serve.violation.empty());
 }
 

@@ -303,26 +303,13 @@ TEST(Hdr, MergeIsAssociativeCommutativeAndMatchesDirectRecording) {
     EXPECT_EQ(left.count(), 3000u);
 }
 
-TEST(Hdr, CellsLoadRoundTripAndAtomicSnapshot) {
+TEST(Hdr, CellsLoadRoundTrip) {
     obs::HdrHistogram dense;
     for (std::uint64_t v : {0ull, 1ull, 63ull, 64ull, 1000ull, 123456789ull})
         dense.record(v);
     obs::HdrHistogram reloaded;
     reloaded.load(dense.cells(), dense.sum(), dense.min(), dense.max());
     EXPECT_EQ(dense, reloaded);
-
-    obs::AtomicHdrHistogram atomic_hdr;
-    for (std::uint64_t v : {5ull, 5ull, 500ull, 50'000ull}) atomic_hdr.record(v);
-    const obs::HdrHistogram snap = atomic_hdr.snapshot();
-    EXPECT_EQ(snap.count(), 4u);
-    // snapshot() carries the exact atomic sum, not a bucket-upper-bound
-    // re-derivation — snap.sum() must not drift from the live sum().
-    EXPECT_EQ(snap.sum(), atomic_hdr.sum());
-    // Bucket counts are copied verbatim, so quantiles agree exactly.
-    for (const double q : {0.25, 0.5, 1.0})
-        EXPECT_EQ(snap.quantile(q), atomic_hdr.quantile(q)) << "q=" << q;
-    // An empty atomic histogram snapshots to an empty histogram.
-    EXPECT_EQ(obs::AtomicHdrHistogram{}.snapshot().count(), 0u);
 }
 
 // ---- registry validation (satellite) -----------------------------------

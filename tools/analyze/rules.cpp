@@ -79,12 +79,11 @@ const std::map<std::string, std::set<std::string>>& layering_closure() {
 bool allowlisted(const std::string& rule, const std::string& canonical) {
     const auto starts_with = [&](const char* prefix) { return canonical.rfind(prefix, 0) == 0; };
     if (rule == "R1") {
-        // bench/ measures the host by definition; the serve monitor, the obs
-        // trace sink, the sampled stage profiler, and the telemetry server
-        // are the designated host-time scopes (DESIGN.md §14).
-        return starts_with("bench/") || starts_with("src/serve/monitor.") ||
-               starts_with("src/obs/trace_sink.") || starts_with("src/obs/stage_timer.") ||
-               starts_with("src/obs/telemetry_server.");
+        // bench/ measures the host by definition; the obs trace sink, the
+        // sampled stage profiler, and the telemetry server are the
+        // designated host-time scopes (DESIGN.md §14).
+        return starts_with("bench/") || starts_with("src/obs/trace_sink.") ||
+               starts_with("src/obs/stage_timer.") || starts_with("src/obs/telemetry_server.");
     }
     if (rule == "R2") {
         // src/util/env is the one sanctioned getenv wrapper.

@@ -42,7 +42,7 @@ const std::set<std::string>& deterministic_modules();
 const std::map<std::string, std::set<std::string>>& layering_closure();
 
 /// True when `canonical` (path from its src/bench/tests/tools marker, e.g.
-/// "src/serve/monitor.cpp") is allowlisted for the given rule — the file
+/// "src/obs/trace_sink.cpp") is allowlisted for the given rule — the file
 /// may use the construct without a waiver.  Kept deliberately short: the
 /// allowlist is for whole modules whose *purpose* is host time; individual
 /// call sites elsewhere use RMWP_LINT_ALLOW so they show up in the waiver
