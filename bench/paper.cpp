@@ -26,17 +26,6 @@ namespace rmwp::bench {
 //   (c') no prediction, tau2 at t=3        -> both accepted, 3.5 J
 namespace {
 
-Catalog make_table1_catalog() {
-    const std::size_t n = 3;
-    const std::vector<std::vector<double>> zero(n, std::vector<double>(n, 0.0));
-    std::vector<TaskType> types;
-    types.emplace_back(0, std::vector<double>{8.0, 12.0, 5.0},
-                       std::vector<double>{7.3, 8.4, 2.0}, zero, zero);
-    types.emplace_back(1, std::vector<double>{7.0, 8.5, 3.0},
-                       std::vector<double>{6.2, 7.5, 1.5}, zero, zero);
-    return Catalog(std::move(types));
-}
-
 class FixedArrivalPredictor final : public Predictor {
 public:
     explicit FixedArrivalPredictor(Time claimed_arrival) : claimed_(claimed_arrival) {}
@@ -57,7 +46,7 @@ private:
 
 void table1_motivation() {
     const Platform platform = make_motivational_platform();
-    const Catalog catalog = make_table1_catalog();
+    const Catalog catalog = make_motivational_catalog();
     const Trace at1({Request{0.0, 0, 8.0}, Request{1.0, 1, 5.0}});
     const Trace at3({Request{0.0, 0, 8.0}, Request{3.0, 1, 5.0}});
 

@@ -49,10 +49,10 @@ ServeResult serve(const Platform& platform, const Catalog& catalog, ResourceMana
     return result;
 }
 
-/// True when two serve runs made the same admission decisions.
+/// True when two serve runs made the same admission decisions: every
+/// non-host result field and the shed count match.
 bool same_decisions(const ServeResult& a, const ServeResult& b) {
-    return a.result.accepted == b.result.accepted && a.result.rejected == b.result.rejected &&
-           a.result.deadline_misses == b.result.deadline_misses && a.shed == b.shed;
+    return describe_differences(a.result, b.result).empty() && a.shed == b.shed;
 }
 
 /// RMWP_BENCH_REPS (at least 1), or `fallback` when unset.

@@ -19,19 +19,6 @@ namespace {
 
 using namespace rmwp;
 
-/// Table 1's two task types on the CPU1/CPU2/GPU platform.  No migration
-/// overhead: the example in the paper does not exercise migration.
-Catalog make_table1_catalog() {
-    const std::size_t n = 3;
-    const std::vector<std::vector<double>> zero(n, std::vector<double>(n, 0.0));
-    std::vector<TaskType> types;
-    types.emplace_back(0, std::vector<double>{8.0, 12.0, 5.0},
-                       std::vector<double>{7.3, 8.4, 2.0}, zero, zero);
-    types.emplace_back(1, std::vector<double>{7.0, 8.5, 3.0},
-                       std::vector<double>{6.2, 7.5, 1.5}, zero, zero);
-    return Catalog(std::move(types));
-}
-
 /// A deliberately wrong oracle: predicts the next request's arrival at a
 /// fixed (possibly incorrect) time while keeping type and deadline truthful.
 class FixedArrivalPredictor final : public Predictor {
@@ -61,7 +48,7 @@ TraceResult run(const Platform& platform, const Catalog& catalog, const Trace& t
 
 int main() {
     const Platform platform = make_motivational_platform();
-    const Catalog catalog = make_table1_catalog();
+    const Catalog catalog = make_motivational_catalog();
 
     // tau_1 at t=0 with d=8; tau_2 with d=5, arriving at t=1 (scenarios a/b)
     // or t=3 (scenario c).

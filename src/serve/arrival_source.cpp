@@ -66,7 +66,7 @@ void CsvPipeSource::seek(const SourceCursor&) {
 CsvFileSource::CsvFileSource(std::string path, std::function<void(const std::string&)> warn)
     : path_(std::move(path)), warn_(std::move(warn)) {
     if (!warn_)
-        warn_ = [](const std::string& message) { std::cerr << message << '\n'; };
+        warn_ = [](const std::string& message) { std::cerr << message << " — skipped\n"; };
     reopen();
 }
 

@@ -319,10 +319,7 @@ void SimEngine::advance(Time to) {
                     plan_stale_ = true;
                 RMWP_RECORD(completed_at, obs::EventKind::complete, segment.uid,
                             static_cast<std::int64_t>(i));
-                if (completed_at > task->absolute_deadline + kTimeEps) {
-                    ++result_.deadline_misses;
-                    RMWP_ENSURE(false); // firm guarantee violated
-                }
+                RMWP_ENSURE(completed_at <= task->absolute_deadline + kTimeEps);
             } else if (executed_until >= segment.end &&
                        task->remaining_fraction > kFractionEps) {
                 // The planned slice closed with work left: the task is
@@ -780,23 +777,18 @@ void SimEngine::save_stream(std::ostream& os) {
         put_f64(os, actual_work(task.uid));
     }
 
-    // TraceResult accumulators, declared order (host-time fields included:
-    // a restored run reports the total effort spent across both halves).
-    os << result_.requests << ' ' << result_.accepted << ' ' << result_.rejected << ' '
-       << result_.completed << ' ' << result_.deadline_misses << ' ' << result_.aborted << ' '
-       << result_.fault_aborted << ' ' << result_.migrations << ' ' << result_.activations
-       << ' ' << result_.plans_with_prediction << ' ' << result_.audit_checks << ' '
-       << result_.audit_differential_checks << ' ' << result_.audit_differential_gaps << ' '
-       << result_.resource_outages << ' ' << result_.throttle_events << ' '
-       << result_.rescue_activations << ' ' << result_.rescued << ' '
-       << result_.rescue_migrations << '\n';
-    put_f64(os, result_.total_energy);
-    put_f64(os, result_.migration_energy);
-    put_f64(os, result_.critical_energy);
-    put_f64(os, result_.decision_seconds);
-    put_f64(os, result_.rescue_decision_seconds);
-    put_f64(os, result_.degraded_energy);
-    put_f64(os, result_.reference_energy);
+    // TraceResult accumulators from kTraceResultFields: the counts on one
+    // line, then one line per double, each in declared order (host fields
+    // included: a restored run reports the total effort spent across both
+    // halves).
+    const char* separator = "";
+    for_each_trace_result_field<std::size_t>([&](const auto& field) {
+        os << separator << result_.*field.member;
+        separator = " ";
+    });
+    os << '\n';
+    for_each_trace_result_field<double>(
+        [&](const auto& field) { put_f64(os, result_.*field.member); });
 }
 
 void SimEngine::restore_stream(std::istream& is, const FaultSchedule* faults) {
@@ -841,31 +833,11 @@ void SimEngine::restore_stream(std::istream& is, const FaultSchedule* faults) {
         active_.push_back(task);
     }
 
-    result_.requests = static_cast<std::size_t>(get_u64(is, kCheckpointContext));
-    result_.accepted = static_cast<std::size_t>(get_u64(is, kCheckpointContext));
-    result_.rejected = static_cast<std::size_t>(get_u64(is, kCheckpointContext));
-    result_.completed = static_cast<std::size_t>(get_u64(is, kCheckpointContext));
-    result_.deadline_misses = static_cast<std::size_t>(get_u64(is, kCheckpointContext));
-    result_.aborted = static_cast<std::size_t>(get_u64(is, kCheckpointContext));
-    result_.fault_aborted = static_cast<std::size_t>(get_u64(is, kCheckpointContext));
-    result_.migrations = static_cast<std::size_t>(get_u64(is, kCheckpointContext));
-    result_.activations = static_cast<std::size_t>(get_u64(is, kCheckpointContext));
-    result_.plans_with_prediction = static_cast<std::size_t>(get_u64(is, kCheckpointContext));
-    result_.audit_checks = static_cast<std::size_t>(get_u64(is, kCheckpointContext));
-    result_.audit_differential_checks = static_cast<std::size_t>(get_u64(is, kCheckpointContext));
-    result_.audit_differential_gaps = static_cast<std::size_t>(get_u64(is, kCheckpointContext));
-    result_.resource_outages = static_cast<std::size_t>(get_u64(is, kCheckpointContext));
-    result_.throttle_events = static_cast<std::size_t>(get_u64(is, kCheckpointContext));
-    result_.rescue_activations = static_cast<std::size_t>(get_u64(is, kCheckpointContext));
-    result_.rescued = static_cast<std::size_t>(get_u64(is, kCheckpointContext));
-    result_.rescue_migrations = static_cast<std::size_t>(get_u64(is, kCheckpointContext));
-    result_.total_energy = get_f64(is, kCheckpointContext);
-    result_.migration_energy = get_f64(is, kCheckpointContext);
-    result_.critical_energy = get_f64(is, kCheckpointContext);
-    result_.decision_seconds = get_f64(is, kCheckpointContext);
-    result_.rescue_decision_seconds = get_f64(is, kCheckpointContext);
-    result_.degraded_energy = get_f64(is, kCheckpointContext);
-    result_.reference_energy = get_f64(is, kCheckpointContext);
+    for_each_trace_result_field<std::size_t>([&](const auto& field) {
+        result_.*field.member = static_cast<std::size_t>(get_u64(is, kCheckpointContext));
+    });
+    for_each_trace_result_field<double>(
+        [&](const auto& field) { result_.*field.member = get_f64(is, kCheckpointContext); });
 
     // Re-derive everything save_stream did not carry: pending fault events
     // strictly after the cut (the restored health mask already reflects

@@ -228,4 +228,17 @@ Catalog generate_partitioned_catalog(const Platform& platform, const CatalogPara
     return Catalog(std::move(types));
 }
 
+Catalog make_motivational_catalog(double migration_time, double migration_energy) {
+    const std::size_t n = 3;
+    std::vector<std::vector<double>> time(n, std::vector<double>(n, migration_time));
+    std::vector<std::vector<double>> energy(n, std::vector<double>(n, migration_energy));
+    for (std::size_t i = 0; i < n; ++i) time[i][i] = energy[i][i] = 0.0;
+    std::vector<TaskType> types;
+    types.emplace_back(0, std::vector<double>{8.0, 12.0, 5.0},
+                       std::vector<double>{7.3, 8.4, 2.0}, time, energy);
+    types.emplace_back(1, std::vector<double>{7.0, 8.5, 3.0},
+                       std::vector<double>{6.2, 7.5, 1.5}, time, energy);
+    return Catalog(std::move(types));
+}
+
 } // namespace rmwp

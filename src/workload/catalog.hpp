@@ -79,4 +79,11 @@ private:
                                                    const CatalogParams& params,
                                                    std::size_t islands, Rng& rng);
 
+/// Table 1's two task types (Sec 3) on make_motivational_platform()'s
+/// CPU1/CPU2/GPU: WCET {8, 12, 5} / {7, 8.5, 3} ms, energy {7.3, 8.4, 2.0} /
+/// {6.2, 7.5, 1.5} J.  Every cross-resource migration costs
+/// `migration_time` and `migration_energy` (the paper's example uses none).
+[[nodiscard]] Catalog make_motivational_catalog(double migration_time = 0.0,
+                                                double migration_energy = 0.0);
+
 } // namespace rmwp

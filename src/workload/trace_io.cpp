@@ -52,6 +52,25 @@ std::ofstream open_output(const std::string& path) {
     return os;
 }
 
+/// The first rule a trace-CSV data line breaks, or nullptr when it parses
+/// into `out`.  Arrival order spans lines, so the caller checks it.
+const char* parse_trace_line(const std::string& line, Request& out) {
+    const auto fields = split_csv_line(line);
+    if (fields.size() != 3) return "expected 3 fields";
+    try {
+        out.arrival = parse_value(fields[0]);
+        out.type = static_cast<TaskTypeId>(std::stoull(fields[1]));
+        out.relative_deadline = parse_value(fields[2]);
+    } catch (const std::exception&) {
+        return "unparseable field";
+    }
+    if (!std::isfinite(out.arrival) || out.arrival < 0.0)
+        return "arrival must be finite and non-negative";
+    if (!std::isfinite(out.relative_deadline) || out.relative_deadline <= 0.0)
+        return "relative_deadline must be finite and positive";
+    return nullptr;
+}
+
 } // namespace
 
 void write_trace_csv(std::ostream& os, const Trace& trace) {
@@ -63,47 +82,19 @@ void write_trace_csv(std::ostream& os, const Trace& trace) {
 }
 
 Trace read_trace_csv(std::istream& is) {
-    const auto fail = [](std::size_t line_number, const std::string& what,
-                         const std::string& line) {
-        throw std::runtime_error("trace CSV line " + std::to_string(line_number) + ": " + what +
-                                 " (line: \"" + line + "\")");
-    };
-
-    std::string line;
-    if (!std::getline(is, line) || line != "arrival,type,relative_deadline")
-        throw std::runtime_error(
-            "trace CSV: missing or wrong header (expected \"arrival,type,relative_deadline\")");
-
+    // The stream's line rules, strict: the first broken rule ends the read.
+    TraceCsvStream stream(is, [](const std::string& message) {
+        throw std::runtime_error(message);
+    });
     std::vector<Request> requests;
-    std::size_t line_number = 1;
-    while (std::getline(is, line)) {
-        ++line_number;
-        if (line.empty()) continue;
-        const auto fields = split_csv_line(line);
-        if (fields.size() != 3) fail(line_number, "expected 3 fields", line);
-        Request r;
-        try {
-            r.arrival = parse_value(fields[0]);
-            r.type = static_cast<TaskTypeId>(std::stoull(fields[1]));
-            r.relative_deadline = parse_value(fields[2]);
-        } catch (const std::exception&) {
-            fail(line_number, "unparseable field", line);
-        }
-        if (!std::isfinite(r.arrival) || r.arrival < 0.0)
-            fail(line_number, "arrival must be finite and non-negative", line);
-        if (!std::isfinite(r.relative_deadline) || r.relative_deadline <= 0.0)
-            fail(line_number, "relative_deadline must be finite and positive", line);
-        if (!requests.empty() && r.arrival < requests.back().arrival)
-            fail(line_number, "arrivals must be non-decreasing", line);
-        requests.push_back(r);
-    }
+    while (const std::optional<Request> request = stream.next()) requests.push_back(*request);
     return Trace(std::move(requests));
 }
 
 TraceCsvStream::TraceCsvStream(std::istream& is, std::function<void(const std::string&)> warn)
     : is_(is), warn_(std::move(warn)) {
     if (!warn_)
-        warn_ = [](const std::string& message) { std::cerr << message << '\n'; };
+        warn_ = [](const std::string& message) { std::cerr << message << " — skipped\n"; };
 }
 
 std::optional<Request> TraceCsvStream::next() {
@@ -116,43 +107,21 @@ std::optional<Request> TraceCsvStream::next() {
         line_number_ = 1;
     }
 
-    const auto skip = [this](const std::string& what, const std::string& bad_line) {
-        ++parse_errors_;
-        warn_("trace CSV line " + std::to_string(line_number_) + ": " + what + " — skipped (line: \"" +
-              bad_line + "\")");
-    };
-
     while (std::getline(is_, line)) {
         ++line_number_;
         if (line.empty()) continue;
-        const auto fields = split_csv_line(line);
-        if (fields.size() != 3) {
-            skip("expected 3 fields", line);
-            continue;
-        }
         Request r;
-        try {
-            r.arrival = parse_value(fields[0]);
-            r.type = static_cast<TaskTypeId>(std::stoull(fields[1]));
-            r.relative_deadline = parse_value(fields[2]);
-        } catch (const std::exception&) {
-            skip("unparseable field", line);
-            continue;
-        }
-        if (!std::isfinite(r.arrival) || r.arrival < 0.0) {
-            skip("arrival must be finite and non-negative", line);
-            continue;
-        }
-        if (!std::isfinite(r.relative_deadline) || r.relative_deadline <= 0.0) {
-            skip("relative_deadline must be finite and positive", line);
-            continue;
-        }
-        if (have_last_arrival_ && r.arrival < last_arrival_) {
-            skip("arrivals must be non-decreasing", line);
+        const char* broken = parse_trace_line(line, r);
+        // Arrivals are non-negative, so the first line always passes this.
+        if (broken == nullptr && r.arrival < last_arrival_)
+            broken = "arrivals must be non-decreasing";
+        if (broken != nullptr) {
+            ++parse_errors_;
+            warn_("trace CSV line " + std::to_string(line_number_) + ": " + broken +
+                  " (line: \"" + line + "\")");
             continue;
         }
         last_arrival_ = r.arrival;
-        have_last_arrival_ = true;
         ++delivered_;
         return r;
     }

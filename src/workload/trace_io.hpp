@@ -23,7 +23,9 @@ namespace rmwp {
 void write_trace_csv(std::ostream& os, const Trace& trace);
 /// Parse a trace, rejecting malformed input with a descriptive
 /// std::runtime_error: wrong header/field counts, unparseable numbers,
-/// negative or non-finite times, and non-monotone arrivals.
+/// negative or non-finite times, and non-monotone arrivals.  Reads through
+/// TraceCsvStream, so both readers apply one set of line rules; here the
+/// first broken rule throws, naming the line.
 [[nodiscard]] Trace read_trace_csv(std::istream& is);
 
 /// Check that every request's task type exists in the catalog; throws a
@@ -48,9 +50,10 @@ void write_trace_csv_file(const std::string& path, const Trace& trace);
 /// stream length.
 class TraceCsvStream {
 public:
-    /// `warn` receives one human-readable message per skipped line; the
-    /// default writes to stderr.  The header line is consumed (and checked)
-    /// by the first next() call.
+    /// `warn` receives one human-readable message per skipped line, naming
+    /// the line and the rule it breaks; the default writes it to stderr.
+    /// A `warn` that throws ends the read (read_trace_csv's strict mode).
+    /// The header line is consumed (and checked) by the first next() call.
     explicit TraceCsvStream(std::istream& is,
                             std::function<void(const std::string&)> warn = {});
 
@@ -73,7 +76,6 @@ private:
     std::uint64_t line_number_ = 0;
     Time last_arrival_ = 0.0;
     bool header_checked_ = false;
-    bool have_last_arrival_ = false;
 };
 
 void write_catalog_csv(std::ostream& os, const Catalog& catalog);

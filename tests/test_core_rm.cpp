@@ -19,18 +19,6 @@
 namespace rmwp {
 namespace {
 
-/// Table 1's catalog on the CPU1/CPU2/GPU platform (no migration).
-Catalog table1_catalog() {
-    const std::size_t n = 3;
-    const std::vector<std::vector<double>> zero(n, std::vector<double>(n, 0.0));
-    std::vector<TaskType> types;
-    types.emplace_back(0, std::vector<double>{8.0, 12.0, 5.0},
-                       std::vector<double>{7.3, 8.4, 2.0}, zero, zero);
-    types.emplace_back(1, std::vector<double>{7.0, 8.5, 3.0},
-                       std::vector<double>{6.2, 7.5, 1.5}, zero, zero);
-    return Catalog(std::move(types));
-}
-
 ActiveTask task_of(TaskUid uid, TaskTypeId type, Time arrival, Time rel_deadline) {
     ActiveTask task;
     task.uid = uid;
@@ -85,7 +73,7 @@ struct BruteForce {
 
 TEST(HeuristicRM, SingleTaskGoesToCheapestResource) {
     const Platform platform = make_motivational_platform();
-    const Catalog catalog = table1_catalog();
+    const Catalog catalog = make_motivational_catalog();
     ArrivalContext context;
     context.now = 0.0;
     context.platform = &platform;
@@ -101,7 +89,7 @@ TEST(HeuristicRM, SingleTaskGoesToCheapestResource) {
 
 TEST(HeuristicRM, PredictionDivertsTaskOffTheGpu) {
     const Platform platform = make_motivational_platform();
-    const Catalog catalog = table1_catalog();
+    const Catalog catalog = make_motivational_catalog();
     ArrivalContext context;
     context.now = 0.0;
     context.platform = &platform;
@@ -122,7 +110,7 @@ TEST(HeuristicRM, RejectsWhenGpuPinnedTaskBlocksUrgentArrival) {
     // Scenario (a) of Fig 1: tau_1 runs pinned on the GPU; tau_2 arrives at
     // t=1 with no feasible resource left.
     const Platform platform = make_motivational_platform();
-    const Catalog catalog = table1_catalog();
+    const Catalog catalog = make_motivational_catalog();
 
     ActiveTask running = task_of(0, 0, 0.0, 8.0);
     running.resource = 2;
@@ -148,7 +136,7 @@ TEST(HeuristicRM, FallsBackToNoPredictionPlan) {
     // The predicted task saturates the platform; planning with it fails but
     // the arriving task must still be admitted via the Sec 4.1 fallback.
     const Platform platform = make_motivational_platform();
-    const Catalog catalog = table1_catalog();
+    const Catalog catalog = make_motivational_catalog();
     ArrivalContext context;
     context.now = 0.0;
     context.platform = &platform;
@@ -165,7 +153,7 @@ TEST(HeuristicRM, FallsBackToNoPredictionPlan) {
 
 TEST(HeuristicRM, AssignmentsCoverActiveSetPlusCandidate) {
     const Platform platform = make_motivational_platform();
-    const Catalog catalog = table1_catalog();
+    const Catalog catalog = make_motivational_catalog();
 
     std::vector<ActiveTask> active{task_of(0, 0, 0.0, 50.0), task_of(1, 1, 0.0, 60.0)};
     active[0].resource = 0;
@@ -193,7 +181,7 @@ TEST(HeuristicRM, RegretTieGoesToTheFirstTaskInInstanceOrder) {
     // takes it and the other falls back to CPU1.  Both mappings cost the
     // same energy: only the tie rule tells them apart.
     const Platform platform = make_motivational_platform();
-    const Catalog catalog = table1_catalog();
+    const Catalog catalog = make_motivational_catalog();
     std::vector<ActiveTask> active{task_of(0, 0, 0.0, 8.0)};
     active[0].resource = 0;
     ArrivalContext context;
@@ -215,7 +203,7 @@ TEST(HeuristicRM, RegretTieGoesToTheFirstTaskInInstanceOrder) {
 
 TEST(ExactRM, MatchesPaperObjectiveOnTable1) {
     const Platform platform = make_motivational_platform();
-    const Catalog catalog = table1_catalog();
+    const Catalog catalog = make_motivational_catalog();
     ArrivalContext context;
     context.now = 0.0;
     context.platform = &platform;
@@ -233,7 +221,7 @@ TEST(ExactRM, MatchesPaperObjectiveOnTable1) {
 
 TEST(ExactRM, PinnedTaskStaysPut) {
     const Platform platform = make_motivational_platform();
-    const Catalog catalog = table1_catalog();
+    const Catalog catalog = make_motivational_catalog();
 
     ActiveTask pinned = task_of(0, 0, 0.0, 20.0);
     pinned.resource = 2;

@@ -158,10 +158,8 @@ TEST(Runner, RepeatedRunsAreIdentical) {
     const RunOutcome a = runner.run(spec);
     const RunOutcome b = runner.run(spec);
     ASSERT_EQ(a.per_trace.size(), b.per_trace.size());
-    for (std::size_t t = 0; t < a.per_trace.size(); ++t) {
-        EXPECT_EQ(a.per_trace[t].accepted, b.per_trace[t].accepted);
-        EXPECT_DOUBLE_EQ(a.per_trace[t].total_energy, b.per_trace[t].total_energy);
-    }
+    for (std::size_t t = 0; t < a.per_trace.size(); ++t)
+        EXPECT_EQ(describe_differences(a.per_trace[t], b.per_trace[t]), "") << "trace " << t;
 }
 
 TEST(Runner, NoisySpecsGetIndependentPerTraceStreams) {
@@ -178,7 +176,7 @@ TEST(Runner, NoisySpecsGetIndependentPerTraceStreams) {
     const RunOutcome a = runner.run(RunSpec{RmKind::heuristic, noisy});
     const RunOutcome b = runner.run(RunSpec{RmKind::heuristic, noisy});
     for (std::size_t t = 0; t < a.per_trace.size(); ++t)
-        EXPECT_EQ(a.per_trace[t].accepted, b.per_trace[t].accepted);
+        EXPECT_EQ(describe_differences(a.per_trace[t], b.per_trace[t]), "") << "trace " << t;
 }
 
 TEST(Runner, OverheadCoefficientIsResolvedPerTrace) {

@@ -172,18 +172,7 @@ TEST_P(Chaos, InvariantsSurviveEveryFeatureCombination) {
 
 TEST_P(Chaos, BitDeterministic) {
     const ChaosConfig config = random_config(GetParam());
-    const TraceResult a = run_chaos(config);
-    const TraceResult b = run_chaos(config);
-    EXPECT_EQ(a.accepted, b.accepted);
-    EXPECT_EQ(a.rejected, b.rejected);
-    EXPECT_EQ(a.aborted, b.aborted);
-    EXPECT_EQ(a.migrations, b.migrations);
-    EXPECT_DOUBLE_EQ(a.total_energy, b.total_energy);
-    EXPECT_DOUBLE_EQ(a.critical_energy, b.critical_energy);
-    EXPECT_EQ(a.fault_aborted, b.fault_aborted);
-    EXPECT_EQ(a.rescued, b.rescued);
-    EXPECT_EQ(a.rescue_migrations, b.rescue_migrations);
-    EXPECT_DOUBLE_EQ(a.degraded_energy, b.degraded_energy);
+    EXPECT_EQ(describe_differences(run_chaos(config), run_chaos(config)), "");
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomConfigs, Chaos, ::testing::Range<std::uint64_t>(0, 40));

@@ -100,14 +100,7 @@ INSTANTIATE_TEST_SUITE_P(RandomCases, MilpRmCrossValidation,
                          ::testing::Range<std::uint64_t>(100, 140));
 
 TEST(MilpRm, DecideMatchesMotivationalExample) {
-    const std::size_t n = 3;
-    const std::vector<std::vector<double>> zero(n, std::vector<double>(n, 0.0));
-    std::vector<TaskType> types;
-    types.emplace_back(0, std::vector<double>{8.0, 12.0, 5.0},
-                       std::vector<double>{7.3, 8.4, 2.0}, zero, zero);
-    types.emplace_back(1, std::vector<double>{7.0, 8.5, 3.0},
-                       std::vector<double>{6.2, 7.5, 1.5}, zero, zero);
-    const Catalog catalog(std::move(types));
+    const Catalog catalog = make_motivational_catalog();
     const Platform platform = make_motivational_platform();
 
     ArrivalContext context;

@@ -251,18 +251,7 @@ TEST(JsonWriter, NonFiniteNumbersAreWrittenAsNull) {
 
 struct MiniWorld {
     Platform platform = make_motivational_platform();
-    Catalog catalog = [] {
-        const std::size_t n = 3;
-        std::vector<std::vector<double>> cm(n, std::vector<double>(n, 1.0));
-        std::vector<std::vector<double>> em(n, std::vector<double>(n, 0.5));
-        for (std::size_t i = 0; i < n; ++i) cm[i][i] = em[i][i] = 0.0;
-        std::vector<TaskType> types;
-        types.emplace_back(0, std::vector<double>{8.0, 12.0, 5.0},
-                           std::vector<double>{7.3, 8.4, 2.0}, cm, em);
-        types.emplace_back(1, std::vector<double>{7.0, 8.5, 3.0},
-                           std::vector<double>{6.2, 7.5, 1.5}, cm, em);
-        return Catalog(std::move(types));
-    }();
+    Catalog catalog = make_motivational_catalog(1.0, 0.5);
 };
 
 /// Run scenario (a) of Fig 1 (tau_2 must be rejected) with a sink attached.
@@ -555,7 +544,7 @@ TEST(ObsDeterminism, TracingOnAndOffAreBitIdentical) {
     const RunOutcome on = traced.run(spec);
     ASSERT_EQ(off.per_trace.size(), on.per_trace.size());
     for (std::size_t t = 0; t < off.per_trace.size(); ++t) {
-        EXPECT_TRUE(equivalent_ignoring_host_time(off.per_trace[t], on.per_trace[t]))
+        EXPECT_EQ(describe_differences(off.per_trace[t], on.per_trace[t]), "")
             << "trace " << t << " differs between tracing off and on";
         EXPECT_TRUE(off.per_trace[t].obs_metrics.empty());
         EXPECT_FALSE(on.per_trace[t].obs_metrics.empty());

@@ -146,7 +146,7 @@ PredictorSpec noisy_predictor() {
 void expect_outcomes_identical(const RunOutcome& a, const RunOutcome& b) {
     ASSERT_EQ(a.per_trace.size(), b.per_trace.size());
     for (std::size_t t = 0; t < a.per_trace.size(); ++t)
-        EXPECT_TRUE(equivalent_ignoring_host_time(a.per_trace[t], b.per_trace[t]))
+        EXPECT_EQ(describe_differences(a.per_trace[t], b.per_trace[t]), "")
             << "trace " << t << " differs between jobs=1 and jobs=8";
     // The aggregate is derived from per-trace results in trace order, so the
     // statistics must be bit-identical too (exact double equality intended).

@@ -124,23 +124,12 @@ TEST(BaselineRm, WeakerThanThePaperHeuristic) {
 
 // ---- periodic activation ----
 
-Catalog table1_catalog() {
-    const std::size_t n = 3;
-    const std::vector<std::vector<double>> zero(n, std::vector<double>(n, 0.0));
-    std::vector<TaskType> types;
-    types.emplace_back(0, std::vector<double>{8.0, 12.0, 5.0},
-                       std::vector<double>{7.3, 8.4, 2.0}, zero, zero);
-    types.emplace_back(1, std::vector<double>{7.0, 8.5, 3.0},
-                       std::vector<double>{6.2, 7.5, 1.5}, zero, zero);
-    return Catalog(std::move(types));
-}
-
 TEST(PeriodicActivation, QueueingDelayConsumesSlack) {
     // One request at t=5 with 3.5 ms of slack over its 3 ms GPU run.
     // Per-arrival: starts at 5, done at 8 <= 8.5: accepted.  With a 4 ms
     // activation period the decision waits until t=8; 8 + 3 > 8.5: rejected.
     const Platform platform = make_motivational_platform();
-    const Catalog catalog = table1_catalog();
+    const Catalog catalog = make_motivational_catalog();
     const Trace trace({Request{5.0, 1, 3.5}});
 
     HeuristicRM rm;
@@ -160,7 +149,7 @@ TEST(PeriodicActivation, QueueingDelayConsumesSlack) {
 TEST(PeriodicActivation, BatchesShareOneActivation) {
     // Three arrivals inside one period: one activation, all decided there.
     const Platform platform = make_motivational_platform();
-    const Catalog catalog = table1_catalog();
+    const Catalog catalog = make_motivational_catalog();
     const Trace trace(
         {Request{1.0, 0, 100.0}, Request{2.0, 1, 100.0}, Request{3.0, 0, 100.0}});
 
@@ -180,7 +169,7 @@ TEST(PeriodicActivation, ArrivalMergedIntoAPastWakeIsStillDecided) {
     // that has already passed when that request arrives.  With no later
     // wake-up set, the request must still be decided, not dropped.
     const Platform platform = make_motivational_platform();
-    const Catalog catalog = table1_catalog();
+    const Catalog catalog = make_motivational_catalog();
     const Trace trace({Request{0.9, 0, 100.0}, Request{std::nextafter(0.9, 1.0), 1, 100.0}});
 
     HeuristicRM rm;

@@ -201,8 +201,7 @@ TEST(Serve, MatchesBatchSimulatorOnTheSameArrivals) {
         EXPECT_EQ(serve.exit_code, 0);
         EXPECT_EQ(serve.arrivals, trace.size());
         EXPECT_EQ(serve.shed, 0u);
-        EXPECT_TRUE(equivalent_ignoring_host_time(batch, serve.result))
-            << "serve accepted=" << serve.result.accepted << " batch accepted=" << batch.accepted;
+        EXPECT_EQ(describe_differences(batch, serve.result), "");
     }
 }
 
@@ -290,7 +289,7 @@ TEST(Serve, OverloadSheddingIsDeterministicAndBounded) {
 
     EXPECT_GT(first.shed, 0u);
     EXPECT_EQ(first.shed, second.shed);
-    EXPECT_TRUE(equivalent_ignoring_host_time(first.result, second.result));
+    EXPECT_EQ(describe_differences(first.result, second.result), "");
     // Shed requests are full citizens of the accounting: counted as
     // requests, counted as rejected.
     EXPECT_EQ(first.result.requests, first.arrivals);

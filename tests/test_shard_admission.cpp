@@ -634,26 +634,6 @@ TEST(DemandOrderProperty, IncrementalInsertEqualsFullResort) {
 
 // ---- serve level ----
 
-void expect_same_trace(const TraceResult& a, const TraceResult& b) {
-    EXPECT_EQ(a.requests, b.requests);
-    EXPECT_EQ(a.activations, b.activations);
-    EXPECT_EQ(a.accepted, b.accepted);
-    EXPECT_EQ(a.rejected, b.rejected);
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.deadline_misses, b.deadline_misses);
-    EXPECT_EQ(a.aborted, b.aborted);
-    EXPECT_EQ(a.fault_aborted, b.fault_aborted);
-    EXPECT_EQ(a.total_energy, b.total_energy);
-    EXPECT_EQ(a.migration_energy, b.migration_energy);
-    EXPECT_EQ(a.migrations, b.migrations);
-    EXPECT_EQ(a.plans_with_prediction, b.plans_with_prediction);
-    EXPECT_EQ(a.resource_outages, b.resource_outages);
-    EXPECT_EQ(a.throttle_events, b.throttle_events);
-    EXPECT_EQ(a.rescue_activations, b.rescue_activations);
-    EXPECT_EQ(a.rescued, b.rescued);
-    EXPECT_EQ(a.rescue_migrations, b.rescue_migrations);
-}
-
 TEST(ShardServe, ShardedServiceIsBitIdenticalAndRecordsMergedLatency) {
     const auto run_once = [](const ShardConfig& shard, obs::StageStats* stats) {
         const Platform platform = make_islands_platform();
@@ -689,7 +669,7 @@ TEST(ShardServe, ShardedServiceIsBitIdenticalAndRecordsMergedLatency) {
     EXPECT_EQ(sharded.exit_code, 0);
     EXPECT_EQ(sequential.arrivals, sharded.arrivals);
     EXPECT_EQ(sequential.shed, sharded.shed);
-    expect_same_trace(sequential.result, sharded.result);
+    EXPECT_EQ(describe_differences(sequential.result, sharded.result), "");
     EXPECT_GT(sharded.result.rescue_activations + sharded.result.throttle_events, 0u);
     // The online predictor scores itself identically along both paths.
     EXPECT_GT(sequential.predictor_predictions, 0u);
@@ -750,7 +730,7 @@ TEST(ShardServe, OneGroupCatalogSolvesDirectly) {
     EXPECT_EQ(direct.exit_code, 0);
     EXPECT_EQ(sharded.exit_code, 0);
     EXPECT_EQ(direct.arrivals, sharded.arrivals);
-    expect_same_trace(direct.result, sharded.result);
+    EXPECT_EQ(describe_differences(direct.result, sharded.result), "");
     EXPECT_GT(direct.result.accepted, 0u);
 
 #ifdef RMWP_OBS

@@ -111,18 +111,7 @@ TEST(EventQueue, EmptyPopThrows) {
 
 struct MiniWorld {
     Platform platform = make_motivational_platform();
-    Catalog catalog = [] {
-        const std::size_t n = 3;
-        std::vector<std::vector<double>> cm(n, std::vector<double>(n, 1.0));
-        std::vector<std::vector<double>> em(n, std::vector<double>(n, 0.5));
-        for (std::size_t i = 0; i < n; ++i) cm[i][i] = em[i][i] = 0.0;
-        std::vector<TaskType> types;
-        types.emplace_back(0, std::vector<double>{8.0, 12.0, 5.0},
-                           std::vector<double>{7.3, 8.4, 2.0}, cm, em);
-        types.emplace_back(1, std::vector<double>{7.0, 8.5, 3.0},
-                           std::vector<double>{6.2, 7.5, 1.5}, cm, em);
-        return Catalog(std::move(types));
-    }();
+    Catalog catalog = make_motivational_catalog(1.0, 0.5);
 };
 
 TEST(Simulator, SingleTaskConsumesExactlyItsEnergy) {
@@ -212,11 +201,7 @@ TEST(Simulator, DeterministicAcrossRuns) {
         OraclePredictor oracle;
         return simulate_trace(platform, catalog, trace, rm, oracle);
     };
-    const TraceResult a = run_once();
-    const TraceResult b = run_once();
-    EXPECT_EQ(a.accepted, b.accepted);
-    EXPECT_DOUBLE_EQ(a.total_energy, b.total_energy);
-    EXPECT_EQ(a.migrations, b.migrations);
+    EXPECT_EQ(describe_differences(run_once(), run_once()), "");
 }
 
 TEST(Simulator, OverheadStallCausesAbortsOnlyWithOverhead) {

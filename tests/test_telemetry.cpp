@@ -409,11 +409,7 @@ TEST(StageTimer, ServeDecisionsBitIdenticalWithProfilingOnVsOff) {
 
     // The profiler only ever writes to its own block: every deterministic
     // outcome must be bit-identical with it installed or not.
-    EXPECT_EQ(on.result.accepted, off.result.accepted);
-    EXPECT_EQ(on.result.rejected, off.result.rejected);
-    EXPECT_EQ(on.result.completed, off.result.completed);
-    EXPECT_EQ(on.result.deadline_misses, off.result.deadline_misses);
-    EXPECT_EQ(on.result.total_energy, off.result.total_energy); // bitwise: same doubles
+    EXPECT_EQ(describe_differences(on.result, off.result), "");
     EXPECT_EQ(on.arrivals, off.arrivals);
 
 #ifdef RMWP_OBS
