@@ -89,44 +89,6 @@ double accepted_percent(const ServeResult& serve) {
                                      : 0.0;
 }
 
-/// Synthetic arrivals collapsed into bursts: every run of `burst`
-/// consecutive requests shares the first member's arrival instant.  Mean
-/// per-request rate, types, and relative deadlines are untouched, so the
-/// offered load is identical across burst sizes.  Not seekable (the
-/// experiments never checkpoint).
-class BurstSource final : public ArrivalSource {
-public:
-    BurstSource(const Catalog& catalog, const SyntheticSourceParams& params, std::size_t burst)
-        : inner_(catalog, params), burst_(burst) {}
-
-    [[nodiscard]] std::optional<Request> next() override {
-        if (in_burst_ == 0) {
-            const std::optional<Request> first = inner_.next();
-            if (!first.has_value()) return std::nullopt;
-            burst_arrival_ = first->arrival;
-            in_burst_ = burst_;
-            --in_burst_;
-            return first;
-        }
-        std::optional<Request> request = inner_.next();
-        if (!request.has_value()) return std::nullopt;
-        --in_burst_;
-        request->arrival = burst_arrival_;
-        return request;
-    }
-    [[nodiscard]] bool seekable() const noexcept override { return false; }
-    [[nodiscard]] SourceCursor cursor() const noexcept override { return {}; }
-    void seek(const SourceCursor&) override {
-        throw std::runtime_error("BurstSource is not seekable");
-    }
-
-private:
-    SyntheticArrivalSource inner_;
-    std::size_t burst_;
-    std::size_t in_burst_ = 0; ///< members still owed at burst_arrival_
-    Time burst_arrival_ = 0.0;
-};
-
 /// One cell of a burst sweep (E18, E20): the heuristic RM with the online
 /// predictor over bursts of `burst` simultaneous synthetic arrivals.
 struct BurstCell {

@@ -63,6 +63,29 @@ void CsvPipeSource::seek(const SourceCursor&) {
     throw std::runtime_error("cannot seek a pipe-fed trace stream");
 }
 
+BurstSource::BurstSource(const Catalog& catalog, const SyntheticSourceParams& params,
+                         std::size_t burst)
+    : inner_(catalog, params), burst_(burst) {
+    RMWP_EXPECT(burst >= 1);
+}
+
+std::optional<Request> BurstSource::next() {
+    std::optional<Request> request = inner_.next();
+    if (!request.has_value()) return std::nullopt;
+    if (in_burst_ == 0) {
+        burst_arrival_ = request->arrival;
+        in_burst_ = burst_;
+    } else {
+        request->arrival = burst_arrival_;
+    }
+    --in_burst_;
+    return request;
+}
+
+void BurstSource::seek(const SourceCursor&) {
+    throw std::runtime_error("BurstSource is not seekable");
+}
+
 CsvFileSource::CsvFileSource(std::string path, std::function<void(const std::string&)> warn)
     : path_(std::move(path)), warn_(std::move(warn)) {
     if (!warn_)

@@ -14,6 +14,8 @@
 //     reopens the file and re-walks that many well-formed lines (malformed
 //     lines are skipped silently during the replay — they were already
 //     warned about the first time);
+//   * BurstSource collapses a synthetic stream into same-instant bursts
+//     (the batched-admission workloads); it has no cursor;
 //   * CsvPipeSource (stdin or any non-seekable stream) has no cursor;
 //     checkpointing a serve run fed from a pipe is refused up front.
 #pragma once
@@ -97,6 +99,27 @@ private:
     Rng root_;
     std::uint64_t index_ = 0; ///< next request to generate
     Time arrival_ = 0.0;      ///< arrival of the most recent request
+};
+
+/// Synthetic arrivals collapsed into bursts: every run of `burst`
+/// consecutive requests shares the first member's arrival instant, so
+/// batch_window = 0 coalesces real multi-item groups.  Mean per-request
+/// rate, types and relative deadlines are the synthetic source's, so the
+/// offered load is the same at every burst size.  Not seekable.
+class BurstSource final : public ArrivalSource {
+public:
+    BurstSource(const Catalog& catalog, const SyntheticSourceParams& params, std::size_t burst);
+
+    [[nodiscard]] std::optional<Request> next() override;
+    [[nodiscard]] bool seekable() const noexcept override { return false; }
+    [[nodiscard]] SourceCursor cursor() const noexcept override { return {}; }
+    void seek(const SourceCursor& cursor) override;
+
+private:
+    SyntheticArrivalSource inner_;
+    std::size_t burst_;
+    std::size_t in_burst_ = 0; ///< members still owed at burst_arrival_
+    Time burst_arrival_ = 0.0;
 };
 
 /// Streaming CSV over a caller-owned istream (stdin / pipes).  Malformed

@@ -448,39 +448,6 @@ TEST(EngineBatch, AllDoomedGroupRecordsNoDecisionLatency) {
 
 // ---- serve level ----
 
-/// Collapses runs of `burst` consecutive synthetic requests onto the first
-/// member's arrival instant, so batch_window = 0 coalesces real multi-item
-/// groups (mirrors bench_admission_throughput's burst cells).
-class BurstSource final : public ArrivalSource {
-public:
-    BurstSource(const Catalog& catalog, const SyntheticSourceParams& params, std::size_t burst)
-        : inner_(catalog, params), burst_(burst) {}
-
-    [[nodiscard]] std::optional<Request> next() override {
-        std::optional<Request> request = inner_.next();
-        if (!request.has_value()) return std::nullopt;
-        if (in_burst_ == 0) {
-            burst_arrival_ = request->arrival;
-            in_burst_ = burst_;
-        } else {
-            request->arrival = burst_arrival_;
-        }
-        --in_burst_;
-        return request;
-    }
-    [[nodiscard]] bool seekable() const noexcept override { return false; }
-    [[nodiscard]] SourceCursor cursor() const noexcept override { return {}; }
-    void seek(const SourceCursor&) override {
-        throw std::runtime_error("BurstSource is not seekable");
-    }
-
-private:
-    SyntheticArrivalSource inner_;
-    std::size_t burst_;
-    std::size_t in_burst_ = 0;
-    Time burst_arrival_ = 0.0;
-};
-
 TEST(ServeBatch, BatchWindowZeroMatchesUnbatchedUnderFaultsAndPrediction) {
     const auto run_once = [](Time batch_window) {
         StreamWorld world;
