@@ -63,7 +63,8 @@ std::optional<std::span<const ResourceId>> HeuristicRM::map_tasks(const PlanInst
 
     // The invalidation index, by counting sort: users[user_begin[a] ..
     // user_begin[a + 1]) are the tasks with options on anchor a, in task
-    // order, each with the smallest and largest of its cpm there.
+    // order, each with the smallest and largest of its cpm there; and
+    // user_max_cpm[a], the largest of all their cpm.
     for (ResourceId a = 0; a < n; ++a) {
         s.user_begin[a + 1] += s.user_begin[a];
         s.user_next[a] = s.user_begin[a];
@@ -72,6 +73,7 @@ std::optional<std::span<const ResourceId>> HeuristicRM::map_tasks(const PlanInst
     for (std::size_t j = 0; j < count; ++j) {
         for (std::size_t o = s.option_begin[j]; o < s.option_begin[j + 1]; ++o) {
             const PlanScratch::Option& option = s.options[o];
+            s.user_max_cpm[option.anchor] = std::max(s.user_max_cpm[option.anchor], option.cpm);
             std::size_t& next = s.user_next[option.anchor];
             if (next > s.user_begin[option.anchor] && s.users[next - 1].task == j) {
                 PlanScratch::AnchorUser& user = s.users[next - 1];
@@ -128,16 +130,16 @@ std::optional<std::span<const ResourceId>> HeuristicRM::map_tasks(const PlanInst
         s.dirty.clear();
 
         // Lines 8-23: pick the task with the maximum regret d*, the first
-        // on ties; mapped tasks hold -inf and never win.  Nothing beats a
-        // first +inf, so the scan stops there.
+        // on ties (the strict > keeps it, a first +inf included); mapped
+        // tasks hold -inf and never win.  The scan selects without a
+        // branch, since which task leads is data no branch predictor
+        // learns.
         double best_regret = -kInfinity;
         std::size_t best_task = count;
         for (std::size_t j = 0; j < count; ++j) {
-            if (s.regret[j] > best_regret) {
-                best_regret = s.regret[j];
-                best_task = j;
-                if (best_regret == kInfinity) break;
-            }
+            const bool better = s.regret[j] > best_regret;
+            best_regret = better ? s.regret[j] : best_regret;
+            best_task = better ? j : best_task;
         }
         RMWP_ENSURE(best_task < count);
 
@@ -166,7 +168,10 @@ std::optional<std::span<const ResourceId>> HeuristicRM::map_tasks(const PlanInst
                 const double after = s.capacity[anchor];
                 // A test cpm > capacity flips only for a cpm in
                 // (after, before]: dirty exactly the unmapped tasks whose
-                // cpm range on this anchor meets that interval.
+                // cpm range on this anchor meets that interval.  When the
+                // anchor's largest cpm does not exceed `after`, none does:
+                // the placement is done.
+                if (s.user_max_cpm[anchor] <= after) break;
                 for (std::size_t u = s.user_begin[anchor]; u < s.user_begin[anchor + 1]; ++u) {
                     const PlanScratch::AnchorUser& user = s.users[u];
                     if (s.mapped[user.task]) continue;

@@ -447,6 +447,7 @@ void PlanScratch::reset(const PlanInstance& instance) {
     option_begin.assign(count + 1, 0);
     user_begin.assign(n + 1, 0);
     user_next.assign(n, count); // no task counted on any anchor yet
+    user_max_cpm.assign(n, -kInfinity);
     capacity.assign(n, 0.0);
     mapped.assign(count, 0);
     mapping.assign(count, 0);
@@ -488,7 +489,8 @@ std::uint64_t PlanScratch::footprint_bytes() const noexcept {
                           assigned.capacity() * sizeof(std::vector<ScheduleItem>) +
                           users.capacity() * sizeof(AnchorUser) +
                           user_begin.capacity() * sizeof(std::size_t) +
-                          user_next.capacity() * sizeof(std::size_t);
+                          user_next.capacity() * sizeof(std::size_t) +
+                          user_max_cpm.capacity() * sizeof(double);
     for (const auto& schedule : assigned) bytes += schedule.capacity() * sizeof(ScheduleItem);
     return bytes;
 }

@@ -214,9 +214,12 @@ struct PlanScratch {
     // anchor a's users are users[user_begin[a] .. user_begin[a + 1]).
     // While the index is built, user_next[a] holds the last task counted
     // on a, then a's fill cursor.
+    // user_max_cpm[a] is the largest option cpm on anchor a: a placement
+    // that leaves capacity at or above it can dirty none of a's users.
     std::vector<AnchorUser> users;
     std::vector<std::size_t> user_begin; ///< n + 1 offsets
     std::vector<std::size_t> user_next;
+    std::vector<double> user_max_cpm; ///< per physical anchor
 
     // Per-task selection cache.  A task's regret and best option read only
     // its exclusions and the tests cpm > capacity, so they stay valid until

@@ -95,9 +95,13 @@ public:
     /// of solve buckets the batch splits into.
     std::size_t begin_batch(const BatchArrivalContext& batch, std::size_t shards);
 
-    /// Record an admitted decision: the candidate's bucket and the bucket
-    /// of every moved task get a new version, invalidating their cached
-    /// solves; untouched buckets keep serving cache hits.
+    /// Record an admitted decision over the instance of the last run: the
+    /// candidate's bucket and the bucket of every moved task get a new
+    /// version, invalidating their cached solves; untouched buckets keep
+    /// serving cache hits.  When the admission moved no task and the
+    /// candidate's bucket held no predicted task, that bucket's just-solved
+    /// mapping is written through under its new version: the next item's
+    /// sub-instance of the bucket is the one just solved (DESIGN.md §15).
     void note_admission(const Decision& decision, const ActiveTask& candidate);
 
     /// Solve `instance` (assembled within the current batch) as
@@ -136,6 +140,10 @@ private:
         std::size_t cache_cursor = 0;
     };
 
+    /// Store `bucket`'s last solve as its cache entry for `window` under
+    /// the bucket's current version.
+    static void store(Bucket& bucket, double window);
+
     struct Tracked {
         TaskUid uid = 0;
         ResourceId resource = 0;
@@ -145,6 +153,7 @@ private:
     ShardPartition partition_;
     const Catalog* catalog_ = nullptr; ///< the current batch's catalog
     std::size_t shards_ = 1;           ///< the current batch's cap
+    double run_window_ = -1.0;         ///< window of the last run's instance
     std::vector<Bucket> buckets_; ///< never shrinks; first bucket_count used
     std::vector<Tracked> tracked_;
     std::vector<std::size_t> pending_; ///< bucket ids needing a fresh solve

@@ -696,6 +696,49 @@ TEST(ShardServe, ShardedServiceIsBitIdenticalAndRecordsMergedLatency) {
 #endif
 }
 
+/// perfbench's islands_burst in small: 24 CPUs, 4 GPUs and a DVFS core
+/// dealt into four islands, bursts of 8 same-instant arrivals decided by
+/// decide_batch, prediction off.  Admissions that migrate tasks inside a
+/// burst are what make a bucket's next sub-instance differ from its last
+/// solve, so the sharded path must end where the whole-plan path does.
+TEST(ShardServe, IslandBurstsWithMigrationsMatchUnsharded) {
+    PlatformBuilder builder;
+    for (int k = 0; k < 24; ++k) builder.add_cpu("CPU" + std::to_string(k));
+    for (int k = 0; k < 4; ++k) builder.add_gpu("GPU" + std::to_string(k));
+    builder.add_cpu_with_dvfs({1.0, 0.5}, "DVFS");
+    const Platform platform = builder.build();
+    CatalogParams params;
+    params.type_count = 32;
+    Rng catalog_rng(42);
+    const Catalog catalog = generate_partitioned_catalog(platform, params, kIslands, catalog_rng);
+
+    const auto run_once = [&](const ShardConfig& shard) {
+        SyntheticSourceParams source_params;
+        source_params.seed = 11;
+        source_params.interarrival_mean = 1.2;
+        source_params.interarrival_stddev = 0.4;
+        BurstSource source(catalog, source_params, 8);
+        HeuristicRM rm;
+        rm.set_shard_config(shard);
+        NullPredictor off;
+        ServeConfig config;
+        config.monitor = false;
+        config.max_arrivals = 4000;
+        config.batch_window = 0.0;
+        config.sim.execution_seed = 11;
+        return run_serve(platform, catalog, rm, off, nullptr, source, config);
+    };
+
+    const ServeResult whole = run_once({1});
+    const ServeResult sharded = run_once({4});
+    EXPECT_EQ(whole.exit_code, 0);
+    EXPECT_EQ(sharded.exit_code, 0);
+    EXPECT_EQ(whole.arrivals, sharded.arrivals);
+    EXPECT_EQ(describe_differences(whole.result, sharded.result), "");
+    EXPECT_GT(whole.result.migrations, 0u);
+    EXPECT_GT(whole.result.rejected, 0u);
+}
+
 /// A catalog that forms one resource group leaves one solve bucket at any
 /// shard count, so the ladder solves it directly: shards = 4 decides
 /// exactly as shards = 1 and runs no sharded sub-solve.
