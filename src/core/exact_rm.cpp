@@ -55,7 +55,7 @@ struct ExactSum {
 /// Depth-first search state.  Pooled thread-locally (search_scratch):
 /// admission runs the search thousands of times per trace, and the
 /// per-call vector churn (order, suffix bounds, per-resource partial
-/// schedules, per-depth candidate lists) was pure allocator traffic.
+/// schedules, candidate lists) was pure allocator traffic.
 struct Search {
     const PlanInstance* instance = nullptr;
     const ExactRM::Options* options = nullptr;
@@ -63,7 +63,10 @@ struct Search {
     std::vector<std::size_t> order;           ///< task indices, most-constrained first
     std::vector<ExactSum> min_cost_suffix;    ///< optimistic cost of order[d..]
     std::vector<std::vector<ScheduleItem>> assigned; ///< per-resource partial schedule
-    std::vector<std::vector<ResourceId>> candidates_by_depth; ///< per-depth scratch
+    /// Task j's executable resources, cheapest first:
+    /// candidates[candidate_begin[j] .. candidate_begin[j + 1]).
+    std::vector<ResourceId> candidates;
+    std::vector<std::size_t> candidate_begin; ///< count + 1 offsets
 
     std::vector<ResourceId> current;          ///< current[j] = resource of tasks[j]
     std::vector<ResourceId> best;
@@ -86,7 +89,6 @@ struct Search {
             assigned[i].insert(assigned[i].end(), inst.blocks()[i].begin(), inst.blocks()[i].end());
             std::sort(assigned[i].begin(), assigned[i].end(), demand_order);
         }
-        if (candidates_by_depth.size() < count) candidates_by_depth.resize(count);
         current.assign(count, 0);
         best.clear();
         best_cost = ExactSum{kInfinity, 0.0};
@@ -108,6 +110,26 @@ struct Search {
             return std::tuple(inst.executable(a).size(), inst.tasks[a].abs_deadline, a) <
                    std::tuple(inst.executable(b).size(), inst.tasks[b].abs_deadline, b);
         });
+
+        // Cheapest-first exploration finds a good incumbent early.  The
+        // order depends on the instance alone, so it is sorted once here,
+        // not at every node.  Resource id breaks energy ties so the order
+        // is total: under equal-cost optima the incumbent that survives
+        // the strict `<` improvement test is then the same whether the
+        // task set arrived whole or as a per-shard sub-instance.
+        candidates.clear();
+        candidate_begin.resize(count + 1);
+        for (std::size_t j = 0; j < count; ++j) {
+            candidate_begin[j] = candidates.size();
+            const auto executable = inst.executable(j);
+            const auto epm = inst.epm(j);
+            candidates.insert(candidates.end(), executable.begin(), executable.end());
+            std::sort(candidates.begin() + static_cast<std::ptrdiff_t>(candidate_begin[j]),
+                      candidates.end(), [&](ResourceId a, ResourceId b) {
+                          return std::pair(epm[a], a) < std::pair(epm[b], b);
+                      });
+        }
+        candidate_begin[count] = candidates.size();
 
         min_cost_suffix.assign(count + 1, ExactSum{});
         for (std::size_t d = count; d-- > 0;) {
@@ -150,22 +172,9 @@ struct Search {
         if (!can_improve(cost, min_cost_suffix[depth])) return; // bound
 
         const std::size_t j = order[depth];
-
-        // Cheapest-first exploration finds a good incumbent early.  Each
-        // recursion depth owns one pooled candidate buffer.  Resource id
-        // breaks energy ties so the exploration order is total — under
-        // equal-cost optima the incumbent that survives the strict `<`
-        // improvement test is then the same whether the task set arrived
-        // whole or as a per-shard sub-instance.
-        std::vector<ResourceId>& candidates = candidates_by_depth[depth];
-        const auto executable = instance->executable(j);
         const auto epm = instance->epm(j);
-        candidates.assign(executable.begin(), executable.end());
-        std::sort(candidates.begin(), candidates.end(), [&](ResourceId a, ResourceId b) {
-            return std::pair(epm[a], a) < std::pair(epm[b], b);
-        });
-
-        for (const ResourceId i : candidates) {
+        for (std::size_t c = candidate_begin[j]; c < candidate_begin[j + 1]; ++c) {
+            const ResourceId i = candidates[c];
             const ExactSum next_cost = cost.plus(epm[i]);
             if (!can_improve(next_cost, min_cost_suffix[depth + 1])) continue;
 

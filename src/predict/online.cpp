@@ -15,6 +15,20 @@ namespace {
 
 constexpr const char* kCheckpointContext = "predictor checkpoint";
 
+/// Count `to` once more in `counts`, keeping `mode` its first argmax:
+/// only the incremented cell can overtake, and it does when it now
+/// exceeds the mode or ties it from a smaller id.
+void count_and_track_mode(std::vector<std::uint32_t>& counts, TaskTypeId to, TaskTypeId& mode) {
+    ++counts[to];
+    if (counts[to] > counts[mode] || (counts[to] == counts[mode] && to < mode)) mode = to;
+}
+
+/// The first argmax of `counts`, as std::max_element finds it.
+TaskTypeId first_mode(const std::vector<std::uint32_t>& counts) {
+    return static_cast<TaskTypeId>(std::max_element(counts.begin(), counts.end()) -
+                                   counts.begin());
+}
+
 } // namespace
 
 TwoPhaseInterarrivalEstimator::TwoPhaseInterarrivalEstimator(double ewma_alpha)
@@ -79,19 +93,20 @@ double TwoPhaseInterarrivalEstimator::predict() const noexcept {
 MarkovTypeChain::MarkovTypeChain(std::size_t type_count)
     : type_count_(type_count),
       transition_(type_count, std::vector<std::uint32_t>(type_count, 0)),
-      marginal_(type_count, 0) {
+      marginal_(type_count, 0),
+      row_mode_(type_count, 0) {
     RMWP_EXPECT(type_count > 0);
 }
 
 void MarkovTypeChain::observe(TaskTypeId from, TaskTypeId to) {
     RMWP_EXPECT(from < type_count_ && to < type_count_);
-    ++transition_[from][to];
-    ++marginal_[to];
+    count_and_track_mode(transition_[from], to, row_mode_[from]);
+    count_and_track_mode(marginal_, to, marginal_mode_);
 }
 
 void MarkovTypeChain::observe_first(TaskTypeId first) {
     RMWP_EXPECT(first < type_count_);
-    ++marginal_[first];
+    count_and_track_mode(marginal_, first, marginal_mode_);
 }
 
 void MarkovTypeChain::save(std::ostream& os) const {
@@ -113,16 +128,17 @@ void MarkovTypeChain::load(std::istream& is) {
     for (auto& row : transition_)
         for (auto& cell : row) cell = static_cast<std::uint32_t>(get_u64(is, kCheckpointContext));
     for (auto& cell : marginal_) cell = static_cast<std::uint32_t>(get_u64(is, kCheckpointContext));
+    // The modes are derived state, so the checkpoint does not carry them.
+    for (std::size_t from = 0; from < type_count_; ++from)
+        row_mode_[from] = first_mode(transition_[from]);
+    marginal_mode_ = first_mode(marginal_);
 }
 
 TaskTypeId MarkovTypeChain::predict(TaskTypeId from) const {
     RMWP_EXPECT(from < type_count_);
-    const auto& row = transition_[from];
-    const auto row_best = std::max_element(row.begin(), row.end());
-    if (*row_best > 0) return static_cast<TaskTypeId>(row_best - row.begin());
-    // Cold row: fall back to the global mode.
-    const auto global_best = std::max_element(marginal_.begin(), marginal_.end());
-    return static_cast<TaskTypeId>(global_best - marginal_.begin());
+    const TaskTypeId row_best = row_mode_[from];
+    if (transition_[from][row_best] > 0) return row_best;
+    return marginal_mode_; // cold row: fall back to the global mode
 }
 
 OnlinePredictor::OnlinePredictor(const Catalog& catalog, Time overhead, double ewma_alpha)

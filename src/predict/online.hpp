@@ -52,7 +52,8 @@ public:
 
     void observe(TaskTypeId from, TaskTypeId to);
     void observe_first(TaskTypeId first);
-    /// Most likely successor of `from`; global mode when `from` is cold.
+    /// Most likely successor of `from` (the smallest id on ties); global
+    /// mode when `from` is cold.  O(1): observe keeps both argmaxes.
     [[nodiscard]] TaskTypeId predict(TaskTypeId from) const;
 
     /// Bit-exact state serialization for checkpointing (DESIGN.md §11).
@@ -63,6 +64,8 @@ private:
     std::size_t type_count_;
     std::vector<std::vector<std::uint32_t>> transition_; ///< [from][to] counts
     std::vector<std::uint32_t> marginal_;                ///< overall type counts
+    std::vector<TaskTypeId> row_mode_; ///< [from] first argmax of transition_[from]
+    TaskTypeId marginal_mode_ = 0;     ///< first argmax of marginal_
 };
 
 class OnlinePredictor final : public Predictor {

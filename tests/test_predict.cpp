@@ -3,8 +3,12 @@
 // factory.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <sstream>
 #include <tuple>
+#include <vector>
 
 #include "predict/noisy.hpp"
 #include "predict/online.hpp"
@@ -194,6 +198,45 @@ TEST(MarkovChain, ColdRowFallsBackToGlobalMode) {
     chain.observe(2, 2);
     // Row 4 never seen: the global mode (type 2) is predicted.
     EXPECT_EQ(chain.predict(4), 2u);
+}
+
+TEST(MarkovChain, PredictionIsTheFirstArgmaxOfTheCounts) {
+    // Few types and a short stream keep counts tied often, so the
+    // smallest-id tie rule is exercised, cold rows included; a save/load
+    // round trip must rebuild the same modes.
+    constexpr std::size_t kTypes = 5;
+    MarkovTypeChain chain(kTypes);
+    std::vector<std::vector<std::uint32_t>> rows(kTypes, std::vector<std::uint32_t>(kTypes, 0));
+    std::vector<std::uint32_t> marginal(kTypes, 0);
+    const auto first_argmax = [](const std::vector<std::uint32_t>& counts) {
+        return static_cast<TaskTypeId>(std::max_element(counts.begin(), counts.end()) -
+                                       counts.begin());
+    };
+    const auto expect_matches = [&](const MarkovTypeChain& model, int step) {
+        for (TaskTypeId from = 0; from < kTypes; ++from) {
+            const TaskTypeId expected =
+                rows[from][first_argmax(rows[from])] > 0 ? first_argmax(rows[from])
+                                                         : first_argmax(marginal);
+            EXPECT_EQ(model.predict(from), expected) << "step " << step << " from " << from;
+        }
+    };
+    Rng rng(7);
+    TaskTypeId last = rng.index(kTypes);
+    chain.observe_first(last);
+    ++marginal[last];
+    for (int step = 0; step < 300; ++step) {
+        const TaskTypeId next = rng.index(kTypes);
+        chain.observe(last, next);
+        ++rows[last][next];
+        ++marginal[next];
+        last = next;
+        expect_matches(chain, step);
+    }
+    std::stringstream saved;
+    chain.save(saved);
+    MarkovTypeChain restored(kTypes);
+    restored.load(saved);
+    expect_matches(restored, -1);
 }
 
 TEST(Online, LearnsPatternedStream) {
