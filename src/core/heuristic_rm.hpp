@@ -6,10 +6,19 @@
 // decreasing order of regret (gap between the best and second-best
 // desirability); each mapping must pass the EDF IsSchedulable check, falling
 // back to the next-best resource until the candidate list is exhausted.
-// Each of the N passes refreshes only the tasks whose options a placement
-// could have changed (O(L) each, L = options per task), then selects by
-// one linear scan over a dense array of the N cached regrets, so selection
-// costs O(N^2) per solve in total, plus the EDF probes.
+//
+// Cost model of one solve over N tasks with O options in total (one per
+// task and executable resource, L per task) on A physical anchors:
+//   * set-up, O(O + A): the options, and by counting sort each anchor's
+//     users with their cpm range, plus each anchor's largest option cpm;
+//   * selection, O(N^2) in total: each of the N passes scans the dense
+//     array of N cached regrets once, without branching;
+//   * invalidation: a placement scans its anchor's users only when the
+//     anchor's largest cpm exceeds the capacity left, and dirties only
+//     users whose cpm range crosses the capacity step; each dirty task's
+//     refresh costs O(L);
+//   * probes: one EDF check of the target anchor's demand-ordered list
+//     per tried option, kept sorted by insertion.
 #pragma once
 
 #include "core/manager.hpp"
